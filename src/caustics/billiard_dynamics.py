@@ -64,61 +64,24 @@ class RotationEstimate:
     residual: float
 
 
-def _tangent_params(table, caustic, px, py):
-    # polar form of the tangency equation from an external point
-    ac, bc = cg.caustic_axes(table, caustic)
-    p, q = px / ac, py / bc
-    r = math.hypot(p, q)
-    if r <= 1.0:
-        raise NumericalError(
-            f"vertex ({px}, {py}) not outside the caustic (R={r}); "
-            f"cannot draw tangent lines (lam={caustic.lam})"
-        )
-    return math.atan2(q, p), math.acos(1.0 / r)
-
-
-def _tangency_gap(table, caustic, px, py, w):
-    ac, bc = cg.caustic_axes(table, caustic)
-    return (px / ac) * math.cos(w) + (py / bc) * math.sin(w) - 1.0
-
-
 def next_tangency(table, caustic, u: float) -> float:
     """Tangency parameter of the next chord; lifted so that u < u+ < u + pi.
 
-    The chord at u+ shares the forward endpoint: P2(u+) = P1(u).  The two
-    tangencies from that endpoint are phi +/- delta; the current one is
-    phi - delta (= u mod 2pi) and the next is phi + delta.  If the shared
-    endpoint reproduces P1(u) worse than 1e-8 the root of the tangency
-    equation is re-solved by bisection before giving up.
+    One step of the orbit iteration, certified: the chord at u+ must share
+    the forward endpoint, P2(u+) = P1(u), to 1e-8 as evaluated by
+    endpoint_coordinates, or a NumericalError is raised.
     """
     u = float(u)
+    us, _ = _advance_sequence(table, caustic, u, 1, False)
+    u_next = float(us[1])
     x1, y1, _, _ = cg.endpoint_coordinates(table, caustic, u)
-    phi, delta = _tangent_params(table, caustic, x1, y1)
-    u_next = u + ((phi + delta - u) % (2.0 * math.pi))
     _, _, x2n, y2n = cg.endpoint_coordinates(table, caustic, u_next)
     residual = math.hypot(x2n - x1, y2n - y1)
     if residual > _SHARE_TOL:
-        # fallback: R cos(w - phi) - 1 crosses zero downward between phi and u + pi
-        try:
-            root = brentq(
-                lambda w: _tangency_gap(table, caustic, x1, y1, w),
-                u + ((phi - u) % (2.0 * math.pi)),
-                u + math.pi,
-                xtol=1e-14,
-            )
-        except ValueError as exc:
-            raise NumericalError(
-                f"billiard step failed at u={u}, lam={caustic.lam}: "
-                f"residual={residual:.3e}, no fallback bracket ({exc})"
-            ) from None
-        u_next = root
-        _, _, x2n, y2n = cg.endpoint_coordinates(table, caustic, u_next)
-        residual = math.hypot(x2n - x1, y2n - y1)
-        if residual > _SHARE_TOL:
-            raise NumericalError(
-                f"billiard step failed at u={u}, lam={caustic.lam}: "
-                f"endpoint-sharing residual {residual:.3e}"
-            )
+        raise NumericalError(
+            f"billiard step failed at u={u}, lam={caustic.lam}: "
+            f"endpoint-sharing residual {residual:.3e}"
+        )
     if not (u < u_next < u + math.pi):
         raise NumericalError(
             f"billiard step left (u, u+pi) at u={u}, lam={caustic.lam}: u_next={u_next}"
@@ -129,26 +92,10 @@ def next_tangency(table, caustic, u: float) -> float:
 def prev_tangency(table, caustic, u: float) -> float:
     """Inverse billiard step; lifted so that u - pi < u- < u.
 
-    Mirror of next_tangency through the backward endpoint P2(u): there the
-    current tangency is phi + delta and the previous one is phi - delta.
+    The reflection y -> -y maps the chord at u to the chord at -u with P1 and
+    P2 swapped, so it reverses the orbit: prev(u) = -next(-u).
     """
-    u = float(u)
-    _, _, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
-    phi, delta = _tangent_params(table, caustic, x2, y2)
-    u_prev = u - ((u - (phi - delta)) % (2.0 * math.pi))
-    x1p, y1p, _, _ = cg.endpoint_coordinates(table, caustic, u_prev)
-    residual = math.hypot(x1p - x2, y1p - y2)
-    if residual > _SHARE_TOL:
-        raise NumericalError(
-            f"inverse billiard step failed at u={u}, lam={caustic.lam}: "
-            f"endpoint-sharing residual {residual:.3e}"
-        )
-    if not (u - math.pi < u_prev < u):
-        raise NumericalError(
-            f"inverse billiard step left (u-pi, u) at u={u}, lam={caustic.lam}: "
-            f"u_prev={u_prev}"
-        )
-    return u_prev
+    return -next_tangency(table, caustic, -float(u))
 
 
 def _advance_sequence(table, caustic, u0, n, want_vertices):
@@ -166,6 +113,11 @@ def _advance_sequence(table, caustic, u0, n, want_vertices):
         verts[0, 0], verts[0, 1] = x2, y2
     for i in range(n):
         us[i] = u
+        # P1(u) inlined from endpoint_coordinates: a scalar call there costs
+        # 8.6 us of numpy overhead against 0.85 us for a whole inlined bounce
+        # (2-vCPU Xeon VM, CPython 3.11, numpy 2.4).
+        # next_tangency certifies this formula against endpoint_coordinates
+        # (P2(u+) = P1(u) to _SHARE_TOL); test_endpoint_sharing exercises it.
         xc, yc = ac * cos(u), bc * sin(u)
         zeta = sqrt(lam * (bc2 * bc2 * xc * xc + ac2 * ac2 * yc * yc))
         psi = a * a * bc2 * bc2 * xc * xc + b * b * ac2 * ac2 * yc * yc
@@ -185,8 +137,9 @@ def _advance_sequence(table, caustic, u0, n, want_vertices):
 
 @functools.lru_cache(maxsize=4)
 def _u_sequence_cached(table, caustic, u0, n):
-    # read-only: callers must not mutate the cached array
+    # every caller shares the cached array, so hand it out read-only
     us, _ = _advance_sequence(table, caustic, u0, n, want_vertices=False)
+    us.flags.writeable = False
     return us
 
 

@@ -44,7 +44,7 @@ def _print_meta(command: str, flag_pairs):
     print("# flags: " + " ".join(f"{k}={v}" for k, v in flag_pairs))
     print(
         f"# tolerances: dual_route_rel={_DUAL_ROUTE_REL:g} "
-        f"quad_tol_abs=1e-12 periodic_match_abs={_PERIODIC_MATCH:g}"
+        f"quad_tol_abs={sa._QUAD_TOL:g} periodic_match_abs={_PERIODIC_MATCH:g}"
     )
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "CausticSpec",
     "Chord",
     "caustic_axes",
-    "caustic_point",
     "joachimsthal",
     "chord_endpoints",
     "endpoint_coordinates",
@@ -78,15 +77,6 @@ def caustic_axes(table: BilliardTable, caustic: CausticSpec) -> tuple[float, flo
             f"caustic parameter must satisfy lam < b^2 = {b2}; got lam={lam}"
         )
     return math.sqrt(table.a * table.a - lam), math.sqrt(b2 - lam)
-
-
-def caustic_point(table, caustic, u):
-    """Point (a_c cos u, b_c sin u) on the caustic.  u may be an array."""
-    ac, bc = caustic_axes(table, caustic)
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 0:
-        return ac * math.cos(float(u)), bc * math.sin(float(u))
-    return ac * np.cos(u), bc * np.sin(u)
 
 
 def joachimsthal(table: BilliardTable, caustic: CausticSpec) -> float:

@@ -7,7 +7,8 @@ For any per-chord quantity g(u) the spatial average is
 with rho the invariant measure density from conic_geometry.  For an aperiodic
 orbit this equals the asymptotic time average of g over the bounce sequence.
 Mean sidelength and mean vertex cosine also admit closed forms in the complete
-elliptic integrals K and Pi; both routes are computed and cross-checked.
+elliptic integrals K and Pi; both routes are computed and cross-checked.  The
+quadrature route integrates Z itself, so it evaluates no elliptic integral.
 """
 from __future__ import annotations
 
@@ -106,14 +107,16 @@ def periodic_quadrature(f, tol: float = _QUAD_TOL):
     converges spectrally for smooth periodic integrands, so doubling is the
     whole refinement strategy).  Returns (value, last defect).
 
-    f : vectorized callable on arrays of u in [0, 2pi)
+    f : vectorized callable on arrays of u in [0, 2pi).  It may return shape
+        (..., len(u)) to integrate several functions on the same nodes; value
+        then has the leading shape and the defect is the largest component's.
     """
     n = 16
-    value = float(np.mean(f(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)))) * 2.0 * math.pi
+    value = np.mean(f(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)), axis=-1) * 2.0 * math.pi
     while n < _MAX_NODES:
         midpoints = np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2]
-        refined = 0.5 * value + float(np.mean(f(midpoints))) * math.pi
-        defect = abs(refined - value)
+        refined = 0.5 * value + np.mean(f(midpoints), axis=-1) * math.pi
+        defect = float(np.max(np.abs(refined - value)))
         value, n = refined, 2 * n
         if defect < tol:
             return value, defect
@@ -124,37 +127,37 @@ def periodic_quadrature(f, tol: float = _QUAD_TOL):
 
 
 def normalization(table, caustic) -> float:
-    """Total measure Z = integral rho du = 4 (a_c b_c)^(2/3) K(s3) / a_c.
+    """Total measure Z = integral rho du = 4 (a_c b_c)^(2/3) K(s3) / a_c, in closed form.
 
-    Both the quadrature of rho and the closed form are evaluated; they must
-    agree to 1e-9 relative or a NumericalError is raised.  The closed-form
-    value is returned.  On the circle (s3 = 0) this reduces to 2pi (1-lam)^(1/6).
+    The quadrature averages integrate their own Z and never call this; the
+    verify battery and the tests check it against a quadrature of rho.  On
+    the circle (s3 = 0) this reduces to 2pi (1-lam)^(1/6).
     """
     ac, bc = _check_caustic(table, caustic)
-    s3 = table.c2 / (ac * ac)
-    closed = 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k(s3) / ac
-    quad, _ = periodic_quadrature(lambda u: cg.measure_density(table, caustic, u))
-    if abs(quad - closed) > 1e-9 * abs(closed):
-        raise NumericalError(
-            f"normalization routes disagree: quadrature={quad!r}, "
-            f"closed={closed!r} (lam={caustic.lam})"
-        )
-    return closed
+    return 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k(table.c2 / (ac * ac)) / ac
 
 
 def _quadrature_average(table, caustic, integrand):
-    norm = normalization(table, caustic)
-    raw, defect = periodic_quadrature(
-        lambda u: integrand(u) * cg.measure_density(table, caustic, u)
-    )
-    return raw / norm, defect / norm
+    """(integral g rho / integral rho, defect / Z) with g = integrand.
+
+    Numerator and Z come from one periodic_quadrature call on the same nodes,
+    so this route uses no elliptic integral and stays independent of the
+    closed forms.
+    """
+
+    def weighted(u):
+        rho = cg.measure_density(table, caustic, u)
+        return np.stack([rho, integrand(u) * rho])
+
+    (z, raw), defect = periodic_quadrature(weighted)
+    return float(raw / z), float(defect / z)
 
 
 def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResult:
     """Measure-weighted mean chord length.
 
     closed_form: Lbar = 2a (b^2 K(s3) + (lam - b^2) Pi(s5, s3)) / (b sqrt(lam) K(s3)).
-    quadrature:  integral of chord_length(u) rho(u) du / normalization.
+    quadrature:  integral of chord_length(u) rho(u) du / integral rho(u) du.
     The two agree to 1e-9 relative; on the circle both reduce to 2 sqrt(lam).
     """
     _check_caustic(table, caustic)
@@ -198,11 +201,6 @@ def mean_cosine(table, caustic, method: str = "closed_form") -> AverageResult:
     if method != "closed_form":
         raise DomainError(f"unknown method {method!r}")
     inp = closed_form_inputs(table, caustic)
-    if not inp.s2 < 1.0:  # unreachable for valid lam; fall back rather than lie
-        value, err = _quadrature_average(
-            table, caustic, lambda u: cg.interior_cosine(table, caustic, u)
-        )
-        return AverageResult(value, "quadrature", err, lam)
     r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
     k = complete_k(inp.s3)
     value = r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(

@@ -8,6 +8,7 @@ Proves:
    - endpoint sharing P1(u) = P2(u+) to 1e-10 on generic tables
    - prev_tangency inverts next_tangency to 1e-9
    - the lift step always lies in (0, pi)
+   - the cached orbit shared by time averages is read-only
  Group 2 - Orbit iteration
    - n+1 lifted parameters, strictly increasing lift
    - every chord tangent to the caustic, Joachimsthal constant at every
@@ -39,6 +40,7 @@ import caustics.conic_geometry as cg
 import caustics.spatial_averages as sa
 from caustics.billiard_dynamics import (
     TIME_AVERAGE_QUANTITIES,
+    _u_sequence_cached,
     find_caustic_for_period,
     iterate_orbit,
     next_tangency,
@@ -109,6 +111,15 @@ def test_prev_inverts_next():
         for u in (0.0, 0.9, 2.2, 4.8):
             u_next = next_tangency(table, caustic, u)
             assert prev_tangency(table, caustic, u_next) == pytest.approx(u, abs=1e-9)
+
+
+def test_cached_orbit_is_read_only():
+    # time_average and rotation_number share one cached array per orbit
+    us = _u_sequence_cached(T2, cg.CausticSpec(0.5), 0.1, 100)
+    with pytest.raises(ValueError, match="read-only"):
+        us[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        us[:10] *= 2.0
 
 
 # ----------------------------------------------------------------- group 2

@@ -23,6 +23,7 @@ Proves:
    - discrete product matching at lambda_5 (a = 5)
  Group 6 - Structure
    - monotonicity in lambda, range bounds, degeneracy guard, result fields
+   - the quadrature and orbit routes run with every K/Pi evaluation disabled
 """
 from __future__ import annotations
 
@@ -34,8 +35,9 @@ import pytest
 import scipy.integrate
 
 import caustics.conic_geometry as cg
+import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
-from caustics.billiard_dynamics import find_caustic_for_period
+from caustics.billiard_dynamics import find_caustic_for_period, time_average
 from caustics.elliptic_integrals import complete_k, complete_pi
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
@@ -342,3 +344,25 @@ def test_average_result_fields():
     assert res.lam == 0.5
     with pytest.raises(DomainError):
         sa.mean_sidelength(T2, cg.CausticSpec(0.5), method="simpson")
+
+
+def test_routes_independent_of_elliptic_integrals(monkeypatch):
+    """Quadrature and orbit routes never evaluate K or Pi, so they cross-check
+    the closed forms rather than repeat them."""
+
+    def forbidden(*args):
+        raise RuntimeError("complete elliptic integral evaluated")
+
+    for name in ("complete_k", "complete_pi", "complete_pi_minus_k"):
+        monkeypatch.setattr(ei, name, forbidden)
+        monkeypatch.setattr(sa, name, forbidden)
+    caustic = cg.CausticSpec(0.37)
+    with pytest.raises(RuntimeError, match="elliptic"):
+        sa.mean_sidelength(T2, caustic, method="closed_form")
+    for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
+        res = average(T2, caustic, method="quadrature")
+        assert res.method == "quadrature" and math.isfinite(res.value)
+    log_mean, sign = sa.log_geomean_outer(T2, caustic)
+    assert math.isfinite(log_mean) and sign == -1
+    assert math.isfinite(time_average(T2, caustic, "sidelength", 1000).value)
+    assert find_caustic_for_period(T2, 4).lam == pytest.approx(0.8, abs=1e-12)
