@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +32,8 @@ except Exception:  # not installed; running from a source tree
 _DUAL_ROUTE_REL = 1e-9
 _PERIODIC_MATCH = 1e-6
 _ERGODIC_REL = 5e-3
+_IDENTITY_TOL = 1e-9
+_SEED_SPREAD_REL = 1e-8
 _DEFAULT_TABLES = ((1.2, 1.0), (2.0, 1.0), (5.0, 1.0))
 _ERGODIC_FRACTIONS = (0.11, 0.24, 0.37, 0.52, 0.68)
 _SWEEP_QUANTITIES = ("sidelength", "cosine", "kappa23", "outer")
@@ -48,38 +52,41 @@ def _print_meta(command: str, flag_pairs):
     )
 
 
+def _route_dev(name, quad, closed):
+    """Quadrature-vs-closed-form deviation of one average, at its own scale.
+
+    The mean cosine crosses zero inside the sweep range, so it compares at
+    max(1, |closed|); every other quantity compares at |closed|.
+    """
+    scale = max(1.0, abs(closed)) if name == "cosine" else abs(closed)
+    return abs(quad - closed) / scale
+
+
 def _spatial_row_values(table, caustic, quantities, method):
     """One sweep row: {quantity: value} plus per-quantity method tags.
 
-    method 'both' evaluates quadrature and closed form, checks agreement and
-    reports the closed-form value.  The cosine crosses zero inside the sweep
-    range, so its agreement is measured at the quantity's natural unit scale.
+    method 'both' evaluates quadrature and closed form, checks their agreement
+    (`_route_dev`) and reports the closed-form value.
     """
     values, tags = {}, {}
-    if "sidelength" in quantities or "cosine" in quantities or "kappa23" in quantities:
-        compute = {
-            "sidelength": sa.mean_sidelength,
-            "cosine": sa.mean_cosine,
-            "kappa23": sa.mean_curvature23,
-        }
-        for name, fn in compute.items():
-            if name not in quantities:
-                continue
-            if method == "quadrature":
-                res = fn(table, caustic, method="quadrature")
-            elif method == "closed":
-                res = fn(table, caustic, method="closed_form")
-            else:
-                quad = fn(table, caustic, method="quadrature")
-                res = fn(table, caustic, method="closed_form")
-                scale = max(1.0, abs(res.value)) if name == "cosine" else abs(res.value)
-                if abs(quad.value - res.value) > _DUAL_ROUTE_REL * scale:
-                    raise NumericalError(
-                        f"{name} routes disagree at lam={caustic.lam}: "
-                        f"quadrature={quad.value!r}, closed={res.value!r}"
-                    )
-            values[name] = res.value
-            tags[name] = res.method if method != "both" else "both"
+    routed = (
+        ("sidelength", sa.mean_sidelength),
+        ("cosine", sa.mean_cosine),
+        ("kappa23", sa.mean_curvature23),
+    )
+    for name, fn in routed:
+        if name not in quantities:
+            continue
+        res = fn(table, caustic, method="quadrature" if method == "quadrature" else "closed_form")
+        if method == "both":
+            quad = fn(table, caustic, method="quadrature")
+            if _route_dev(name, quad.value, res.value) > _DUAL_ROUTE_REL:
+                raise NumericalError(
+                    f"{name} routes disagree at lam={caustic.lam}: "
+                    f"quadrature={quad.value!r}, closed={res.value!r}"
+                )
+        values[name] = res.value
+        tags[name] = res.method if method != "both" else "both"
     if "outer" in quantities:
         log_mean, sign = sa.log_geomean_outer(table, caustic)
         values["outer_abs"] = math.exp(log_mean)
@@ -125,7 +132,7 @@ def cmd_sweep(args) -> int:
     def emit(lam, flag="", discrete=None):
         caustic = cg.CausticSpec(lam)
         values, tags = _spatial_row_values(table, caustic, quantities, args.method)
-        cells = [_fmt(lam), _fmt(1.0 - lam), _fmt(math.sqrt(b2 - lam))]
+        cells = [_fmt(lam), _fmt(b2 - lam), _fmt(math.sqrt(b2 - lam))]
         for name in ("sidelength", "cosine", "kappa23"):
             cells.append(_fmt(values[name]) if name in values else "")
         cells.append(_fmt(values["outer_abs"]) if "outer_abs" in values else "")
@@ -240,11 +247,31 @@ def _relative_spread(values, floor):
     return float(np.ptp(values)) / scale
 
 
+@dataclass(frozen=True)
+class Check:
+    """One battery check: the worst `measure` found over its grid, against `tol`."""
+
+    name: str
+    measure: str
+    worst: float
+    tol: float
+    elapsed_s: float
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tol
+
+    @property
+    def detail(self) -> str:
+        return f"{self.measure} {self.worst:.3e} (tol {self.tol:g})"
+
+
 def run_battery(tables, quick=False):
     """The verification battery behind `caustics verify`.
 
-    Returns a list of (name, passed, detail) tuples covering the dual-route,
-    ergodic, periodic-matching and identity checks for each table.
+    Returns a list of `Check` records, five per table: the dual-route,
+    ergodic, periodic-matching, sum-of-cosines identity and seed-invariance
+    checks.  The last two share one loop over orbits and both report its time.
     """
     checks = []
     n_bounces = 10_000 if quick else 1_000_000
@@ -253,27 +280,20 @@ def run_battery(tables, quick=False):
         tag = f"a={a:g} b={b:g}"
         b2 = b * b
 
+        t0 = time.perf_counter()
         worst = 0.0
         for frac in np.arange(0.05, 0.9501, 0.05):
             caustic = cg.CausticSpec(float(frac) * b2)
-            quad_n, _ = sa.periodic_quadrature(
-                lambda u: cg.measure_density(table, caustic, u)
-            )
+            quad_n, _ = sa.periodic_quadrature(lambda u: cg.measure_density(table, caustic, u))
             worst = max(worst, abs(quad_n / sa.normalization(table, caustic) - 1.0))
-            lq = sa.mean_sidelength(table, caustic, method="quadrature").value
-            lc = sa.mean_sidelength(table, caustic, method="closed_form").value
-            worst = max(worst, abs(lq - lc) / abs(lc))
-            cq = sa.mean_cosine(table, caustic, method="quadrature").value
-            cc = sa.mean_cosine(table, caustic, method="closed_form").value
-            worst = max(worst, abs(cq - cc) / max(1.0, abs(cc)))
-        checks.append(
-            (
-                f"dual-route closed form vs quadrature [{tag}]",
-                worst <= _DUAL_ROUTE_REL,
-                f"worst rel dev {worst:.3e} (tol {_DUAL_ROUTE_REL:g})",
-            )
-        )
+            for name, fn in (("sidelength", sa.mean_sidelength), ("cosine", sa.mean_cosine)):
+                quad = fn(table, caustic, method="quadrature").value
+                closed = fn(table, caustic, method="closed_form").value
+                worst = max(worst, _route_dev(name, quad, closed))
+        checks.append(Check(f"dual-route closed form vs quadrature [{tag}]", "worst rel dev",
+                            worst, _DUAL_ROUTE_REL, time.perf_counter() - t0))
 
+        t0 = time.perf_counter()
         worst = 0.0
         for frac in _ERGODIC_FRACTIONS:
             caustic = cg.CausticSpec(frac * b2)
@@ -286,14 +306,10 @@ def run_battery(tables, quick=False):
             for quantity, ref in refs.items():
                 t = time_average(table, caustic, quantity, n_bounces).value
                 worst = max(worst, abs(t - ref) / abs(ref))
-        checks.append(
-            (
-                f"ergodic time average vs spatial ({n_bounces} bounces) [{tag}]",
-                worst <= _ERGODIC_REL,
-                f"worst rel dev {worst:.3e} (tol {_ERGODIC_REL:g})",
-            )
-        )
+        checks.append(Check(f"ergodic time average vs spatial ({n_bounces} bounces) [{tag}]",
+                            "worst rel dev", worst, _ERGODIC_REL, time.perf_counter() - t0))
 
+        t0 = time.perf_counter()
         worst = 0.0
         for n in range(3, 8):
             caustic = find_caustic_for_period(table, n)
@@ -309,14 +325,10 @@ def run_battery(tables, quick=False):
                 abs(abs(report.product_outer_cos) ** (1.0 / n) - math.exp(log_mean)),
                 abs(report.sum_kappa23 / n - kbar) / kbar,
             )
-        checks.append(
-            (
-                f"N-periodic invariants vs spatial averages (N=3..7) [{tag}]",
-                worst <= _PERIODIC_MATCH,
-                f"worst dev {worst:.3e} (tol {_PERIODIC_MATCH:g})",
-            )
-        )
+        checks.append(Check(f"N-periodic invariants vs spatial averages (N=3..7) [{tag}]",
+                            "worst dev", worst, _PERIODIC_MATCH, time.perf_counter() - t0))
 
+        t0 = time.perf_counter()
         worst_identity, worst_spread = 0.0, 0.0
         for n in range(3, 8):
             reports = [
@@ -336,30 +348,20 @@ def run_battery(tables, quick=False):
                 _relative_spread([r.product_outer_cos for r in reports], 1e-12),
                 _relative_spread([r.sum_kappa23 for r in reports], 0.0),
             )
-        checks.append(
-            (
-                f"sum-of-cosines identity J L - N (10 seeds, N=3..7) [{tag}]",
-                worst_identity <= 1e-9,
-                f"worst residual {worst_identity:.3e} (tol 1e-09)",
-            )
-        )
-        checks.append(
-            (
-                f"seed-invariance of periodic invariants (10 seeds, N=3..7) [{tag}]",
-                worst_spread <= 1e-8,
-                f"worst rel spread {worst_spread:.3e} (tol 1e-08)",
-            )
-        )
+        elapsed = time.perf_counter() - t0
+        checks.append(Check(f"sum-of-cosines identity J L - N (10 seeds, N=3..7) [{tag}]",
+                            "worst residual", worst_identity, _IDENTITY_TOL, elapsed))
+        checks.append(Check(f"seed-invariance of periodic invariants (10 seeds, N=3..7) [{tag}]",
+                            "worst rel spread", worst_spread, _SEED_SPREAD_REL, elapsed))
     return checks
 
 
 def cmd_verify(args) -> int:
     tables = [(args.a, args.b)] if args.a is not None else list(_DEFAULT_TABLES)
     checks = run_battery(tables, quick=args.quick)
-    failures = 0
-    for name, passed, detail in checks:
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        failures += 0 if passed else 1
+    for check in checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    failures = sum(not check.passed for check in checks)
     if failures:
         print(f"{failures} of {len(checks)} checks failed")
         return 1

@@ -1,24 +1,32 @@
 """End-to-end acceptance battery.  Each test prints one PASS/FAIL line on the
 real stdout (bypassing capture) and asserts the stated tolerance.
 
- 1. dual-route closed form vs quadrature, 3 tables x 19 lambdas, 1e-9 rel, <10 s
+Criteria 1-4 and 9 read one `caustics verify` run on the default tables
+(a = 1.2, 2, 5; b = 1).  Each check is written once, in `cli.run_battery`;
+a criterion asserts on its `Check` records, pins the tolerance they carry,
+and sums their elapsed times over the three tables for its runtime budget.
+
+ 1. dual-route Z, sidelength and cosine, 3 tables x 19 lambdas, 1e-9 rel, <10 s
  2. 1e6-bounce time averages vs quadrature, 5 lambdas/table, 4 quantities,
     5e-3 rel, <60 s
- 3. N-periodic invariants vs spatial averages at lambda_N, N=3..7, 1e-6, <30 s
- 4. sum-of-cosines identity (1e-9) and 10-seed invariance spreads (1e-8 rel)
+ 3. N-periodic invariants (sidelength, cosine, kappa^(2/3), outer cosine)
+    vs spatial averages at lambda_N, N=3..7, 1e-6, <30 s
+ 4. sum-of-cosines identity (1e-9) and 10-seed invariance spreads (1e-8 rel),
+    on the default tables and the circle
  5. mean sidelength -> 2a with gap (c/a) artanh(c/a) / K(s3), 1e-4, both
     routes; monotone to the guard
  6. circle exactness of every closed form, 1e-12
  7. outer-cosine sign flip at lambda = a^2 b^2/(a^2+b^2) for a=5, with the
     geometric mean vanishing from both sides
  8. elliptic integrals vs adaptive quadrature on a 20x20 grid, 1e-11 rel
- 9. CLI: verify exits 0 on the default tables; sweep output deterministic
-    with PERIODIC rows matching to 1e-6
+ 9. CLI: verify exits 0 on the default tables with no FAIL line; sweep
+    output deterministic with PERIODIC rows matching to 1e-6
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import math
-import time
 import warnings
 
 import numpy as np
@@ -28,10 +36,10 @@ import scipy.special
 
 import caustics.conic_geometry as cg
 import caustics.spatial_averages as sa
-from caustics.billiard_dynamics import find_caustic_for_period, time_average
-from caustics.cli import main
+from caustics import cli
+from caustics.billiard_dynamics import find_caustic_for_period
+from caustics.cli import main, run_battery
 from caustics.elliptic_integrals import complete_k, complete_pi
-from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
 
 TABLES = [cg.BilliardTable(a, 1.0) for a in (1.2, 2.0, 5.0)]
 
@@ -55,101 +63,64 @@ def report(num, ok, detail):
     return ok
 
 
-def test_criterion_1_dual_route():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for table in TABLES:
-        for frac in np.arange(0.05, 0.9501, 0.05):
-            caustic = cg.CausticSpec(float(frac) * table.b**2)
-            quad_n, _ = sa.periodic_quadrature(
-                lambda u: cg.measure_density(table, caustic, u)
-            )
-            worst = max(worst, abs(quad_n / sa.normalization(table, caustic) - 1.0))
-            lc = sa.mean_sidelength(table, caustic, method="closed_form").value
-            lq = sa.mean_sidelength(table, caustic, method="quadrature").value
-            worst = max(worst, abs(lq - lc) / abs(lc))
-            cc = sa.mean_cosine(table, caustic, method="closed_form").value
-            cq = sa.mean_cosine(table, caustic, method="quadrature").value
-            # the mean cosine crosses zero inside this grid, so agreement is
-            # measured at the quantity's natural unit scale
-            worst = max(worst, abs(cq - cc) / max(1.0, abs(cc)))
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-9 and dt < 10.0
+@pytest.fixture(scope="module")
+def verify_run():
+    """(exit code, stdout, `Check` records) of one `caustics verify` run."""
+    assert cli._DEFAULT_TABLES == ((1.2, 1.0), (2.0, 1.0), (5.0, 1.0))
+    records = []
+
+    def spy(*args, **kwargs):
+        checks = run_battery(*args, **kwargs)
+        records.extend(checks)
+        return checks
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "run_battery", spy)
+        code = main(["verify"])
+    return code, out.getvalue(), records
+
+
+def battery_summary(records, kind, tol):
+    """Count, worst value and summed elapsed time of the records of one check.
+
+    `kind` is the start of the check's name; each record must carry `tol`.
+    """
+    found = [c for c in records if c.name.startswith(kind)]
+    assert found and all(c.tol == tol for c in found), found
+    return len(found), max(c.worst for c in found), sum(c.elapsed_s for c in found)
+
+
+def test_criterion_1_dual_route(verify_run):
+    count, worst, dt = battery_summary(verify_run[2], "dual-route", 1e-9)
+    ok = count == 3 and worst <= 1e-9 and dt < 10.0
     assert report(1, ok, f"dual-route worst rel dev {worst:.3e} (tol 1e-9), {dt:.1f}s (< 10s)")
 
 
-def test_criterion_2_ergodic():
-    t0 = time.perf_counter()
-    worst = 0.0
-    n = 1_000_000
-    for table in TABLES:
-        for frac in (0.11, 0.24, 0.37, 0.52, 0.68):
-            caustic = cg.CausticSpec(frac * table.b**2)
-            refs = {
-                "sidelength": sa.mean_sidelength(table, caustic, "quadrature").value,
-                "interior_cosine": sa.mean_cosine(table, caustic, "quadrature").value,
-                "curvature23": sa.mean_curvature23(table, caustic).value,
-                "log_abs_outer_cosine": sa.log_geomean_outer(table, caustic)[0],
-            }
-            for quantity, ref in refs.items():
-                got = time_average(table, caustic, quantity, n).value
-                worst = max(worst, abs(got - ref) / abs(ref))
-    dt = time.perf_counter() - t0
-    ok = worst <= 5e-3 and dt < 60.0
+def test_criterion_2_ergodic(verify_run):
+    count, worst, dt = battery_summary(
+        verify_run[2], "ergodic time average vs spatial (1000000 bounces)", 5e-3
+    )
+    ok = count == 3 and worst <= 5e-3 and dt < 60.0
     assert report(
         2, ok, f"1e6-bounce ergodic worst rel dev {worst:.3e} (tol 5e-3), {dt:.1f}s (< 60s)"
     )
 
 
-def test_criterion_3_periodic_matching():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for table in TABLES:
-        for n in range(3, 8):
-            caustic = find_caustic_for_period(table, n)
-            rep = evaluate_invariants(build_periodic_orbit(table, n, seed_u=0.123))
-            lbar = sa.mean_sidelength(table, caustic).value
-            cbar = sa.mean_cosine(table, caustic).value
-            log_mean, _ = sa.log_geomean_outer(table, caustic)
-            worst = max(
-                worst,
-                abs(rep.perimeter / n - lbar) / lbar,
-                abs(rep.joachimsthal * rep.perimeter / n - 1.0 - cbar),
-                abs(abs(rep.product_outer_cos) ** (1.0 / n) - math.exp(log_mean)),
-            )
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-6 and dt < 30.0
+def test_criterion_3_periodic_matching(verify_run):
+    count, worst, dt = battery_summary(verify_run[2], "N-periodic", 1e-6)
+    ok = count == 3 and worst <= 1e-6 and dt < 30.0
     assert report(
         3, ok, f"N-periodic vs spatial worst dev {worst:.3e} (tol 1e-6), {dt:.1f}s (< 30s)"
     )
 
 
-def test_criterion_4_identity_and_seeds():
-    worst_identity = 0.0
-    worst_spread = 0.0
-    for table in TABLES + [cg.BilliardTable(1.0, 1.0)]:
-        for n in range(3, 8):
-            reports = [
-                evaluate_invariants(build_periodic_orbit(table, n, seed_u=float(s)))
-                for s in np.linspace(0.0, 2.0 * math.pi / n, 10, endpoint=False)
-            ]
-            worst_identity = max(
-                worst_identity,
-                max(r.identity_residuals["sum_cos_identity"] for r in reports),
-            )
-            # sum_cos and the outer product vanish identically at the N = 4
-            # caustic (ca = 0): there the values are pure roundoff, so the
-            # spread is taken as zero once all magnitudes sit below the floor
-            for vals, floor in (
-                ([r.perimeter for r in reports], 0.0),
-                ([r.sum_cos for r in reports], 1e-9),
-                ([r.product_outer_cos for r in reports], 1e-12),
-                ([r.sum_kappa23 for r in reports], 0.0),
-            ):
-                scale = max(abs(v) for v in vals)
-                if scale > floor:
-                    worst_spread = max(worst_spread, (max(vals) - min(vals)) / scale)
-    ok = worst_identity <= 1e-9 and worst_spread <= 1e-8
+def test_criterion_4_identity_and_seeds(verify_run):
+    # the default tables' records plus the circle's, from a quick battery on it
+    records = verify_run[2] + run_battery([(1.0, 1.0)], quick=True)
+    n_identity, worst_identity, _ = battery_summary(records, "sum-of-cosines", 1e-9)
+    n_spread, worst_spread, _ = battery_summary(records, "seed-invariance", 1e-8)
+    ok = n_identity == n_spread == 4 and worst_identity <= 1e-9 and worst_spread <= 1e-8
     assert report(
         4,
         ok,
@@ -284,10 +255,9 @@ def test_criterion_8_elliptic_grid():
     assert report(8, ok, f"K/Pi vs quadrature on 20x20 grid, worst rel dev {worst:.3e} (tol 1e-11)")
 
 
-def test_criterion_9_cli_integration(capsys):
-    code = main(["verify"])
-    verify_out = capsys.readouterr().out
-    verify_ok = code == 0 and "FAIL" not in verify_out
+def test_criterion_9_cli_integration(capsys, verify_run):
+    code, verify_out, _ = verify_run
+    verify_ok = code == 0 and not any(ln.startswith("FAIL") for ln in verify_out.splitlines())
 
     argv = ["sweep", "--a", "2", "--steps", "3", "--mark-periodics", "3,4,5"]
     assert main(argv) == 0

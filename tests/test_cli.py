@@ -7,7 +7,7 @@ Proves:
    - circle sweep: mean_cosine = 2 lambda - 1 per row
    - quantity subsetting leaves unselected cells empty
    - mean_sidelength monotone across rows; b_c column consistent; rows
-     ordered by lambda
+     ordered by lambda; one_minus_lambda holds b^2 - lambda for any b
    - --mark-periodics appends PERIODIC rows whose spatial and discrete
      columns agree to 1e-6
    - byte-identical output for identical flags
@@ -17,7 +17,8 @@ Proves:
  Group 3 - orbit
    - circle square vertex dump; residual column below 1e-9
  Group 4 - verify and exit codes
-   - quick circle battery passes with exit 0
+   - quick circle battery passes with exit 0; one failing check exits 1
+     with its FAIL line and the failure count
    - usage errors exit 2 (bad lambda, bad steps, unknown quantity,
      missing flags); unbracketable period exits 3
 """
@@ -28,7 +29,8 @@ import math
 import numpy as np
 import pytest
 
-from caustics.cli import main
+from caustics import cli
+from caustics.cli import Check, main
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +78,18 @@ def test_sweep_circle_cosine_linear(capsys):
         lam = float(row["lambda"])
         assert float(row["mean_cosine"]) == pytest.approx(2.0 * lam - 1.0, abs=1e-11)
         assert float(row["b_c"]) == pytest.approx(math.sqrt(1.0 - lam), abs=1e-12)
+
+
+def test_sweep_one_minus_lambda_is_b2_minus_lambda(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--a", "3", "--b", "1.7", "--steps", "2", "--quantities", "sidelength"
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    for row in rows:
+        gap = 1.7**2 - float(row["lambda"])
+        assert float(row["one_minus_lambda"]) == pytest.approx(gap, rel=1e-12)
+        assert float(row["b_c"]) == pytest.approx(math.sqrt(gap), rel=1e-12)
 
 
 def test_sweep_quantity_subset_and_monotonicity(capsys):
@@ -177,6 +191,18 @@ def test_verify_quick_circle(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "all" in out.splitlines()[-1]
+
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    checks = [
+        Check("good", "worst dev", 1e-12, 1e-9, 0.0),
+        Check("bad", "worst dev", 2e-3, 1e-6, 0.0),
+    ]
+    monkeypatch.setattr(cli, "run_battery", lambda tables, quick=False: checks)
+    code, out, _ = run_cli(capsys, "verify", "--quick")
+    assert code == 1
+    assert "FAIL bad: worst dev 2.000e-03 (tol 1e-06)" in out.splitlines()
+    assert out.splitlines()[-1] == "1 of 2 checks failed"
 
 
 @pytest.mark.parametrize(
