@@ -4,7 +4,6 @@ time averages / discrete invariants of simulated orbits.
 """
 from .billiard_dynamics import (
     OrbitSample,
-    RotationEstimate,
     find_caustic_for_period,
     iterate_orbit,
     next_tangency,
@@ -15,9 +14,7 @@ from .billiard_dynamics import (
 from .conic_geometry import (
     BilliardTable,
     CausticSpec,
-    Chord,
     caustic_axes,
-    chord_endpoints,
     chord_length,
     curvature23,
     interior_cosine,
@@ -46,16 +43,13 @@ __all__ = [
     "AverageResult",
     "BilliardTable",
     "CausticSpec",
-    "Chord",
     "DomainError",
     "InvariantReport",
     "NumericalError",
     "OrbitSample",
     "PeriodicOrbit",
-    "RotationEstimate",
     "build_periodic_orbit",
     "caustic_axes",
-    "chord_endpoints",
     "chord_length",
     "complete_k",
     "complete_pi",

@@ -8,8 +8,11 @@ x = a_c cos w, y = b_c sin w solve
     (px/a_c) cos w + (py/b_c) sin w = 1,
 
 i.e. R cos(w - phi) = 1 with (R, phi) the polar form of (px/a_c, py/b_c), so
-w = phi +/- delta with delta = arccos(1/R).  Counterclockwise orientation makes
-the step u -> u + 2 delta, with delta evaluated at the forward endpoint P1(u).
+w = phi +/- delta with delta = arccos(1/R) = arctan(sqrt(R^2 - 1)).
+Counterclockwise orientation makes the step u -> u + 2 delta, with delta
+evaluated at the forward endpoint P1(u).  Every orbit is iterated by
+_advance_sequence and certified by _orbit.  rotation_number is exact: the map
+is conjugate to a rigid rotation.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ellipk, ellipkinc
 
 from . import conic_geometry as cg
 from .errors import DomainError, NumericalError
@@ -26,7 +30,6 @@ from .spatial_averages import AverageResult
 
 __all__ = [
     "OrbitSample",
-    "RotationEstimate",
     "next_tangency",
     "prev_tangency",
     "iterate_orbit",
@@ -55,38 +58,13 @@ class OrbitSample:
     caustic: cg.CausticSpec
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
-    """Winding estimate rho = (u_n - u_0)/(2 pi n) plus the closure defect."""
-
-    rho: float
-    steps: int
-    residual: float
-
-
 def next_tangency(table, caustic, u: float) -> float:
     """Tangency parameter of the next chord; lifted so that u < u+ < u + pi.
 
-    One step of the orbit iteration, certified: the chord at u+ must share
-    the forward endpoint, P2(u+) = P1(u), to 1e-8 as evaluated by
-    endpoint_coordinates, or a NumericalError is raised.
+    The one-step orbit from u, certified like every orbit (see _orbit).
     """
-    u = float(u)
-    us, _ = _advance_sequence(table, caustic, u, 1, False)
-    u_next = float(us[1])
-    x1, y1, _, _ = cg.endpoint_coordinates(table, caustic, u)
-    _, _, x2n, y2n = cg.endpoint_coordinates(table, caustic, u_next)
-    residual = math.hypot(x2n - x1, y2n - y1)
-    if residual > _SHARE_TOL:
-        raise NumericalError(
-            f"billiard step failed at u={u}, lam={caustic.lam}: "
-            f"endpoint-sharing residual {residual:.3e}"
-        )
-    if not (u < u_next < u + math.pi):
-        raise NumericalError(
-            f"billiard step left (u, u+pi) at u={u}, lam={caustic.lam}: u_next={u_next}"
-        )
-    return u_next
+    us, _ = _orbit(table, caustic, float(u), 1)
+    return float(us[1])
 
 
 def prev_tangency(table, caustic, u: float) -> float:
@@ -98,49 +76,60 @@ def prev_tangency(table, caustic, u: float) -> float:
     return -next_tangency(table, caustic, -float(u))
 
 
-def _advance_sequence(table, caustic, u0, n, want_vertices):
-    """Fast scalar iteration of the map.  Returns (u array, vertex array or None)."""
+def _advance_sequence(table, caustic, u0, n):
+    """Scalar iteration of the map: the n+1 lifted tangency parameters from u0."""
     a, b = table.a, table.b
     ac, bc = cg.caustic_axes(table, caustic)
     ac2, bc2 = ac * ac, bc * bc
     lam = caustic.lam
-    cos, sin, sqrt, hypot, acos = math.cos, math.sin, math.sqrt, math.hypot, math.acos
+    # tan(delta) = sqrt(R^2 - 1) with R^2 = x1^2/a_c^2 + y1^2/b_c^2.  On the
+    # boundary R^2 - 1 = lam (x1^2/(a^2 a_c^2) + y1^2/(b^2 b_c^2)), which keeps
+    # its relative accuracy as lam -> 0, where R -> 1 and acos(1/R) would not.
+    wx, wy = lam / (a * a * ac2), lam / (b * b * bc2)
+    cos, sin, sqrt, atan = math.cos, math.sin, math.sqrt, math.atan
     us = np.empty(n + 1)
-    verts = np.empty((n + 1, 2)) if want_vertices else None
     u = float(u0)
-    if want_vertices:
-        _, _, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
-        verts[0, 0], verts[0, 1] = x2, y2
     for i in range(n):
         us[i] = u
         # P1(u) inlined from endpoint_coordinates: a scalar call there costs
         # 8.6 us of numpy overhead against 0.85 us for a whole inlined bounce
-        # (2-vCPU Xeon VM, CPython 3.11, numpy 2.4).
-        # next_tangency certifies this formula against endpoint_coordinates
-        # (P2(u+) = P1(u) to _SHARE_TOL); test_endpoint_sharing exercises it.
+        # (2-vCPU Xeon VM, CPython 3.11, numpy 2.4).  _orbit certifies every
+        # step of this copy against endpoint_coordinates.
         xc, yc = ac * cos(u), bc * sin(u)
         zeta = sqrt(lam * (bc2 * bc2 * xc * xc + ac2 * ac2 * yc * yc))
         psi = a * a * bc2 * bc2 * xc * xc + b * b * ac2 * ac2 * yc * yc
         x1 = ac2 * a * (a * bc2 * bc2 * xc - zeta * b * yc) / psi
         y1 = bc2 * b * (b * ac2 * ac2 * yc + zeta * a * xc) / psi
-        if want_vertices:
-            verts[i + 1, 0], verts[i + 1, 1] = x1, y1
-        r = hypot(x1 / ac, y1 / bc)
-        if r <= 1.0:
-            raise NumericalError(
-                f"vertex fell inside the caustic at step {i} (u={u}, lam={lam})"
-            )
-        u = u + 2.0 * acos(1.0 / r)
+        u = u + 2.0 * atan(sqrt(wx * x1 * x1 + wy * y1 * y1))
     us[n] = u
-    return us, verts
+    return us
 
 
 @functools.lru_cache(maxsize=4)
-def _u_sequence_cached(table, caustic, u0, n):
-    # every caller shares the cached array, so hand it out read-only
-    us, _ = _advance_sequence(table, caustic, u0, n, want_vertices=False)
+def _orbit(table, caustic, u0, n):
+    """The certified n-step orbit from u0: read-only (lifted u's, vertices).
+
+    Every step is checked against endpoint_coordinates: the chord at u_{k+1}
+    must start where the chord at u_k ends, P2(u_{k+1}) = P1(u_k) to
+    _SHARE_TOL, and u_{k+1} - u_k must lie in (0, pi); otherwise
+    NumericalError.  Vertex 0 is P2(u_0) and vertex k+1 is P1(u_k).  Callers
+    share the cached arrays, so they are handed out read-only.
+    """
+    us = _advance_sequence(table, caustic, u0, n)
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, us)
+    share = np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])
+    steps = np.diff(us)
+    bad = np.flatnonzero(~((share <= _SHARE_TOL) & (steps > 0.0) & (steps < math.pi)))
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(
+            f"billiard step {k} failed at u={us[k]}, lam={caustic.lam}: "
+            f"endpoint-sharing residual {share[k]:.3e}, advance {float(steps[k])!r}"
+        )
+    vertices = np.column_stack([np.r_[x2[0], x1[:-1]], np.r_[y2[0], y1[:-1]]])
     us.flags.writeable = False
-    return us
+    vertices.flags.writeable = False
+    return us, vertices
 
 
 def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
@@ -148,57 +137,57 @@ def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
 
     Returns an OrbitSample with n+1 lifted parameters and n+1 vertices;
     vertex 0 is the backward endpoint P2(u0), vertex i+1 the forward endpoint
-    P1(u_i), so the sample describes n chords.
+    P1(u_i), so the sample describes n chords.  The arrays are read-only.
     """
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
-    us, verts = _advance_sequence(table, caustic, u0, int(n), want_vertices=True)
+    us, verts = _orbit(table, caustic, float(u0), int(n))
     return OrbitSample(us, verts, table, caustic)
 
 
-def rotation_number(table, caustic, n: int, u0: float = 0.0) -> RotationEstimate:
-    """Winding estimate rho = (u_n - u_0)/(2 pi n); error O(1/n).
+def rotation_number(table, caustic) -> float:
+    """Exact rotation number rho = F(arcsin(sqrt(lam)/b) | s3) / (2 K(s3)).
 
-    The residual is the distance of the total advance from the nearest whole
-    number of turns (the closure defect; ~0 when n is a multiple of a period).
-    Intended for n >= 1e3.
+    In t = F(u - pi/2 | s3), s3 = c^2/(a^2 - lam), the billiard map is the
+    rigid rotation t -> t + 2 F(arcsin(sqrt(lam)/b) | s3) and one turn of u
+    is 4 K(s3) (Chang & Friedberg, J. Math. Phys. 29 (1988) 1537).  rho is the
+    fraction of a turn per bounce; on the circle it is arcsin(sqrt(lam)/b)/pi.
     """
-    us = _u_sequence_cached(table, caustic, float(u0), int(n))
-    advance = us[-1] - us[0]
-    turns = round(advance / (2.0 * math.pi))
-    return RotationEstimate(
-        rho=advance / (2.0 * math.pi * n),
-        steps=int(n),
-        residual=abs(advance - 2.0 * math.pi * turns),
-    )
+    cg.caustic_axes(table, caustic)  # domain check
+    lam = caustic.lam
+    s3 = table.c2 / (table.a * table.a - lam)
+    phi = math.asin(math.sqrt(lam) / table.b)
+    return float(ellipkinc(phi, s3) / (2.0 * ellipk(s3)))
 
 
 def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     """Caustic parameter lam_n of the non-self-intersecting n-periodic family.
 
-    Solves the closure defect g(lam) = u_n(lam; u_0) - u_0 - 2 pi = 0 by
-    bracketed root-finding.  g has the sign of rho(lam) - 1/n for every seed
-    (a circle-map lift crosses a rational rotation number simultaneously in
-    all seeds), rho increases from 0 to 1/2 across lam in (0, b^2), and at the
-    root the orbit closes from every seed (Poncelet), so the single root is
-    lam_n.  On the circle lam_n = b^2 sin^2(pi/n) exactly.
+    Solves rotation_number(lam) = 1/n by bracketed root-finding on
+    (b^2 1e-9, b^2 (1 - 1e-9)).  rho increases strictly with lam from 0; it
+    tends to 1/2 as lam -> b^2, but for a > b only logarithmically, so at the
+    upper guard it is below 1/2 (0.414 at a = 5) and periods n with 1/n above
+    it are not bracketed.  The root is certified independently of the solve:
+    the n-step orbit from u_0 = 0 must close, |u_n - u_0 - 2 pi| <= 1e-10
+    (by Poncelet it then closes from every seed).  On the circle
+    lam_n = b^2 sin^2(pi/n) exactly.
     """
     if n < 3:
         raise DomainError(f"period must be >= 3; got n={n}")
     b2 = table.b * table.b
     lo, hi = 1e-9 * b2, (1.0 - 1e-9) * b2
 
-    def defect(lam):
-        us, _ = _advance_sequence(table, cg.CausticSpec(lam), 0.0, n, False)
-        return us[-1] - us[0] - 2.0 * math.pi
+    def excess(lam):
+        return rotation_number(table, cg.CausticSpec(lam)) - 1.0 / n
 
-    if not defect(lo) < 0.0 < defect(hi):
+    if not excess(lo) < 0.0 < excess(hi):
         raise NumericalError(
             f"failed to bracket the {n}-periodic caustic in (0, b^2) for a={table.a}, b={table.b}"
         )
-    lam_n = brentq(defect, lo, hi, xtol=1e-15 * b2, rtol=8.9e-16)
+    lam_n = brentq(excess, lo, hi, xtol=1e-15 * b2, rtol=8.9e-16)
     caustic = cg.CausticSpec(lam_n)
-    residual = abs(defect(lam_n))
+    us, _ = _orbit(table, caustic, 0.0, int(n))
+    residual = abs(us[-1] - us[0] - 2.0 * math.pi)
     if residual > 1e-10:
         raise NumericalError(
             f"{n}-periodic closure defect {residual:.3e} at lam={lam_n}"
@@ -218,8 +207,8 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
     """Arithmetic mean of a per-chord quantity over the first n chords of an orbit.
 
     Each chord is evaluated at its tangency parameter; curvature23 means the
-    average of kappa^(2/3) at the chord's two endpoints.  The error estimate
-    is the drift between the half-orbit and full-orbit means.
+    average of kappa^(2/3) at the chord's two endpoints, the orbit's vertices.
+    The error estimate is the drift between the half-orbit and full-orbit means.
     """
     if quantity not in TIME_AVERAGE_QUANTITIES:
         raise DomainError(
@@ -227,17 +216,15 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         )
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
-    us = _u_sequence_cached(table, caustic, float(u0), int(n))[:n]
+    us, verts = _orbit(table, caustic, float(u0), int(n))
+    us = us[:n]
     if quantity == "sidelength":
         samples = cg.chord_length(table, caustic, us)
     elif quantity == "interior_cosine":
         samples = cg.interior_cosine(table, caustic, us)
     elif quantity == "curvature23":
-        x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, us)
-        samples = 0.5 * (
-            cg.curvature23(table, np.stack([x1, y1], axis=-1))
-            + cg.curvature23(table, np.stack([x2, y2], axis=-1))
-        )
+        kappa = cg.curvature23(table, verts)
+        samples = 0.5 * (kappa[:-1] + kappa[1:])
     else:
         with np.errstate(divide="ignore"):
             samples = np.log(np.abs(cg.outer_cosine(table, caustic, us)))

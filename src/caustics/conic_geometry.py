@@ -19,10 +19,8 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "BilliardTable",
     "CausticSpec",
-    "Chord",
     "caustic_axes",
     "joachimsthal",
-    "chord_endpoints",
     "endpoint_coordinates",
     "chord_length",
     "focal_distances",
@@ -89,15 +87,6 @@ def joachimsthal(table: BilliardTable, caustic: CausticSpec) -> float:
     return math.sqrt(caustic.lam) / (table.a * table.b)
 
 
-@dataclass(frozen=True, eq=False)
-class Chord:
-    """A billiard chord tangent to the caustic at parameter u, with endpoints p1, p2."""
-
-    u: float
-    p1: np.ndarray
-    p2: np.ndarray
-
-
 def endpoint_coordinates(table, caustic, u):
     """Endpoint coordinates (x1, y1, x2, y2) of the chord tangent at u; u may be an array.
 
@@ -120,12 +109,6 @@ def endpoint_coordinates(table, caustic, u):
     x2 = ac2 * a * (a * bc2 * bc2 * xc + zeta * b * yc) / psi
     y2 = bc2 * b * (b * ac2 * ac2 * yc - zeta * a * xc) / psi
     return x1, y1, x2, y2
-
-
-def chord_endpoints(table: BilliardTable, caustic: CausticSpec, u: float) -> Chord:
-    """Chord tangent to the caustic at parameter u (scalar)."""
-    x1, y1, x2, y2 = endpoint_coordinates(table, caustic, float(u))
-    return Chord(float(u), np.array([x1, y1]), np.array([x2, y2]))
 
 
 def chord_length(table, caustic, u):

@@ -1,14 +1,16 @@
 """The discrete system: billiard map in the caustic coordinate, orbit
-iteration with angular lift, rotation numbers, N-periodic caustic location,
-and time averages.
+iteration with angular lift, the exact rotation number, N-periodic caustic
+location, and time averages.
 
 Proves:
  Group 1 - One-step map
    - circle advance is exactly 2 arccos(sqrt(1 - lambda))
-   - endpoint sharing P1(u) = P2(u+) to 1e-10 on generic tables
+   - endpoint sharing P1(u) = P2(u+) to 1e-10 on generic tables and down to
+     the lambda -> 0 guard (lambda = 1e-9 on a = 5 and 5.14)
    - prev_tangency inverts next_tangency to 1e-9
    - the lift step always lies in (0, pi)
-   - the cached orbit shared by time averages is read-only
+   - the cached orbit shared by every caller is read-only
+   - a corrupted step is rejected by the orbit certificate in every caller
  Group 2 - Orbit iteration
    - n+1 lifted parameters, strictly increasing lift
    - every chord tangent to the caustic, Joachimsthal constant at every
@@ -16,13 +18,15 @@ Proves:
    - circle square orbit closes exactly after 4 steps
    - n = 1 gives two parameters, one chord
  Group 3 - Rotation numbers and periodic caustics
-   - circle pentagon rotation number 1/5 within 1/n
+   - circle pentagon rotation number exactly 1/5 (to 1e-15)
    - rho -> 0+ in the grazing limit; rho in (0, 1/2) always
-   - Richardson consistency between n and 2n estimates
-   - monotonicity of rho in lambda on a 50-point grid
+   - the exact rho matches the winding (u_n - u_0)/(2 pi n) of a 1e5-step
+     orbit within 1/n on four tables, the circle included
+   - strict monotonicity of rho in lambda on a 200-point grid
    - find_caustic_for_period: circle lambda_N = sin^2(pi/N) b^2 to 1e-12,
      the exact N=4 value a^2 b^2/(a^2+b^2), frozen regression values for
-     a in {1.2, 2, 5}, and 10-seed closure certificates
+     a in {1.2, 2, 5}, 10-seed closure certificates, and periods 2000 and
+     5000 on a in {1.1, 1.2}
    - unbracketable period raises a numerical error
  Group 4 - Time averages
    - constant quantity on the circle averages exactly
@@ -36,11 +40,11 @@ import math
 import numpy as np
 import pytest
 
+import caustics.billiard_dynamics as bd
 import caustics.conic_geometry as cg
 import caustics.spatial_averages as sa
 from caustics.billiard_dynamics import (
     TIME_AVERAGE_QUANTITIES,
-    _u_sequence_cached,
     find_caustic_for_period,
     iterate_orbit,
     next_tangency,
@@ -95,14 +99,20 @@ def test_circle_advance_exact():
 
 
 def test_endpoint_sharing():
-    for table, lam in ((T2, 0.5), (T12, 0.25), (T5, 0.9), (T5, 0.05)):
-        caustic = cg.CausticSpec(lam)
-        for u in np.linspace(-3.0, 9.0, 25):
+    cases = (
+        (2.0, 0.5, 25), (1.2, 0.25, 25), (5.0, 0.9, 25), (5.0, 0.05, 25),
+        # near the lambda -> 0 guard the forward vertex sits just outside the
+        # caustic (R -> 1+), where a step through acos(1/R) shares only to ~1e-10
+        (5.14, 1.7e-9, 400), (5.0, 1e-9, 400),
+    )
+    for a, lam, points in cases:
+        table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(lam)
+        for u in np.linspace(-3.0, 9.0, points):
             u_next = next_tangency(table, caustic, float(u))
             assert u < u_next < u + math.pi
-            here = cg.chord_endpoints(table, caustic, float(u))
-            there = cg.chord_endpoints(table, caustic, u_next)
-            assert math.dist(here.p1, there.p2) < 1e-10
+            x1, y1, _, _ = cg.endpoint_coordinates(table, caustic, float(u))
+            _, _, x2, y2 = cg.endpoint_coordinates(table, caustic, u_next)
+            assert math.hypot(x2 - x1, y2 - y1) < 1e-10, (a, lam, u)
 
 
 def test_prev_inverts_next():
@@ -114,12 +124,40 @@ def test_prev_inverts_next():
 
 
 def test_cached_orbit_is_read_only():
-    # time_average and rotation_number share one cached array per orbit
-    us = _u_sequence_cached(T2, cg.CausticSpec(0.5), 0.1, 100)
+    # iterate_orbit, time_average and the periodic certificate share one
+    # cached orbit per (table, caustic, u0, n)
+    us, verts = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, 100)
+    sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.1, 100)
+    assert sample.u_sequence is us and sample.vertex_sequence is verts
     with pytest.raises(ValueError, match="read-only"):
         us[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         us[:10] *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        verts[3, 1] = 0.0
+
+
+def test_certificate_rejects_a_corrupted_step(monkeypatch):
+    """Every orbit reaches its callers through the one certificate in _orbit:
+    a single perturbed parameter makes each of them raise."""
+    honest = bd._advance_sequence
+
+    def corrupted(table, caustic, u0, n):
+        us = honest(table, caustic, u0, n)
+        us[len(us) // 2] += 1e-6
+        return us
+
+    monkeypatch.setattr(bd, "_advance_sequence", corrupted)
+    bd._orbit.cache_clear()  # a cached orbit would bypass the patched step
+    caustic = cg.CausticSpec(0.5)
+    with pytest.raises(NumericalError, match="endpoint-sharing"):
+        iterate_orbit(T2, caustic, 0.3, 100)
+    with pytest.raises(NumericalError, match="endpoint-sharing"):
+        time_average(T2, caustic, "sidelength", 100, u0=0.3)
+    with pytest.raises(NumericalError, match="endpoint-sharing"):
+        next_tangency(T2, caustic, 0.3)
+    with pytest.raises(NumericalError, match="endpoint-sharing"):
+        find_caustic_for_period(T2, 5)
 
 
 # ----------------------------------------------------------------- group 2
@@ -170,33 +208,32 @@ def test_circle_square_closes():
 
 
 def test_rotation_circle_pentagon():
-    n = 50_000
-    est = rotation_number(CIRCLE, cg.CausticSpec(math.sin(math.pi / 5.0) ** 2), n)
-    assert est.steps == n
-    assert est.rho == pytest.approx(0.2, abs=1.0 / n)
+    rho = rotation_number(CIRCLE, cg.CausticSpec(math.sin(math.pi / 5.0) ** 2))
+    assert rho == pytest.approx(0.2, abs=1e-15)
 
 
 def test_rotation_grazing_limit_and_range():
-    rho_small = rotation_number(T2, cg.CausticSpec(1e-4), 20_000).rho
+    rho_small = rotation_number(T2, cg.CausticSpec(1e-4))
     assert 0.0 < rho_small < 0.01
     for lam in (0.1, 0.5, 0.9, 0.9999):
-        est = rotation_number(T2, cg.CausticSpec(lam), 20_000)
-        assert 0.0 < est.rho < 0.5
-        assert est.residual >= 0.0
+        assert 0.0 < rotation_number(T2, cg.CausticSpec(lam)) < 0.5
 
 
-def test_rotation_richardson_consistency():
-    caustic = cg.CausticSpec(0.5)
+def test_rotation_matches_orbit_winding():
+    """A circle-map lift winds within one turn of n rho after n steps, so the
+    orbit's winding (u_n - u_0)/(2 pi n) is within 1/n of the exact rho."""
     n = 100_000
-    r1 = rotation_number(T2, caustic, n).rho
-    r2 = rotation_number(T2, caustic, 2 * n).rho
-    assert abs(r1 - r2) < 2.0 / n
+    for table, lam in ((CIRCLE, 0.3), (T12, 0.5), (T2, 0.5), (T5, 0.9)):
+        caustic = cg.CausticSpec(lam)
+        us = iterate_orbit(table, caustic, 0.0, n).u_sequence
+        winding = (us[-1] - us[0]) / (2.0 * math.pi * n)
+        assert abs(winding - rotation_number(table, caustic)) < 1.0 / n, table
 
 
 def test_rotation_monotone_in_lambda():
     rhos = [
-        rotation_number(T2, cg.CausticSpec(float(lam)), 4000).rho
-        for lam in np.linspace(0.01, 0.99, 50)
+        rotation_number(T2, cg.CausticSpec(float(lam)))
+        for lam in np.linspace(0.01, 0.99, 200)
     ]
     assert all(b > a for a, b in zip(rhos, rhos[1:]))
 
@@ -234,6 +271,18 @@ def test_find_caustic_closure_certificate():
         defect = abs(sample.u_sequence[-1] - sample.u_sequence[0] - 2.0 * math.pi)
         assert defect < 1e-10
         assert float(np.max(np.abs(sample.vertex_sequence[-1] - sample.vertex_sequence[0]))) < 1e-8
+
+
+@pytest.mark.parametrize("a", [1.1, 1.2])
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_find_caustic_large_periods(a, n):
+    """Long periods: the root solve needs no n-step loop, and the certificate's
+    n-step orbit still closes to 1e-10."""
+    table = cg.BilliardTable(a, 1.0)
+    caustic = find_caustic_for_period(table, n)
+    assert rotation_number(table, caustic) == pytest.approx(1.0 / n, rel=1e-12)
+    us = iterate_orbit(table, caustic, 0.0, n).u_sequence
+    assert abs(us[-1] - us[0] - 2.0 * math.pi) < 1e-10
 
 
 def test_find_caustic_validation_and_bracket_failure():

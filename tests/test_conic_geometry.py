@@ -6,7 +6,7 @@ Proves:
    - table/caustic validation rejects bad axes and out-of-range lambda
    - caustic_axes values and the identity a_c^2 - b_c^2 = c^2
  Group 2 - Chord endpoints against an independent oracle
-   - endpoints from the tangent-line/ellipse quadratic match chord_endpoints
+   - endpoints from the tangent-line/ellipse quadratic match endpoint_coordinates
    - on-boundary and tangency residuals over random (table, lambda, u)
    - periodicity and branch consistency of the P1/P2 labels
  Group 3 - Lengths, cosines, curvature
@@ -46,6 +46,12 @@ lam_fractions = st.floats(0.02, 0.97)
 angles = st.floats(-20.0, 20.0)
 
 
+def endpoints(table, caustic, u):
+    """Endpoints (P1, P2) of the chord tangent at scalar u, as points."""
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, float(u))
+    return np.array([x1, y1]), np.array([x2, y2])
+
+
 def oracle_endpoints(table, caustic, u):
     """Independent endpoint construction: intersect the caustic tangent line
     x x_c/a_c^2 + y y_c/b_c^2 = 1 with the boundary ellipse via the quadratic
@@ -71,12 +77,12 @@ def oracle_endpoints(table, caustic, u):
 def vertex_cosine_oracle(table, caustic, u_in, u_out):
     """Interior-angle cosine at the vertex shared by chords u_in and u_out,
     from rays toward both polygon neighbours."""
-    ch_in = cg.chord_endpoints(table, caustic, u_in)
-    ch_out = cg.chord_endpoints(table, caustic, u_out)
-    v = np.asarray(ch_in.p1)
-    assert math.dist(ch_in.p1, ch_out.p2) < 1e-8
-    r1 = np.asarray(ch_in.p2) - v
-    r2 = np.asarray(ch_out.p1) - v
+    in_p1, in_p2 = endpoints(table, caustic, u_in)
+    out_p1, out_p2 = endpoints(table, caustic, u_out)
+    v = in_p1
+    assert math.dist(in_p1, out_p2) < 1e-8
+    r1 = in_p2 - v
+    r2 = out_p1 - v
     return float(r1 @ r2 / (np.linalg.norm(r1) * np.linalg.norm(r2)))
 
 
@@ -113,9 +119,8 @@ def test_caustic_axes_values():
 
 
 def test_circle_vertical_tangent_chord():
-    ch = cg.chord_endpoints(CIRCLE, cg.CausticSpec(0.5), 0.0)
     r = math.sqrt(0.5)
-    got = sorted([ch.p1, ch.p2], key=lambda p: p[1])
+    got = sorted(endpoints(CIRCLE, cg.CausticSpec(0.5), 0.0), key=lambda p: p[1])
     assert got[0] == pytest.approx((r, -r), abs=1e-14)
     assert got[1] == pytest.approx((r, r), abs=1e-14)
 
@@ -123,20 +128,20 @@ def test_circle_vertical_tangent_chord():
 def test_endpoints_match_tangent_line_oracle():
     caustic = cg.CausticSpec(0.5)
     for u in np.linspace(0.0, 2.0 * math.pi, 37):
-        ch = cg.chord_endpoints(T2, caustic, u)
+        p1, p2 = endpoints(T2, caustic, u)
         o1, o2 = oracle_endpoints(T2, caustic, u)
-        direct = max(math.dist(ch.p1, o1), math.dist(ch.p2, o2))
-        swapped = max(math.dist(ch.p1, o2), math.dist(ch.p2, o1))
+        direct = max(math.dist(p1, o1), math.dist(p2, o2))
+        swapped = max(math.dist(p1, o2), math.dist(p2, o1))
         assert min(direct, swapped) < 1e-10
 
 
 def test_chord_periodicity():
     caustic = cg.CausticSpec(0.5)
     for u in (0.0, 1.1, 4.0):
-        c1 = cg.chord_endpoints(T2, caustic, u)
-        c2 = cg.chord_endpoints(T2, caustic, u + 2.0 * math.pi)
-        assert math.dist(c1.p1, c2.p1) < 1e-12
-        assert math.dist(c1.p2, c2.p2) < 1e-12
+        here = endpoints(T2, caustic, u)
+        turned = endpoints(T2, caustic, u + 2.0 * math.pi)
+        assert math.dist(here[0], turned[0]) < 1e-12
+        assert math.dist(here[1], turned[1]) < 1e-12
 
 
 def test_random_tangency_and_boundary_residuals():
@@ -165,12 +170,12 @@ def test_endpoint_labels_are_consistent(table, frac, u):
     """P1 sits ahead of the tangency point in the counterclockwise sense,
     P2 behind; the labels never swap across u."""
     caustic = cg.CausticSpec(frac * table.b**2)
-    ch = cg.chord_endpoints(table, caustic, u)
+    p1, p2 = endpoints(table, caustic, u)
     ac, bc = cg.caustic_axes(table, caustic)
     c = np.array([ac * math.cos(u), bc * math.sin(u)])
     t = np.array([-ac * math.sin(u), bc * math.cos(u)])
-    assert (np.asarray(ch.p1) - c) @ t > 0.0
-    assert (np.asarray(ch.p2) - c) @ t < 0.0
+    assert (p1 - c) @ t > 0.0
+    assert (p2 - c) @ t < 0.0
 
 
 # ----------------------------------------------------------------- group 3
@@ -207,11 +212,11 @@ def test_joachimsthal_is_the_chord_inner_product(table, frac, u):
     arrival endpoint P1 and -J at the departure endpoint P2."""
     caustic = cg.CausticSpec(frac * table.b**2)
     j = cg.joachimsthal(table, caustic)
-    ch = cg.chord_endpoints(table, caustic, u)
-    w = np.asarray(ch.p1) - np.asarray(ch.p2)
+    p1, p2 = endpoints(table, caustic, u)
+    w = p1 - p2
     w /= np.linalg.norm(w)
-    n1 = np.array([ch.p1[0] / table.a**2, ch.p1[1] / table.b**2])
-    n2 = np.array([ch.p2[0] / table.a**2, ch.p2[1] / table.b**2])
+    n1 = np.array([p1[0] / table.a**2, p1[1] / table.b**2])
+    n2 = np.array([p2[0] / table.a**2, p2[1] / table.b**2])
     assert float(n1 @ w) == pytest.approx(j, abs=1e-12)
     assert float(n2 @ w) == pytest.approx(-j, abs=1e-12)
 
@@ -262,9 +267,8 @@ def test_interior_cosine_focal_identity():
     for table, lam in ((T2, 0.5), (T5, 0.9), (T12, 0.2)):
         caustic = cg.CausticSpec(lam)
         for u in np.linspace(0.0, 2.0 * math.pi, 17):
-            ch = cg.chord_endpoints(table, caustic, float(u))
             vals = []
-            for p in (ch.p1, ch.p2):
+            for p in endpoints(table, caustic, u):
                 d1, d2 = cg.focal_distances(table, p)
                 vals.append(2.0 * lam / (d1 * d2) - 1.0)
             assert cg.interior_cosine(table, caustic, float(u)) == pytest.approx(
@@ -312,9 +316,8 @@ def test_outer_cosine_tangent_direction_oracle():
         caustic = cg.CausticSpec(lam)
         ca = table.a**2 * table.b**2 - lam * (table.a**2 + table.b**2)
         for u in np.linspace(0.0, 2.0 * math.pi, 29):
-            ch = cg.chord_endpoints(table, caustic, float(u))
             ts = []
-            for x, y in (ch.p1, ch.p2):
+            for x, y in endpoints(table, caustic, u):
                 t = np.array([-y / table.b**2, x / table.a**2])
                 ts.append(t / np.linalg.norm(t))
             got = cg.outer_cosine(table, caustic, float(u))
@@ -373,8 +376,7 @@ def test_curvature23_linear_in_cosine_identity():
         caustic = cg.CausticSpec(lam)
         j = cg.joachimsthal(table, caustic)
         for u in np.linspace(0.0, 2.0 * math.pi, 17):
-            ch = cg.chord_endpoints(table, caustic, float(u))
-            for p in (ch.p1, ch.p2):
+            for p in endpoints(table, caustic, u):
                 d1, d2 = cg.focal_distances(table, p)
                 cos_theta = 2.0 * lam / (d1 * d2) - 1.0
                 lhs = cg.curvature23(table, p)
