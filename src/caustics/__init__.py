@@ -7,7 +7,6 @@ from .billiard_dynamics import (
     find_caustic_for_period,
     iterate_orbit,
     next_tangency,
-    prev_tangency,
     rotation_number,
     time_average,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "next_tangency",
     "normalization",
     "outer_cosine",
-    "prev_tangency",
     "rotation_number",
     "time_average",
 ]

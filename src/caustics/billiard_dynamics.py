@@ -31,7 +31,6 @@ from .spatial_averages import AverageResult
 __all__ = [
     "OrbitSample",
     "next_tangency",
-    "prev_tangency",
     "iterate_orbit",
     "rotation_number",
     "find_caustic_for_period",
@@ -54,8 +53,6 @@ class OrbitSample:
 
     u_sequence: np.ndarray
     vertex_sequence: np.ndarray
-    table: cg.BilliardTable
-    caustic: cg.CausticSpec
 
 
 def next_tangency(table, caustic, u: float) -> float:
@@ -65,15 +62,6 @@ def next_tangency(table, caustic, u: float) -> float:
     """
     us, _ = _orbit(table, caustic, float(u), 1)
     return float(us[1])
-
-
-def prev_tangency(table, caustic, u: float) -> float:
-    """Inverse billiard step; lifted so that u - pi < u- < u.
-
-    The reflection y -> -y maps the chord at u to the chord at -u with P1 and
-    P2 swapped, so it reverses the orbit: prev(u) = -next(-u).
-    """
-    return -next_tangency(table, caustic, -float(u))
 
 
 def _advance_sequence(table, caustic, u0, n):
@@ -142,7 +130,7 @@ def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
     us, verts = _orbit(table, caustic, float(u0), int(n))
-    return OrbitSample(us, verts, table, caustic)
+    return OrbitSample(us, verts)
 
 
 def rotation_number(table, caustic) -> float:

@@ -95,6 +95,16 @@ def _spatial_row_values(table, caustic, quantities, method):
     return values, tags
 
 
+def _discrete_averages(report, n):
+    """The four discrete averages of an N-periodic report, keyed as `sweep` keys them."""
+    return {
+        "sidelength": report.perimeter / n,
+        "cosine": report.joachimsthal * report.perimeter / n - 1.0,
+        "kappa23": report.sum_kappa23 / n,
+        "outer_abs": abs(report.product_outer_cos) ** (1.0 / n),
+    }
+
+
 def cmd_sweep(args) -> int:
     table = cg.BilliardTable(args.a, args.b)
     b2 = table.b**2
@@ -150,18 +160,7 @@ def cmd_sweep(args) -> int:
     for n in marks:
         caustic = find_caustic_for_period(table, n)
         report = evaluate_invariants(build_periodic_orbit(table, n))
-        periodic_rows.append(
-            (
-                caustic.lam,
-                f"PERIODIC:{n}",
-                {
-                    "sidelength": report.perimeter / n,
-                    "cosine": report.joachimsthal * report.perimeter / n - 1.0,
-                    "kappa23": report.sum_kappa23 / n,
-                    "outer_abs": abs(report.product_outer_cos) ** (1.0 / n),
-                },
-            )
-        )
+        periodic_rows.append((caustic.lam, f"PERIODIC:{n}", _discrete_averages(report, n)))
     for lam, flag, discrete in sorted(periodic_rows):
         emit(lam, flag, discrete)
     return 0
@@ -313,17 +312,19 @@ def run_battery(tables, quick=False):
         worst = 0.0
         for n in range(3, 8):
             caustic = find_caustic_for_period(table, n)
-            report = evaluate_invariants(build_periodic_orbit(table, n, seed_u=0.123))
+            disc = _discrete_averages(
+                evaluate_invariants(build_periodic_orbit(table, n, seed_u=0.123)), n
+            )
             lbar = sa.mean_sidelength(table, caustic).value
             cbar = sa.mean_cosine(table, caustic).value
             kbar = sa.mean_curvature23(table, caustic).value
             log_mean, _ = sa.log_geomean_outer(table, caustic)
             worst = max(
                 worst,
-                abs(report.perimeter / n - lbar) / lbar,
-                abs(report.joachimsthal * report.perimeter / n - 1.0 - cbar),
-                abs(abs(report.product_outer_cos) ** (1.0 / n) - math.exp(log_mean)),
-                abs(report.sum_kappa23 / n - kbar) / kbar,
+                abs(disc["sidelength"] - lbar) / lbar,
+                abs(disc["cosine"] - cbar),
+                abs(disc["outer_abs"] - math.exp(log_mean)),
+                abs(disc["kappa23"] - kbar) / kbar,
             )
         checks.append(Check(f"N-periodic invariants vs spatial averages (N=3..7) [{tag}]",
                             "worst dev", worst, _PERIODIC_MATCH, time.perf_counter() - t0))

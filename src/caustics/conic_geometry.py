@@ -23,12 +23,9 @@ __all__ = [
     "joachimsthal",
     "endpoint_coordinates",
     "chord_length",
-    "focal_distances",
     "interior_cosine",
-    "interior_cosine_rational",
     "rational_coefficients",
     "outer_cosine",
-    "outer_cosine_closed",
     "measure_density",
     "curvature23",
 ]
@@ -125,31 +122,6 @@ def chord_length(table, caustic, u):
     return float(val) if val.ndim == 0 else val
 
 
-def _check_on_boundary(table, x, y, tol=1e-8):
-    res = np.abs(x * x / table.a**2 + y * y / table.b**2 - 1.0)
-    if np.any(res > tol):
-        raise DomainError(
-            f"point not on the billiard boundary (residual {float(np.max(res)):.3e} > {tol})"
-        )
-
-
-def focal_distances(table, p):
-    """Distances (d1, d2) from boundary point p to the foci (-c, 0), (c, 0).
-
-    Satisfies d1 + d2 = 2a and d1 d2 = (b^4 x^2 + a^4 y^2)/(a^2 b^2).
-    p has shape (2,) or (..., 2); raises DomainError off the boundary.
-    """
-    p = np.asarray(p, dtype=float)
-    x, y = p[..., 0], p[..., 1]
-    _check_on_boundary(table, x, y)
-    c = math.sqrt(table.c2)
-    d1 = np.hypot(x + c, y)
-    d2 = np.hypot(x - c, y)
-    if p.ndim == 1:
-        return float(d1), float(d2)
-    return d1, d2
-
-
 def _vertex_cosine(table, x, y, wx, wy):
     # Both chords through a boundary vertex make equal angles with the normal
     # n = A P, so the interior vertex cosine depends only on one chord direction
@@ -204,14 +176,6 @@ def rational_coefficients(table, caustic):
     return r1, r2, r3, r4
 
 
-def interior_cosine_rational(table, caustic, u):
-    """Rational closed form of interior_cosine in z = cos^2 u; u may be an array."""
-    r1, r2, r3, r4 = rational_coefficients(table, caustic)
-    z = np.cos(np.asarray(u, dtype=float)) ** 2
-    val = (r1 + r2 * z) / (r3 + r4 * z)
-    return float(val) if val.ndim == 0 else val
-
-
 def outer_cosine(table, caustic, u):
     """Cosine of the angle between the boundary normals at the two chord endpoints.
 
@@ -228,24 +192,6 @@ def outer_cosine(table, caustic, u):
         (n1x * n1x + n1y * n1y) * (n2x * n2x + n2y * n2y)
     )
     return float(val) if np.ndim(val) == 0 else val
-
-
-def outer_cosine_closed(table, caustic, u):
-    """Closed form of outer_cosine in u:
-
-        cos(theta') = ca sqrt(a_c^2 - c^2 cos^2 u) / sqrt(r3 + r4 cos^2 u)
-
-    with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4 from rational_coefficients.
-    Both radicands are strictly positive for 0 < lam < b^2.
-    """
-    a, b = table.a, table.b
-    ac, _ = caustic_axes(table, caustic)
-    lam, c2 = caustic.lam, table.c2
-    ca = a * a * b * b - lam * (a * a + b * b)
-    _, _, r3, r4 = rational_coefficients(table, caustic)
-    z = np.cos(np.asarray(u, dtype=float)) ** 2
-    val = ca * np.sqrt(ac * ac - c2 * z) / np.sqrt(r3 + r4 * z)
-    return float(val) if val.ndim == 0 else val
 
 
 def measure_density(table, caustic, u):
@@ -265,7 +211,9 @@ def measure_density(table, caustic, u):
 def curvature23(table, p):
     """Boundary curvature to the power 2/3 at boundary point p:
 
-        kappa^(2/3) = (a b)^(-4/3) (x^2/a^4 + y^2/b^4)^(-1) = (a b)^(2/3)/(d1 d2).
+        kappa^(2/3) = (a b)^(-4/3) (x^2/a^4 + y^2/b^4)^(-1) = (a b)^(2/3)/(d1 d2),
+
+    with d1, d2 the distances from p to the two foci.
 
     The linear identity kappa^(2/3) = (a b)^(-4/3) (1 + cos theta)/(2 J^2), with
     cos theta = 2 lam/(d1 d2) - 1 the vertex cosine, holds for every caustic
@@ -274,8 +222,12 @@ def curvature23(table, p):
     """
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
-    _check_on_boundary(table, x, y)
     a, b = table.a, table.b
+    res = np.abs(x * x / a**2 + y * y / b**2 - 1.0)
+    if np.any(res > 1e-8):
+        raise DomainError(
+            f"point not on the billiard boundary (residual {float(np.max(res)):.3e} > 1e-8)"
+        )
     val = (a * b) ** (-4.0 / 3.0) / (x * x / a**4 + y * y / b**4)
     if p.ndim == 1:
         return float(val)

@@ -8,7 +8,6 @@ the seed; sum(cos theta_i) = J L - N ties the first two together.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,7 @@ def evaluate_invariants(orbit: PeriodicOrbit) -> InvariantReport:
     edges = nxt - v
     edge_len = np.hypot(edges[:, 0], edges[:, 1])
     perimeter = float(np.sum(edge_len))
-    j = math.sqrt(orbit.lam) / (table.a * table.b)
+    j = cg.joachimsthal(table, cg.CausticSpec(orbit.lam))
 
     to_next = edges / edge_len[:, None]
     to_prev = (prv - v) / edge_len[np.arange(-1, n - 1) % n, None]

@@ -23,8 +23,6 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "AverageResult",
-    "ClosedFormInputs",
-    "closed_form_inputs",
     "periodic_quadrature",
     "normalization",
     "mean_sidelength",
@@ -51,23 +49,6 @@ class AverageResult:
     lam: float
 
 
-@dataclass(frozen=True)
-class ClosedFormInputs:
-    """Dimensionless arguments feeding the K/Pi closed forms.
-
-    s3 = c^2/(a^2-lam), s5 = lam s3/b^2 (sidelength), s1 = -r2/r1 and
-    s2 = -r4/r3 (cosine), c1 = 2 a b sqrt(lam) (a_c b_c)^(2/3) (the constant
-    factor of the sidelength integrand).  All of s3, s5, s2 must be < 1 for
-    the integrals to converge.
-    """
-
-    s3: float
-    s5: float
-    s1: float
-    s2: float
-    c1: float
-
-
 def _check_caustic(table, caustic):
     ac, bc = cg.caustic_axes(table, caustic)  # raises outside (0, b^2)
     if caustic.lam > _DEGENERACY_GUARD * table.b**2:
@@ -79,31 +60,11 @@ def _check_caustic(table, caustic):
     return ac, bc
 
 
-def closed_form_inputs(table, caustic) -> ClosedFormInputs:
-    ac, bc = _check_caustic(table, caustic)
-    a, b, lam, c2 = table.a, table.b, caustic.lam, table.c2
-    s3 = c2 / (ac * ac)
-    s5 = lam * s3 / (b * b)
-    ca = a * a * b * b - lam * (a * a + b * b)
-    # s1 written with the common factor ca cancelled so it stays finite at ca = 0
-    s1 = c2 * (ca + 2.0 * lam * lam) / (a**4 * (b * b - lam) + lam * lam * c2)
-    _, _, r3, r4 = cg.rational_coefficients(table, caustic)
-    s2 = -r4 / r3
-    c1 = 2.0 * a * b * math.sqrt(lam) * (ac * bc) ** (2.0 / 3.0)
-    bad = [name for name, v in (("s3", s3), ("s5", s5), ("s2", s2)) if not v < 1.0]
-    if bad or s3 < 0.0:
-        raise DomainError(
-            f"closed-form inputs out of range: s3={s3}, s5={s5}, s2={s2} "
-            f"(violations: {bad or ['s3']})"
-        )
-    return ClosedFormInputs(s3, s5, s1, s2, c1)
-
-
-def periodic_quadrature(f, tol: float = _QUAD_TOL):
+def periodic_quadrature(f):
     """Integrate a smooth 2pi-periodic function over one period.
 
     Composite trapezoid on uniform grids, doubling from 16 up to 2^20 nodes
-    until successive estimates differ by less than tol (the trapezoid rule
+    until successive estimates differ by less than _QUAD_TOL (the trapezoid rule
     converges spectrally for smooth periodic integrands, so doubling is the
     whole refinement strategy).  Returns (value, last defect).
 
@@ -118,11 +79,11 @@ def periodic_quadrature(f, tol: float = _QUAD_TOL):
         refined = 0.5 * value + np.mean(f(midpoints), axis=-1) * math.pi
         defect = float(np.max(np.abs(refined - value)))
         value, n = refined, 2 * n
-        if defect < tol:
+        if defect < _QUAD_TOL:
             return value, defect
     raise NumericalError(
         f"periodic quadrature did not converge at {_MAX_NODES} nodes "
-        f"(last defect {defect:.3e} > tol {tol:.3e})"
+        f"(last defect {defect:.3e} > tol {_QUAD_TOL:.3e})"
     )
 
 
@@ -156,11 +117,12 @@ def _quadrature_average(table, caustic, integrand):
 def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResult:
     """Measure-weighted mean chord length.
 
-    closed_form: Lbar = 2a (b^2 K(s3) + (lam - b^2) Pi(s5, s3)) / (b sqrt(lam) K(s3)).
+    closed_form: Lbar = 2a (b^2 K(s3) + (lam - b^2) Pi(s5, s3)) / (b sqrt(lam) K(s3)),
+                 with s3 = c^2/(a^2 - lam) and s5 = lam s3/b^2.
     quadrature:  integral of chord_length(u) rho(u) du / integral rho(u) du.
     The two agree to 1e-9 relative; on the circle both reduce to 2 sqrt(lam).
     """
-    _check_caustic(table, caustic)
+    ac, _ = _check_caustic(table, caustic)
     lam = caustic.lam
     if method == "quadrature":
         value, err = _quadrature_average(
@@ -169,11 +131,11 @@ def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResul
         return AverageResult(value, "quadrature", err, lam)
     if method != "closed_form":
         raise DomainError(f"unknown method {method!r}")
-    inp = closed_form_inputs(table, caustic)
     a, b = table.a, table.b
-    k = complete_k(inp.s3)
+    s3 = table.c2 / (ac * ac)
+    k = complete_k(s3)
     value = (
-        2.0 * a * (b * b * k + (lam - b * b) * complete_pi(inp.s5, inp.s3))
+        2.0 * a * (b * b * k + (lam - b * b) * complete_pi(lam * s3 / (b * b), s3))
         / (b * math.sqrt(lam) * k)
     )
     return AverageResult(value, "closed_form", 0.0, lam)
@@ -187,11 +149,12 @@ def mean_cosine(table, caustic, method: str = "closed_form") -> AverageResult:
         Cbar = r1/r3 + (r2 r3 - r1 r4)/r3^2 * H(s2, s3) / K(s3),
 
     with H(n, m) = (Pi(n, m) - K(m))/n evaluated in its stable Carlson form,
+    r1..r4, s1 and s2 as in rational_coefficients and s3 = c^2/(a^2 - lam),
     is an equivalent rearrangement of (r1/r3)((s2-s1) Pi(s2,s3) + s1 K)/(s2 K)
     that stays finite at ca = 0 where r1, r2, r4 all vanish (Cbar = 0 there).
     On the circle Cbar = 2 lam - 1 exactly.
     """
-    _check_caustic(table, caustic)
+    ac, _ = _check_caustic(table, caustic)
     lam = caustic.lam
     if method == "quadrature":
         value, err = _quadrature_average(
@@ -200,12 +163,10 @@ def mean_cosine(table, caustic, method: str = "closed_form") -> AverageResult:
         return AverageResult(value, "quadrature", err, lam)
     if method != "closed_form":
         raise DomainError(f"unknown method {method!r}")
-    inp = closed_form_inputs(table, caustic)
     r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
-    k = complete_k(inp.s3)
-    value = r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(
-        inp.s2, inp.s3
-    ) / k
+    s3 = table.c2 / (ac * ac)
+    k = complete_k(s3)
+    value = r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(-r4 / r3, s3) / k
     return AverageResult(value, "closed_form", 0.0, lam)
 
 

@@ -7,7 +7,8 @@ Proves:
    - circle advance is exactly 2 arccos(sqrt(1 - lambda))
    - endpoint sharing P1(u) = P2(u+) to 1e-10 on generic tables and down to
      the lambda -> 0 guard (lambda = 1e-9 on a = 5 and 5.14)
-   - prev_tangency inverts next_tangency to 1e-9
+   - the inverse step -next_tangency(-u) (the y -> -y reflection) inverts
+     next_tangency to 1e-9
    - the lift step always lies in (0, pi)
    - the cached orbit shared by every caller is read-only
    - a corrupted step is rejected by the orbit certificate in every caller
@@ -48,7 +49,6 @@ from caustics.billiard_dynamics import (
     find_caustic_for_period,
     iterate_orbit,
     next_tangency,
-    prev_tangency,
     rotation_number,
     time_average,
 )
@@ -120,7 +120,7 @@ def test_prev_inverts_next():
         caustic = cg.CausticSpec(lam)
         for u in (0.0, 0.9, 2.2, 4.8):
             u_next = next_tangency(table, caustic, u)
-            assert prev_tangency(table, caustic, u_next) == pytest.approx(u, abs=1e-9)
+            assert -next_tangency(table, caustic, -u_next) == pytest.approx(u, abs=1e-9)
 
 
 def test_cached_orbit_is_read_only():

@@ -13,13 +13,16 @@ Proves:
    - chord_length equals the Euclidean endpoint distance everywhere
    - joachimsthal equals sqrt(lambda)/(ab) and the chord inner products
    - interior_cosine matches the vertex-angle oracle built from adjacent chords
-   - interior_cosine_rational and its endpoint values in cos^2 u
+   - the rational form of interior_cosine in cos^2 u and its endpoint values
    - outer_cosine: gradient form vs tangent-direction oracle vs closed form
    - curvature23 against the parametric curvature formula and the linear
      identity in the interior cosine
  Group 4 - Measure density and symmetry
    - explicit density values, circle constancy, u -> -u and u -> u+pi symmetry
    - ranges: cosines in [-1, 1], lengths and density positive
+
+The oracles focal_distances, interior_cosine_rational and outer_cosine_closed
+are local to this module; the inverse billiard step is -next_tangency(-u).
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
-from caustics.billiard_dynamics import next_tangency, prev_tangency
+from caustics.billiard_dynamics import next_tangency
 from caustics.errors import DomainError, NumericalError
 
 RNG = np.random.default_rng(20240817)
@@ -50,6 +53,46 @@ def endpoints(table, caustic, u):
     """Endpoints (P1, P2) of the chord tangent at scalar u, as points."""
     x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, float(u))
     return np.array([x1, y1]), np.array([x2, y2])
+
+
+def focal_distances(table, p):
+    """Distances (d1, d2) from boundary point p to the foci (-c, 0), (c, 0).
+
+    Satisfies d1 + d2 = 2a and d1 d2 = (b^4 x^2 + a^4 y^2)/(a^2 b^2).
+    p has shape (2,) or (..., 2); raises DomainError off the boundary.
+    """
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    res = np.abs(x * x / table.a**2 + y * y / table.b**2 - 1.0)
+    if np.any(res > 1e-8):
+        raise DomainError(f"point not on the billiard boundary (residual {float(np.max(res)):.3e})")
+    c = math.sqrt(table.c2)
+    d1 = np.hypot(x + c, y)
+    d2 = np.hypot(x - c, y)
+    if p.ndim == 1:
+        return float(d1), float(d2)
+    return d1, d2
+
+
+def interior_cosine_rational(table, caustic, u):
+    """interior_cosine as (r1 + r2 z)/(r3 + r4 z) in z = cos^2 u; u may be an array."""
+    r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
+    z = np.cos(np.asarray(u, dtype=float)) ** 2
+    val = (r1 + r2 * z) / (r3 + r4 * z)
+    return float(val) if val.ndim == 0 else val
+
+
+def outer_cosine_closed(table, caustic, u):
+    """outer_cosine in closed form, ca sqrt(a_c^2 - c^2 cos^2 u) / sqrt(r3 + r4 cos^2 u),
+    with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4 from rational_coefficients."""
+    a, b = table.a, table.b
+    ac, _ = cg.caustic_axes(table, caustic)
+    lam, c2 = caustic.lam, table.c2
+    ca = a * a * b * b - lam * (a * a + b * b)
+    _, _, r3, r4 = cg.rational_coefficients(table, caustic)
+    z = np.cos(np.asarray(u, dtype=float)) ** 2
+    val = ca * np.sqrt(ac * ac - c2 * z) / np.sqrt(r3 + r4 * z)
+    return float(val) if val.ndim == 0 else val
 
 
 def oracle_endpoints(table, caustic, u):
@@ -222,20 +265,20 @@ def test_joachimsthal_is_the_chord_inner_product(table, frac, u):
 
 
 def test_focal_distances():
-    d1, d2 = cg.focal_distances(T2, (2.0, 0.0))
+    d1, d2 = focal_distances(T2, (2.0, 0.0))
     assert sorted([d1, d2]) == pytest.approx([2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)], abs=1e-12)
-    assert cg.focal_distances(T2, (0.0, 1.0)) == pytest.approx((2.0, 2.0), abs=1e-12)
-    assert cg.focal_distances(CIRCLE, (math.cos(1.0), math.sin(1.0))) == pytest.approx(
+    assert focal_distances(T2, (0.0, 1.0)) == pytest.approx((2.0, 2.0), abs=1e-12)
+    assert focal_distances(CIRCLE, (math.cos(1.0), math.sin(1.0))) == pytest.approx(
         (1.0, 1.0), abs=1e-12
     )
     with pytest.raises(DomainError):
-        cg.focal_distances(T2, (1.0, 1.0))
+        focal_distances(T2, (1.0, 1.0))
 
 
 def test_focal_distance_identities():
     for u in np.linspace(0.0, 2.0 * math.pi, 23):
         p = (2.0 * math.cos(u), math.sin(u))
-        d1, d2 = cg.focal_distances(T2, p)
+        d1, d2 = focal_distances(T2, p)
         assert d1 + d2 == pytest.approx(4.0, abs=1e-10)
         prod = (T2.b**4 * p[0] ** 2 + T2.a**4 * p[1] ** 2) / (T2.a**2 * T2.b**2)
         assert d1 * d2 == pytest.approx(prod, abs=1e-10)
@@ -254,7 +297,7 @@ def test_interior_cosine_matches_vertex_angle_oracle():
         caustic = cg.CausticSpec(lam)
         for u in (0.0, 1.0, 2.4, 5.0):
             u_next = next_tangency(table, caustic, u)
-            u_prev = prev_tangency(table, caustic, u)
+            u_prev = -next_tangency(table, caustic, -u)  # the y -> -y reflection
             cos_at_p1 = vertex_cosine_oracle(table, caustic, u, u_next)
             cos_at_p2 = vertex_cosine_oracle(table, caustic, u_prev, u)
             oracle = 0.5 * (cos_at_p1 + cos_at_p2)
@@ -269,7 +312,7 @@ def test_interior_cosine_focal_identity():
         for u in np.linspace(0.0, 2.0 * math.pi, 17):
             vals = []
             for p in endpoints(table, caustic, u):
-                d1, d2 = cg.focal_distances(table, p)
+                d1, d2 = focal_distances(table, p)
                 vals.append(2.0 * lam / (d1 * d2) - 1.0)
             assert cg.interior_cosine(table, caustic, float(u)) == pytest.approx(
                 0.5 * (vals[0] + vals[1]), abs=1e-10
@@ -279,7 +322,7 @@ def test_interior_cosine_focal_identity():
 def test_rational_form_matches_geometric_cosine():
     caustic = cg.CausticSpec(0.3)
     us = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
-    rational = cg.interior_cosine_rational(T2, caustic, us)
+    rational = interior_cosine_rational(T2, caustic, us)
     geometric = cg.interior_cosine(T2, caustic, us)
     assert float(np.max(np.abs(rational - geometric))) < 1e-9
 
@@ -290,8 +333,8 @@ def test_rational_form_endpoint_values():
     s1, s2 = -r2 / r1, -r4 / r3
     at_zero = (r1 / r3) * (1.0 - s1) / (1.0 - s2)
     at_half_pi = r1 / r3
-    assert cg.interior_cosine_rational(table, caustic, 0.0) == pytest.approx(at_zero, abs=1e-12)
-    assert cg.interior_cosine_rational(table, caustic, math.pi / 2) == pytest.approx(
+    assert interior_cosine_rational(table, caustic, 0.0) == pytest.approx(at_zero, abs=1e-12)
+    assert interior_cosine_rational(table, caustic, math.pi / 2) == pytest.approx(
         at_half_pi, abs=1e-12
     )
 
@@ -299,7 +342,7 @@ def test_rational_form_endpoint_values():
 def test_rational_form_circle_constant_zero():
     caustic = cg.CausticSpec(0.5)
     for u in np.linspace(0.0, 2.0 * math.pi, 11):
-        assert abs(cg.interior_cosine_rational(CIRCLE, caustic, float(u))) < 1e-14
+        assert abs(interior_cosine_rational(CIRCLE, caustic, float(u))) < 1e-14
 
 
 def test_outer_cosine_circle_families():
@@ -331,14 +374,14 @@ def test_outer_cosine_closed_form_agreement():
         caustic = cg.CausticSpec(lam)
         us = np.linspace(0.0, 2.0 * math.pi, 500, endpoint=False)
         assert float(
-            np.max(np.abs(cg.outer_cosine_closed(table, caustic, us) - cg.outer_cosine(table, caustic, us)))
+            np.max(np.abs(outer_cosine_closed(table, caustic, us) - cg.outer_cosine(table, caustic, us)))
         ) < 1e-9
 
 
 def test_outer_cosine_specific_point():
     caustic = cg.CausticSpec(0.5)
     got = cg.outer_cosine(T5, caustic, 0.7)
-    assert cg.outer_cosine_closed(T5, caustic, 0.7) == pytest.approx(got, abs=1e-9)
+    assert outer_cosine_closed(T5, caustic, 0.7) == pytest.approx(got, abs=1e-9)
 
 
 def test_curvature23_reference_points():
@@ -364,7 +407,7 @@ def test_curvature23_parametric_oracle():
 def test_curvature23_focal_product_form():
     for u in np.linspace(0.1, 6.1, 13):
         p = (2.0 * math.cos(u), math.sin(u))
-        d1, d2 = cg.focal_distances(T2, p)
+        d1, d2 = focal_distances(T2, p)
         expected = (T2.a * T2.b) ** (2.0 / 3.0) / (d1 * d2)
         assert cg.curvature23(T2, p) == pytest.approx(expected, rel=1e-10)
 
@@ -377,7 +420,7 @@ def test_curvature23_linear_in_cosine_identity():
         j = cg.joachimsthal(table, caustic)
         for u in np.linspace(0.0, 2.0 * math.pi, 17):
             for p in endpoints(table, caustic, u):
-                d1, d2 = cg.focal_distances(table, p)
+                d1, d2 = focal_distances(table, p)
                 cos_theta = 2.0 * lam / (d1 * d2) - 1.0
                 lhs = cg.curvature23(table, p)
                 rhs = (table.a * table.b) ** (-4.0 / 3.0) * (1.0 + cos_theta) / (2.0 * j**2)

@@ -4,7 +4,7 @@ Proves:
  Group 1 - Known values and domain validation
    - K(0) = pi/2, K(0.5) = 1.8540746773013719 (frozen quadrature value)
    - Pi(0, 0) = pi/2, Pi(0.3, 0) = pi/(2 sqrt(0.7)) closed forms
-   - m outside [0, 1) and n >= 1 rejected
+   - m outside [0, 1) and n >= 1 rejected, by Pi and by the (Pi - K)/n helper
  Group 2 - Cross-route oracles
    - K against scipy.special.ellipk and against adaptive quadrature of the
      defining integral (the implementation is an AGM iteration, so both
@@ -79,8 +79,9 @@ def test_k_domain(m):
 
 @pytest.mark.parametrize("n,m", [(1.0, 0.5), (1.2, 0.5), (0.5, 1.0), (0.5, -0.1)])
 def test_pi_domain(n, m):
-    with pytest.raises(DomainError):
-        complete_pi(n, m)
+    for fn in (complete_pi, complete_pi_minus_k):
+        with pytest.raises(DomainError):
+            fn(n, m)
 
 
 # ----------------------------------------------------------------- group 2

@@ -192,14 +192,11 @@ def test_mean_cosine_closed_form_written_out():
     the ca = 0 cancellation, with re-derived coefficients."""
     for table, lam in ((T2, 0.3), (T5, 0.7), (TB, 1.5)):
         caustic = cg.CausticSpec(lam)
-        inputs = sa.closed_form_inputs(table, caustic)
-        r1, _, r3, _ = cg.rational_coefficients(table, caustic)
-        k = complete_k(inputs.s3)
-        literal = (
-            (r1 / r3)
-            * ((inputs.s2 - inputs.s1) * complete_pi(inputs.s2, inputs.s3) + inputs.s1 * k)
-            / (inputs.s2 * k)
-        )
+        r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
+        s1, s2 = -r2 / r1, -r4 / r3
+        s3 = table.c2 / (table.a**2 - lam)
+        k = complete_k(s3)
+        literal = (r1 / r3) * ((s2 - s1) * complete_pi(s2, s3) + s1 * k) / (s2 * k)
         assert sa.mean_cosine(table, caustic).value == pytest.approx(literal, rel=1e-11)
 
 
@@ -326,16 +323,6 @@ def test_degeneracy_guard():
         sa.mean_sidelength(T2, cg.CausticSpec(1.0 - 1e-10))
     with pytest.raises(DomainError):
         sa.normalization(T2, cg.CausticSpec(1.0))
-
-
-def test_closed_form_inputs_fields():
-    inputs = sa.closed_form_inputs(T2, cg.CausticSpec(0.5))
-    assert inputs.s3 == pytest.approx(3.0 / 3.5, rel=1e-15)
-    assert inputs.s5 == pytest.approx(0.5 * 3.0 / 3.5, rel=1e-15)
-    assert 0.0 <= inputs.s3 < 1.0
-    assert inputs.s5 < 1.0
-    assert inputs.s2 < 1.0
-    assert inputs.c1 > 0.0
 
 
 def test_average_result_fields():
