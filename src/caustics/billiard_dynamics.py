@@ -26,7 +26,7 @@ from scipy.special import ellipk, ellipkinc
 
 from . import conic_geometry as cg
 from .errors import DomainError, NumericalError
-from .spatial_averages import AverageResult
+from .spatial_averages import CHORD_SAMPLES, AverageResult
 
 __all__ = [
     "OrbitSample",
@@ -70,25 +70,23 @@ def _advance_sequence(table, caustic, u0, n):
     ac, bc = cg.caustic_axes(table, caustic)
     ac2, bc2 = ac * ac, bc * bc
     lam = caustic.lam
-    # tan(delta) = sqrt(R^2 - 1) with R^2 = x1^2/a_c^2 + y1^2/b_c^2.  On the
-    # boundary R^2 - 1 = lam (x1^2/(a^2 a_c^2) + y1^2/(b^2 b_c^2)), which keeps
-    # its relative accuracy as lam -> 0, where R -> 1 and acos(1/R) would not.
-    wx, wy = lam / (a * a * ac2), lam / (b * b * bc2)
-    cos, sin, sqrt, atan = math.cos, math.sin, math.sqrt, math.atan
+    # tan(delta) = sqrt(R^2 - 1), R^2 = x^2/a_c^2 + y^2/b_c^2 at P1(u) = (x, y).
+    # With P1 from endpoint_coordinates and C, S = cos u, sin u this is
+    #   tan(delta) = sqrt(lam) hypot(a b_c^2 C - b z S, b a_c^2 S + a z C) / d,
+    #   z = sqrt(lam (b_c^2 C^2 + a_c^2 S^2)),  d = a^2 b_c^2 C^2 + b^2 a_c^2 S^2,
+    # which keeps its relative accuracy as lam -> 0, where R -> 1 and acos(1/R)
+    # would not.  _orbit certifies every step against endpoint_coordinates.
+    sqrt_lam, abc2, bac2 = math.sqrt(lam), a * bc2, b * ac2
+    a2bc2, b2ac2 = a * abc2, b * bac2
+    cos, sin, sqrt, atan, hypot = math.cos, math.sin, math.sqrt, math.atan, math.hypot
     us = np.empty(n + 1)
     u = float(u0)
     for i in range(n):
         us[i] = u
-        # P1(u) inlined from endpoint_coordinates: a scalar call there costs
-        # 8.6 us of numpy overhead against 0.85 us for a whole inlined bounce
-        # (2-vCPU Xeon VM, CPython 3.11, numpy 2.4).  _orbit certifies every
-        # step of this copy against endpoint_coordinates.
-        xc, yc = ac * cos(u), bc * sin(u)
-        zeta = sqrt(lam * (bc2 * bc2 * xc * xc + ac2 * ac2 * yc * yc))
-        psi = a * a * bc2 * bc2 * xc * xc + b * b * ac2 * ac2 * yc * yc
-        x1 = ac2 * a * (a * bc2 * bc2 * xc - zeta * b * yc) / psi
-        y1 = bc2 * b * (b * ac2 * ac2 * yc + zeta * a * xc) / psi
-        u = u + 2.0 * atan(sqrt(wx * x1 * x1 + wy * y1 * y1))
+        C, S = cos(u), sin(u)
+        z = sqrt(lam * (bc2 * C * C + ac2 * S * S))
+        d = a2bc2 * C * C + b2ac2 * S * S
+        u = u + 2.0 * atan(sqrt_lam * hypot(abc2 * C - b * z * S, bac2 * S + a * z * C) / d)
     us[n] = u
     return us
 
@@ -183,12 +181,7 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     return caustic
 
 
-TIME_AVERAGE_QUANTITIES = (
-    "sidelength",
-    "interior_cosine",
-    "curvature23",
-    "log_abs_outer_cosine",
-)
+TIME_AVERAGE_QUANTITIES = tuple(CHORD_SAMPLES)
 
 
 def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> AverageResult:
@@ -204,19 +197,9 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         )
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
-    us, verts = _orbit(table, caustic, float(u0), int(n))
-    us = us[:n]
-    if quantity == "sidelength":
-        samples = cg.chord_length(table, caustic, us)
-    elif quantity == "interior_cosine":
-        samples = cg.interior_cosine(table, caustic, us)
-    elif quantity == "curvature23":
-        kappa = cg.curvature23(table, verts)
-        samples = 0.5 * (kappa[:-1] + kappa[1:])
-    else:
-        with np.errstate(divide="ignore"):
-            samples = np.log(np.abs(cg.outer_cosine(table, caustic, us)))
-    samples = np.atleast_1d(samples)
+    us = _orbit(table, caustic, float(u0), int(n))[0][:n]
+    with np.errstate(divide="ignore"):  # log|outer cosine| is -inf where ca = 0
+        samples = CHORD_SAMPLES[quantity](table, caustic, us)
     value = float(np.mean(samples))
     half = float(np.mean(samples[: max(1, n // 2)]))
     return AverageResult(value, "time_average", abs(value - half), caustic.lam)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import conic_geometry as cg
 from . import spatial_averages as sa
-from .billiard_dynamics import find_caustic_for_period, iterate_orbit, time_average
+from .billiard_dynamics import iterate_orbit, time_average
 from .errors import DomainError, NumericalError
 from .invariant_suite import build_periodic_orbit, evaluate_invariants
 
@@ -158,9 +158,9 @@ def cmd_sweep(args) -> int:
 
     periodic_rows = []
     for n in marks:
-        caustic = find_caustic_for_period(table, n)
-        report = evaluate_invariants(build_periodic_orbit(table, n))
-        periodic_rows.append((caustic.lam, f"PERIODIC:{n}", _discrete_averages(report, n)))
+        orbit = build_periodic_orbit(table, n)
+        report = evaluate_invariants(orbit)
+        periodic_rows.append((orbit.lam, f"PERIODIC:{n}", _discrete_averages(report, n)))
     for lam, flag, discrete in sorted(periodic_rows):
         emit(lam, flag, discrete)
     return 0
@@ -311,10 +311,9 @@ def run_battery(tables, quick=False):
         t0 = time.perf_counter()
         worst = 0.0
         for n in range(3, 8):
-            caustic = find_caustic_for_period(table, n)
-            disc = _discrete_averages(
-                evaluate_invariants(build_periodic_orbit(table, n, seed_u=0.123)), n
-            )
+            orbit = build_periodic_orbit(table, n, seed_u=0.123)
+            caustic = cg.CausticSpec(orbit.lam)
+            disc = _discrete_averages(evaluate_invariants(orbit), n)
             lbar = sa.mean_sidelength(table, caustic).value
             cbar = sa.mean_cosine(table, caustic).value
             kbar = sa.mean_curvature23(table, caustic).value

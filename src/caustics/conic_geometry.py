@@ -150,6 +150,12 @@ def interior_cosine(table, caustic, u):
     return float(val) if np.ndim(val) == 0 else val
 
 
+def _ca(table, caustic):
+    """ca = a^2 b^2 - lam (a^2 + b^2); the outer cosine has the sign of ca."""
+    a, b = table.a, table.b
+    return a * a * b * b - caustic.lam * (a * a + b * b)
+
+
 def rational_coefficients(table, caustic):
     """Coefficients (r1, r2, r3, r4) of interior_cosine as a rational function of cos^2 u.
 
@@ -168,7 +174,7 @@ def rational_coefficients(table, caustic):
     a, b = table.a, table.b
     caustic_axes(table, caustic)  # domain check
     lam, c2 = caustic.lam, table.c2
-    ca = a * a * b * b - lam * (a * a + b * b)
+    ca = _ca(table, caustic)
     r1 = -ca * (a**4 * (b * b - lam) + lam * lam * c2)
     r2 = ca * c2 * (ca + 2.0 * lam * lam)
     r3 = (a * a * b * b - lam * c2) ** 2 * (a * a - lam)
@@ -179,19 +185,17 @@ def rational_coefficients(table, caustic):
 def outer_cosine(table, caustic, u):
     """Cosine of the angle between the boundary normals at the two chord endpoints.
 
-    Canonical form: the normalized dot product of the gradients A P1 and A P2
-    with A = diag(1/a^2, 1/b^2), so the product carries fourth powers of the
-    axes.  Its sign equals sign(ca) with ca = a^2 b^2 - lam (a^2 + b^2), and it
-    vanishes identically on the caustic with ca = 0.  u may be an array.
+    Factored form ca sqrt(a_c^2 - c^2 cos^2 u)/sqrt(r3 + r4 cos^2 u) of the
+    normalized dot product of the gradients A P1, A P2 (A = diag(1/a^2, 1/b^2)),
+    with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4 from rational_coefficients.
+    Its sign is sign(ca); it vanishes identically at ca = 0, and its log stays
+    finite when ca is within roundoff of zero.  u may be an array.
     """
-    x1, y1, x2, y2 = endpoint_coordinates(table, caustic, u)
-    a2, b2 = table.a**2, table.b**2
-    n1x, n1y = x1 / a2, y1 / b2
-    n2x, n2y = x2 / a2, y2 / b2
-    val = (n1x * n2x + n1y * n2y) / np.sqrt(
-        (n1x * n1x + n1y * n1y) * (n2x * n2x + n2y * n2y)
-    )
-    return float(val) if np.ndim(val) == 0 else val
+    a, lam = table.a, caustic.lam
+    _, _, r3, r4 = rational_coefficients(table, caustic)
+    z = np.cos(np.asarray(u, dtype=float)) ** 2
+    val = _ca(table, caustic) * np.sqrt((a * a - lam - table.c2 * z) / (r3 + r4 * z))
+    return float(val) if val.ndim == 0 else val
 
 
 def measure_density(table, caustic, u):

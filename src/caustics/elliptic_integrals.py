@@ -9,8 +9,6 @@ mix-ups when transcribing closed-form averages.
 """
 from __future__ import annotations
 
-import math
-
 from scipy.special import elliprf, elliprj
 
 from .errors import DomainError
@@ -21,32 +19,23 @@ __all__ = ["complete_k", "complete_pi", "complete_pi_minus_k"]
 def complete_k(m: float) -> float:
     """Complete elliptic integral of the first kind, parameter convention.
 
-    Evaluated by the arithmetic-geometric mean: K(m) = pi / (2 agm(1, sqrt(1-m))).
-    Quadratic convergence; the loop stops once the pair agrees to a few ulps
-    (a tighter threshold would never be met and the iteration would stall).
+    Evaluated through the Carlson symmetric form K(m) = R_F(0, 1-m, 1).
     """
     if not (0.0 <= m < 1.0):
         raise DomainError(f"complete_k requires 0 <= m < 1; got m={m}")
-    x, y = 1.0, math.sqrt(1.0 - m)
-    for _ in range(60):
-        if abs(x - y) <= 4e-16 * x:
-            break
-        x, y = 0.5 * (x + y), math.sqrt(x * y)
-    return math.pi / (2.0 * x)
+    return float(elliprf(0.0, 1.0 - m, 1.0))
 
 
 def complete_pi(n: float, m: float) -> float:
     """Complete elliptic integral of the third kind, parameter convention.
 
     Evaluated through Carlson symmetric forms:
-    Pi(n, m) = R_F(0, 1-m, 1) + (n/3) R_J(0, 1-m, 1, 1-n).
+    Pi(n, m) = K(m) + (n/3) R_J(0, 1-m, 1, 1-n).
     n may be negative; Pi(0, m) = K(m) exactly.
     """
-    if not (0.0 <= m < 1.0):
-        raise DomainError(f"complete_pi requires 0 <= m < 1; got m={m}")
     if not n < 1.0:
         raise DomainError(f"complete_pi requires characteristic n < 1; got n={n}")
-    value = float(elliprf(0.0, 1.0 - m, 1.0))
+    value = complete_k(m)
     if n != 0.0:
         value += (n / 3.0) * float(elliprj(0.0, 1.0 - m, 1.0, 1.0 - n))
     return value

@@ -98,20 +98,50 @@ def normalization(table, caustic) -> float:
     return 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k(table.c2 / (ac * ac)) / ac
 
 
-def _quadrature_average(table, caustic, integrand):
-    """(integral g rho / integral rho, defect / Z) with g = integrand.
+def _chord_kappa23(table, caustic, u):
+    """Mean of kappa^(2/3) at the two endpoints P1(u), P2(u) of the chords at u."""
+    ends = np.stack(cg.endpoint_coordinates(table, caustic, u), axis=-1)
+    return np.mean(cg.curvature23(table, ends.reshape(np.shape(u) + (2, 2))), axis=-1)
+
+
+# The per-chord g(u) behind each average (its keys are TIME_AVERAGE_QUANTITIES);
+# the quadrature route and time_average both evaluate it.  The lambdas look up
+# conic_geometry at call time, so a wrapper bound there sees every call.
+CHORD_SAMPLES = {
+    "sidelength": lambda t, c, u: cg.chord_length(t, c, u),
+    "interior_cosine": lambda t, c, u: cg.interior_cosine(t, c, u),
+    "curvature23": _chord_kappa23,
+    "log_abs_outer_cosine": lambda t, c, u: np.log(np.abs(cg.outer_cosine(t, c, u))),
+}
+
+
+def _quadrature_average(table, caustic, quantity):
+    """(integral g rho / integral rho, defect / Z) with g = CHORD_SAMPLES[quantity].
 
     Numerator and Z come from one periodic_quadrature call on the same nodes,
     so this route uses no elliptic integral and stays independent of the
     closed forms.
     """
+    sample = CHORD_SAMPLES[quantity]
 
     def weighted(u):
         rho = cg.measure_density(table, caustic, u)
-        return np.stack([rho, integrand(u) * rho])
+        return np.stack([rho, sample(table, caustic, u) * rho])
 
     (z, raw), defect = periodic_quadrature(weighted)
     return float(raw / z), float(defect / z)
+
+
+def _average(table, caustic, method, quantity, closed_form):
+    """Route dispatch of the mean_* averages: "quadrature" averages
+    CHORD_SAMPLES[quantity], "closed_form" evaluates closed_form(a_c)."""
+    ac, _ = _check_caustic(table, caustic)
+    if method == "quadrature":
+        value, err = _quadrature_average(table, caustic, quantity)
+        return AverageResult(value, "quadrature", err, caustic.lam)
+    if method != "closed_form":
+        raise DomainError(f"unknown method {method!r}")
+    return AverageResult(closed_form(ac), "closed_form", 0.0, caustic.lam)
 
 
 def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResult:
@@ -122,23 +152,17 @@ def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResul
     quadrature:  integral of chord_length(u) rho(u) du / integral rho(u) du.
     The two agree to 1e-9 relative; on the circle both reduce to 2 sqrt(lam).
     """
-    ac, _ = _check_caustic(table, caustic)
-    lam = caustic.lam
-    if method == "quadrature":
-        value, err = _quadrature_average(
-            table, caustic, lambda u: cg.chord_length(table, caustic, u)
+
+    def closed_form(ac):
+        a, b, lam = table.a, table.b, caustic.lam
+        s3 = table.c2 / (ac * ac)
+        k = complete_k(s3)
+        return (
+            2.0 * a * (b * b * k + (lam - b * b) * complete_pi(lam * s3 / (b * b), s3))
+            / (b * math.sqrt(lam) * k)
         )
-        return AverageResult(value, "quadrature", err, lam)
-    if method != "closed_form":
-        raise DomainError(f"unknown method {method!r}")
-    a, b = table.a, table.b
-    s3 = table.c2 / (ac * ac)
-    k = complete_k(s3)
-    value = (
-        2.0 * a * (b * b * k + (lam - b * b) * complete_pi(lam * s3 / (b * b), s3))
-        / (b * math.sqrt(lam) * k)
-    )
-    return AverageResult(value, "closed_form", 0.0, lam)
+
+    return _average(table, caustic, method, "sidelength", closed_form)
 
 
 def mean_cosine(table, caustic, method: str = "closed_form") -> AverageResult:
@@ -154,20 +178,14 @@ def mean_cosine(table, caustic, method: str = "closed_form") -> AverageResult:
     that stays finite at ca = 0 where r1, r2, r4 all vanish (Cbar = 0 there).
     On the circle Cbar = 2 lam - 1 exactly.
     """
-    ac, _ = _check_caustic(table, caustic)
-    lam = caustic.lam
-    if method == "quadrature":
-        value, err = _quadrature_average(
-            table, caustic, lambda u: cg.interior_cosine(table, caustic, u)
-        )
-        return AverageResult(value, "quadrature", err, lam)
-    if method != "closed_form":
-        raise DomainError(f"unknown method {method!r}")
-    r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
-    s3 = table.c2 / (ac * ac)
-    k = complete_k(s3)
-    value = r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(-r4 / r3, s3) / k
-    return AverageResult(value, "closed_form", 0.0, lam)
+
+    def closed_form(ac):
+        r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
+        s3 = table.c2 / (ac * ac)
+        k = complete_k(s3)
+        return r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(-r4 / r3, s3) / k
+
+    return _average(table, caustic, method, "interior_cosine", closed_form)
 
 
 def mean_curvature23(table, caustic, method: str = "quadrature") -> AverageResult:
@@ -177,24 +195,13 @@ def mean_curvature23(table, caustic, method: str = "quadrature") -> AverageResul
     the chord at u.  closed_form uses the linear identity
     kappa23bar = (a b)^(-4/3) (1 + Cbar) / (2 J^2) with the closed-form Cbar.
     """
-    _check_caustic(table, caustic)
-    lam = caustic.lam
-    if method == "closed_form":
+
+    def closed_form(ac):
         cbar = mean_cosine(table, caustic, method="closed_form")
         j = cg.joachimsthal(table, caustic)
-        value = (table.a * table.b) ** (-4.0 / 3.0) * (1.0 + cbar.value) / (2.0 * j * j)
-        return AverageResult(value, "closed_form", 0.0, lam)
-    if method != "quadrature":
-        raise DomainError(f"unknown method {method!r}")
+        return (table.a * table.b) ** (-4.0 / 3.0) * (1.0 + cbar.value) / (2.0 * j * j)
 
-    def endpoint_mean_kappa23(u):
-        x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
-        k1 = cg.curvature23(table, np.stack([x1, y1], axis=-1))
-        k2 = cg.curvature23(table, np.stack([x2, y2], axis=-1))
-        return 0.5 * (k1 + k2)
-
-    value, err = _quadrature_average(table, caustic, endpoint_mean_kappa23)
-    return AverageResult(value, "quadrature", err, lam)
+    return _average(table, caustic, method, "curvature23", closed_form)
 
 
 def log_geomean_outer(table, caustic) -> tuple[float, int]:
@@ -208,19 +215,8 @@ def log_geomean_outer(table, caustic) -> tuple[float, int]:
     the result is (-inf, 0), meaning geometric mean 0.
     """
     _check_caustic(table, caustic)
-    a, b, lam = table.a, table.b, caustic.lam
-    ca = a * a * b * b - lam * (a * a + b * b)
+    ca = cg._ca(table, caustic)
     if ca == 0.0:
         return -math.inf, 0
-    # cos theta'(u) = ca * g(u) with g > 0; integrating log g and adding
-    # log|ca| once stays exact when ca is within roundoff of zero, where the
-    # gradient-form evaluation cancels to 0.0 at isolated nodes
-    ac2, c2 = a * a - lam, a * a - b * b
-    _, _, r3, r4 = cg.rational_coefficients(table, caustic)
-
-    def log_g(u):
-        z = np.cos(u) ** 2
-        return 0.5 * np.log((ac2 - c2 * z) / (r3 + r4 * z))
-
-    value, _ = _quadrature_average(table, caustic, log_g)
-    return math.log(abs(ca)) + value, (-1 if ca > 0.0 else 1)
+    value, _ = _quadrature_average(table, caustic, "log_abs_outer_cosine")
+    return value, (-1 if ca > 0.0 else 1)

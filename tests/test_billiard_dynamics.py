@@ -32,6 +32,8 @@ Proves:
  Group 4 - Time averages
    - constant quantity on the circle averages exactly
    - 1e6-bounce averages match spatial quadrature to 1e-3 (a=2, lambda=0.37)
+   - log|outer cosine| at lambda_4 (ca within roundoff of 0) matches the
+     spatial route to 1e-9 on a in {1.2, 2, 5}
    - error estimate and bookkeeping fields
 """
 from __future__ import annotations
@@ -312,6 +314,17 @@ def test_time_average_matches_quadrature():
     ):
         res = time_average(T2, caustic, quantity, n)
         assert abs(res.value - ref) / abs(ref) < 1e-3, quantity
+
+
+def test_log_outer_time_average_at_the_four_periodic_caustic():
+    """At lam_4, where ca = a^2 b^2 - lam (a^2 + b^2) is within roundoff of
+    zero, the orbit route of log|outer cosine| stays finite and equals the
+    spatial route (the 4-gon's average is the invariant-measure average)."""
+    for table in (T12, T2, T5):
+        caustic = find_caustic_for_period(table, 4)
+        got = time_average(table, caustic, "log_abs_outer_cosine", 20000).value
+        ref, _ = sa.log_geomean_outer(table, caustic)
+        assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_time_average_validation():

@@ -14,14 +14,14 @@ Proves:
    - joachimsthal equals sqrt(lambda)/(ab) and the chord inner products
    - interior_cosine matches the vertex-angle oracle built from adjacent chords
    - the rational form of interior_cosine in cos^2 u and its endpoint values
-   - outer_cosine: gradient form vs tangent-direction oracle vs closed form
+   - outer_cosine: factored form vs tangent-direction oracle vs gradient form
    - curvature23 against the parametric curvature formula and the linear
      identity in the interior cosine
  Group 4 - Measure density and symmetry
    - explicit density values, circle constancy, u -> -u and u -> u+pi symmetry
    - ranges: cosines in [-1, 1], lengths and density positive
 
-The oracles focal_distances, interior_cosine_rational and outer_cosine_closed
+The oracles focal_distances, interior_cosine_rational and outer_cosine_gradient
 are local to this module; the inverse billiard step is -next_tangency(-u).
 """
 from __future__ import annotations
@@ -82,17 +82,14 @@ def interior_cosine_rational(table, caustic, u):
     return float(val) if val.ndim == 0 else val
 
 
-def outer_cosine_closed(table, caustic, u):
-    """outer_cosine in closed form, ca sqrt(a_c^2 - c^2 cos^2 u) / sqrt(r3 + r4 cos^2 u),
-    with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4 from rational_coefficients."""
-    a, b = table.a, table.b
-    ac, _ = cg.caustic_axes(table, caustic)
-    lam, c2 = caustic.lam, table.c2
-    ca = a * a * b * b - lam * (a * a + b * b)
-    _, _, r3, r4 = cg.rational_coefficients(table, caustic)
-    z = np.cos(np.asarray(u, dtype=float)) ** 2
-    val = ca * np.sqrt(ac * ac - c2 * z) / np.sqrt(r3 + r4 * z)
-    return float(val) if val.ndim == 0 else val
+def outer_cosine_gradient(table, caustic, u):
+    """outer_cosine as the normalized dot product of the gradients A P1 and A P2,
+    with A = diag(1/a^2, 1/b^2); u may be an array."""
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
+    n1x, n1y = x1 / table.a**2, y1 / table.b**2
+    n2x, n2y = x2 / table.a**2, y2 / table.b**2
+    val = (n1x * n2x + n1y * n2y) / np.sqrt((n1x * n1x + n1y * n1y) * (n2x * n2x + n2y * n2y))
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def oracle_endpoints(table, caustic, u):
@@ -374,14 +371,14 @@ def test_outer_cosine_closed_form_agreement():
         caustic = cg.CausticSpec(lam)
         us = np.linspace(0.0, 2.0 * math.pi, 500, endpoint=False)
         assert float(
-            np.max(np.abs(outer_cosine_closed(table, caustic, us) - cg.outer_cosine(table, caustic, us)))
+            np.max(np.abs(outer_cosine_gradient(table, caustic, us) - cg.outer_cosine(table, caustic, us)))
         ) < 1e-9
 
 
 def test_outer_cosine_specific_point():
     caustic = cg.CausticSpec(0.5)
     got = cg.outer_cosine(T5, caustic, 0.7)
-    assert outer_cosine_closed(T5, caustic, 0.7) == pytest.approx(got, abs=1e-9)
+    assert outer_cosine_gradient(T5, caustic, 0.7) == pytest.approx(got, abs=1e-9)
 
 
 def test_curvature23_reference_points():

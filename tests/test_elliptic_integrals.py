@@ -7,11 +7,11 @@ Proves:
    - m outside [0, 1) and n >= 1 rejected, by Pi and by the (Pi - K)/n helper
  Group 2 - Cross-route oracles
    - K against scipy.special.ellipk and against adaptive quadrature of the
-     defining integral (the implementation is an AGM iteration, so both
+     defining integral (the implementation is Carlson's R_F, so both
      routes are independent)
    - Pi against adaptive quadrature, including negative characteristic
-   - Pi(0, m) = K(m) to 1e-14
  Group 3 - Structure
+   - Pi(0, m) = K(m) to 1e-14 (by construction: Pi adds its R_J term to K)
    - monotonicity of K in m and of Pi in n and m
    - (Pi - K)/n helper is the stable limit form, finite as n -> 0
 """
@@ -105,12 +105,12 @@ def test_pi_against_quadrature(n, m):
     assert complete_pi(n, m) == pytest.approx(quad_pi(n, m), rel=1e-12)
 
 
+# ----------------------------------------------------------------- group 3
+
+
 def test_pi_reduces_to_k():
     for m in (0.0, 0.3, 0.77, 0.99):
         assert complete_pi(0.0, m) == pytest.approx(complete_k(m), abs=1e-14, rel=1e-14)
-
-
-# ----------------------------------------------------------------- group 3
 
 
 def test_k_monotone_in_m():
