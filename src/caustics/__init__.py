@@ -6,7 +6,6 @@ from .billiard_dynamics import (
     OrbitSample,
     find_caustic_for_period,
     iterate_orbit,
-    next_tangency,
     rotation_number,
     time_average,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "mean_curvature23",
     "mean_sidelength",
     "measure_density",
-    "next_tangency",
     "normalization",
     "outer_cosine",
     "rotation_number",

@@ -30,7 +30,6 @@ from .spatial_averages import CHORD_SAMPLES, AverageResult
 
 __all__ = [
     "OrbitSample",
-    "next_tangency",
     "iterate_orbit",
     "rotation_number",
     "find_caustic_for_period",
@@ -53,15 +52,6 @@ class OrbitSample:
 
     u_sequence: np.ndarray
     vertex_sequence: np.ndarray
-
-
-def next_tangency(table, caustic, u: float) -> float:
-    """Tangency parameter of the next chord; lifted so that u < u+ < u + pi.
-
-    The one-step orbit from u, certified like every orbit (see _orbit).
-    """
-    us, _ = _orbit(table, caustic, float(u), 1)
-    return float(us[1])
 
 
 def _advance_sequence(table, caustic, u0, n):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import conic_geometry as cg
 from . import spatial_averages as sa
-from .billiard_dynamics import iterate_orbit, time_average
+from .billiard_dynamics import TIME_AVERAGE_QUANTITIES, iterate_orbit, time_average
 from .errors import DomainError, NumericalError
 from .invariant_suite import build_periodic_orbit, evaluate_invariants
 
@@ -36,7 +36,19 @@ _IDENTITY_TOL = 1e-9
 _SEED_SPREAD_REL = 1e-8
 _DEFAULT_TABLES = ((1.2, 1.0), (2.0, 1.0), (5.0, 1.0))
 _ERGODIC_FRACTIONS = (0.11, 0.24, 0.37, 0.52, 0.68)
-_SWEEP_QUANTITIES = ("sidelength", "cosine", "kappa23", "outer")
+# The four averages in sweep column order: each one's spatial average, looked up
+# on `sa` at call time so that a wrapper bound there sees every call (None for
+# outer, whose one route is log_geomean_outer), and its N-periodic discrete value.
+_AVERAGES = {
+    "sidelength": (lambda t, c, m: sa.mean_sidelength(t, c, m), lambda r, n: r.perimeter / n),
+    "cosine": (
+        lambda t, c, m: sa.mean_cosine(t, c, m),
+        lambda r, n: r.joachimsthal * r.perimeter / n - 1.0,
+    ),
+    "kappa23": (lambda t, c, m: sa.mean_curvature23(t, c, m), lambda r, n: r.sum_kappa23 / n),
+    "outer": (None, lambda r, n: abs(r.product_outer_cos) ** (1.0 / n)),
+}
+_SWEEP_QUANTITIES = tuple(_AVERAGES)
 
 
 def _fmt(x) -> str:
@@ -52,57 +64,34 @@ def _print_meta(command: str, flag_pairs):
     )
 
 
-def _route_dev(name, quad, closed):
-    """Quadrature-vs-closed-form deviation of one average, at its own scale.
+def _route_dev(name, value, ref):
+    """Deviation of one average's value from its reference, at the average's scale.
 
-    The mean cosine crosses zero inside the sweep range, so it compares at
-    max(1, |closed|); every other quantity compares at |closed|.
+    The mean cosine and the outer geometric mean, both in [-1, 1], reach zero
+    inside the sweep range, so they compare at max(1, |ref|); the others at |ref|.
     """
-    scale = max(1.0, abs(closed)) if name == "cosine" else abs(closed)
-    return abs(quad - closed) / scale
+    scale = max(1.0, abs(ref)) if name in ("cosine", "outer") else abs(ref)
+    return abs(value - ref) / scale
 
 
 def _spatial_row_values(table, caustic, quantities, method):
-    """One sweep row: {quantity: value} plus per-quantity method tags.
-
-    method 'both' evaluates quadrature and closed form, checks their agreement
-    (`_route_dev`) and reports the closed-form value.
-    """
-    values, tags = {}, {}
-    routed = (
-        ("sidelength", sa.mean_sidelength),
-        ("cosine", sa.mean_cosine),
-        ("kappa23", sa.mean_curvature23),
-    )
-    for name, fn in routed:
+    """One sweep row: {quantity: value} (plus "outer_sign"), method tags, and
+    under method 'both', which reports the closed form, each average's
+    `_route_dev` of quadrature from closed form."""
+    values, tags, devs = {}, {}, {}
+    for name, (spatial, _) in _AVERAGES.items():
         if name not in quantities:
             continue
-        res = fn(table, caustic, method="quadrature" if method == "quadrature" else "closed_form")
+        if spatial is None:
+            log_mean, values["outer_sign"] = sa.log_geomean_outer(table, caustic)
+            values[name], tags[name] = math.exp(log_mean), "quadrature"
+            continue
+        res = spatial(table, caustic, "quadrature" if method == "quadrature" else "closed_form")
+        values[name], tags[name] = res.value, res.method
         if method == "both":
-            quad = fn(table, caustic, method="quadrature")
-            if _route_dev(name, quad.value, res.value) > _DUAL_ROUTE_REL:
-                raise NumericalError(
-                    f"{name} routes disagree at lam={caustic.lam}: "
-                    f"quadrature={quad.value!r}, closed={res.value!r}"
-                )
-        values[name] = res.value
-        tags[name] = res.method if method != "both" else "both"
-    if "outer" in quantities:
-        log_mean, sign = sa.log_geomean_outer(table, caustic)
-        values["outer_abs"] = math.exp(log_mean)
-        values["outer_sign"] = sign
-        tags["outer"] = "quadrature"
-    return values, tags
-
-
-def _discrete_averages(report, n):
-    """The four discrete averages of an N-periodic report, keyed as `sweep` keys them."""
-    return {
-        "sidelength": report.perimeter / n,
-        "cosine": report.joachimsthal * report.perimeter / n - 1.0,
-        "kappa23": report.sum_kappa23 / n,
-        "outer_abs": abs(report.product_outer_cos) ** (1.0 / n),
-    }
+            devs[name] = _route_dev(name, spatial(table, caustic, "quadrature").value, res.value)
+            tags[name] = "both"
+    return values, tags, devs
 
 
 def cmd_sweep(args) -> int:
@@ -141,16 +130,19 @@ def cmd_sweep(args) -> int:
 
     def emit(lam, flag="", discrete=None):
         caustic = cg.CausticSpec(lam)
-        values, tags = _spatial_row_values(table, caustic, quantities, args.method)
+        values, tags, devs = _spatial_row_values(table, caustic, quantities, args.method)
+        for name, dev in devs.items():
+            if dev > _DUAL_ROUTE_REL:
+                raise NumericalError(
+                    f"{name} routes disagree at lam={caustic.lam}: "
+                    f"relative deviation {dev:.3e} > {_DUAL_ROUTE_REL:g}"
+                )
         cells = [_fmt(lam), _fmt(b2 - lam), _fmt(math.sqrt(b2 - lam))]
-        for name in ("sidelength", "cosine", "kappa23"):
-            cells.append(_fmt(values[name]) if name in values else "")
-        cells.append(_fmt(values["outer_abs"]) if "outer_abs" in values else "")
+        cells += [_fmt(values[name]) if name in values else "" for name in _AVERAGES]
         cells.append(str(values["outer_sign"]) if "outer_sign" in values else "")
         cells.append(";".join(f"{k}={v}" for k, v in sorted(tags.items())))
         cells.append(flag)
-        for key in ("sidelength", "cosine", "kappa23", "outer_abs"):
-            cells.append(_fmt(discrete[key]) if discrete else "")
+        cells += [_fmt(discrete[name]) if discrete else "" for name in _AVERAGES]
         print(",".join(cells))
 
     for lam in np.linspace(lam_min, lam_max, args.steps):
@@ -160,7 +152,8 @@ def cmd_sweep(args) -> int:
     for n in marks:
         orbit = build_periodic_orbit(table, n)
         report = evaluate_invariants(orbit)
-        periodic_rows.append((orbit.lam, f"PERIODIC:{n}", _discrete_averages(report, n)))
+        discrete = {name: value(report, n) for name, (_, value) in _AVERAGES.items()}
+        periodic_rows.append((orbit.lam, f"PERIODIC:{n}", discrete))
     for lam, flag, discrete in sorted(periodic_rows):
         emit(lam, flag, discrete)
     return 0
@@ -270,7 +263,7 @@ def run_battery(tables, quick=False):
 
     Returns a list of `Check` records, five per table: the dual-route,
     ergodic, periodic-matching, sum-of-cosines identity and seed-invariance
-    checks.  The last two share one loop over orbits and both report its time.
+    checks.  The last three share one loop over orbits and all report its time.
     """
     checks = []
     n_bounces = 10_000 if quick else 1_000_000
@@ -284,11 +277,8 @@ def run_battery(tables, quick=False):
         for frac in np.arange(0.05, 0.9501, 0.05):
             caustic = cg.CausticSpec(float(frac) * b2)
             quad_n, _ = sa.periodic_quadrature(lambda u: cg.measure_density(table, caustic, u))
-            worst = max(worst, abs(quad_n / sa.normalization(table, caustic) - 1.0))
-            for name, fn in (("sidelength", sa.mean_sidelength), ("cosine", sa.mean_cosine)):
-                quad = fn(table, caustic, method="quadrature").value
-                closed = fn(table, caustic, method="closed_form").value
-                worst = max(worst, _route_dev(name, quad, closed))
+            _, _, devs = _spatial_row_values(table, caustic, _SWEEP_QUANTITIES, "both")
+            worst = max(worst, abs(quad_n / sa.normalization(table, caustic) - 1.0), *devs.values())
         checks.append(Check(f"dual-route closed form vs quadrature [{tag}]", "worst rel dev",
                             worst, _DUAL_ROUTE_REL, time.perf_counter() - t0))
 
@@ -296,45 +286,29 @@ def run_battery(tables, quick=False):
         worst = 0.0
         for frac in _ERGODIC_FRACTIONS:
             caustic = cg.CausticSpec(frac * b2)
-            refs = {
-                "sidelength": sa.mean_sidelength(table, caustic, "quadrature").value,
-                "interior_cosine": sa.mean_cosine(table, caustic, "quadrature").value,
-                "curvature23": sa.mean_curvature23(table, caustic).value,
-                "log_abs_outer_cosine": sa.log_geomean_outer(table, caustic)[0],
-            }
-            for quantity, ref in refs.items():
+            for quantity in TIME_AVERAGE_QUANTITIES:
+                ref, _ = sa._quadrature_average(table, caustic, quantity)
                 t = time_average(table, caustic, quantity, n_bounces).value
                 worst = max(worst, abs(t - ref) / abs(ref))
         checks.append(Check(f"ergodic time average vs spatial ({n_bounces} bounces) [{tag}]",
                             "worst rel dev", worst, _ERGODIC_REL, time.perf_counter() - t0))
 
         t0 = time.perf_counter()
-        worst = 0.0
+        worst_match, worst_identity, worst_spread = 0.0, 0.0, 0.0
         for n in range(3, 8):
-            orbit = build_periodic_orbit(table, n, seed_u=0.123)
-            caustic = cg.CausticSpec(orbit.lam)
-            disc = _discrete_averages(evaluate_invariants(orbit), n)
-            lbar = sa.mean_sidelength(table, caustic).value
-            cbar = sa.mean_cosine(table, caustic).value
-            kbar = sa.mean_curvature23(table, caustic).value
-            log_mean, _ = sa.log_geomean_outer(table, caustic)
-            worst = max(
-                worst,
-                abs(disc["sidelength"] - lbar) / lbar,
-                abs(disc["cosine"] - cbar),
-                abs(disc["outer_abs"] - math.exp(log_mean)),
-                abs(disc["kappa23"] - kbar) / kbar,
-            )
-        checks.append(Check(f"N-periodic invariants vs spatial averages (N=3..7) [{tag}]",
-                            "worst dev", worst, _PERIODIC_MATCH, time.perf_counter() - t0))
-
-        t0 = time.perf_counter()
-        worst_identity, worst_spread = 0.0, 0.0
-        for n in range(3, 8):
-            reports = [
-                evaluate_invariants(build_periodic_orbit(table, n, seed_u=s))
+            orbits = [
+                build_periodic_orbit(table, n, seed_u=s)
                 for s in np.linspace(0.0, 2.0 * math.pi / n, 10, endpoint=False)
             ]
+            reports = [evaluate_invariants(orbit) for orbit in orbits]
+            # the closed-form row that `sweep --mark-periodics` prints at lambda_N
+            caustic = cg.CausticSpec(orbits[0].lam)
+            row, _, _ = _spatial_row_values(table, caustic, _SWEEP_QUANTITIES, "closed")
+            worst_match = max(
+                worst_match,
+                *(_route_dev(name, value(r, n), row[name])
+                  for r in reports for name, (_, value) in _AVERAGES.items()),
+            )
             worst_identity = max(
                 worst_identity,
                 max(r.identity_residuals["sum_cos_identity"] for r in reports),
@@ -349,6 +323,8 @@ def run_battery(tables, quick=False):
                 _relative_spread([r.sum_kappa23 for r in reports], 0.0),
             )
         elapsed = time.perf_counter() - t0
+        checks.append(Check(f"N-periodic invariants vs spatial averages (N=3..7) [{tag}]",
+                            "worst dev", worst_match, _PERIODIC_MATCH, elapsed))
         checks.append(Check(f"sum-of-cosines identity J L - N (10 seeds, N=3..7) [{tag}]",
                             "worst residual", worst_identity, _IDENTITY_TOL, elapsed))
         checks.append(Check(f"seed-invariance of periodic invariants (10 seeds, N=3..7) [{tag}]",
@@ -357,7 +333,10 @@ def run_battery(tables, quick=False):
 
 
 def cmd_verify(args) -> int:
-    tables = [(args.a, args.b)] if args.a is not None else list(_DEFAULT_TABLES)
+    if args.a is None and args.b is not None:
+        raise DomainError("--b needs --a: verify --a A --b B runs the battery on one table")
+    b = 1.0 if args.b is None else args.b
+    tables = [(args.a, b)] if args.a is not None else list(_DEFAULT_TABLES)
     checks = run_battery(tables, quick=args.quick)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.detail}")
@@ -423,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the verification battery")
     verify.add_argument("--a", type=float, default=None, help="restrict to one table")
-    verify.add_argument("--b", type=float, default=1.0)
+    verify.add_argument("--b", type=float, default=None, help="semi-minor axis, with --a")
     verify.add_argument("--quick", action="store_true", help="100x shorter orbits")
     verify.set_defaults(func=cmd_verify)
 

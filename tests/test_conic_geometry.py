@@ -21,8 +21,9 @@ Proves:
    - explicit density values, circle constancy, u -> -u and u -> u+pi symmetry
    - ranges: cosines in [-1, 1], lengths and density positive
 
-The oracles focal_distances, interior_cosine_rational and outer_cosine_gradient
-are local to this module; the inverse billiard step is -next_tangency(-u).
+The oracles focal_distances and interior_cosine_rational are local to this
+module; outer_cosine_gradient and the billiard step next_tangency come from
+tests/oracles.py, and the inverse step is -next_tangency(-u).
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
-from caustics.billiard_dynamics import next_tangency
 from caustics.errors import DomainError, NumericalError
+from oracles import next_tangency, outer_cosine_gradient
 
 RNG = np.random.default_rng(20240817)
 
@@ -80,16 +81,6 @@ def interior_cosine_rational(table, caustic, u):
     z = np.cos(np.asarray(u, dtype=float)) ** 2
     val = (r1 + r2 * z) / (r3 + r4 * z)
     return float(val) if val.ndim == 0 else val
-
-
-def outer_cosine_gradient(table, caustic, u):
-    """outer_cosine as the normalized dot product of the gradients A P1 and A P2,
-    with A = diag(1/a^2, 1/b^2); u may be an array."""
-    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
-    n1x, n1y = x1 / table.a**2, y1 / table.b**2
-    n2x, n2y = x2 / table.a**2, y2 / table.b**2
-    val = (n1x * n2x + n1y * n2y) / np.sqrt((n1x * n1x + n1y * n1y) * (n2x * n2x + n2y * n2y))
-    return float(val) if np.ndim(val) == 0 else val
 
 
 def oracle_endpoints(table, caustic, u):

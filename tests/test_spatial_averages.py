@@ -41,21 +41,13 @@ from caustics.billiard_dynamics import find_caustic_for_period, time_average
 from caustics.elliptic_integrals import complete_k, complete_pi
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
+from oracles import outer_cosine_gradient
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
 T5 = cg.BilliardTable(5.0, 1.0)
 TB = cg.BilliardTable(3.0, 1.7)  # exercises every b != 1 code path
 CIRCLE = cg.BilliardTable(1.0, 1.0)
-
-
-def gradient_outer_cosine(table, caustic, u):
-    """cos theta' as the normalized dot product of the gradients A P1 and A P2,
-    A = diag(1/a^2, 1/b^2): an oracle independent of outer_cosine's factored form."""
-    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
-    n1x, n1y = x1 / table.a**2, y1 / table.b**2
-    n2x, n2y = x2 / table.a**2, y2 / table.b**2
-    return (n1x * n2x + n1y * n2y) / np.sqrt((n1x * n1x + n1y * n1y) * (n2x * n2x + n2y * n2y))
 
 
 def scipy_density_integral(table, caustic):
@@ -300,7 +292,7 @@ def test_log_geomean_quadrature_route_is_consistent():
         caustic = cg.CausticSpec(lam)
         log_mean, _ = sa.log_geomean_outer(table, caustic)
         brute, _ = sa.periodic_quadrature(
-            lambda u: np.log(np.abs(gradient_outer_cosine(table, caustic, u)))
+            lambda u: np.log(np.abs(outer_cosine_gradient(table, caustic, u)))
             * cg.measure_density(table, caustic, u)
         )
         assert log_mean == pytest.approx(brute / sa.normalization(table, caustic), abs=1e-11)
