@@ -81,7 +81,7 @@ def _advance_sequence(table, caustic, u0, n):
     return us
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _orbit(table, caustic, u0, n):
     """The certified n-step orbit from u0: read-only (lifted u's, vertices).
 

@@ -289,7 +289,8 @@ def run_battery(tables, quick=False):
             for quantity in TIME_AVERAGE_QUANTITIES:
                 ref, _ = sa._quadrature_average(table, caustic, quantity)
                 t = time_average(table, caustic, quantity, n_bounces).value
-                worst = max(worst, abs(t - ref) / abs(ref))
+                name = "cosine" if quantity == "interior_cosine" else quantity
+                worst = max(worst, _route_dev(name, t, ref))
         checks.append(Check(f"ergodic time average vs spatial ({n_bounces} bounces) [{tag}]",
                             "worst rel dev", worst, _ERGODIC_REL, time.perf_counter() - t0))
 

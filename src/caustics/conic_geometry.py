@@ -122,31 +122,19 @@ def chord_length(table, caustic, u):
     return float(val) if val.ndim == 0 else val
 
 
-def _vertex_cosine(table, x, y, wx, wy):
-    # Both chords through a boundary vertex make equal angles with the normal
-    # n = A P, so the interior vertex cosine depends only on one chord direction
-    # w and the normal: cos(theta) = 2 <w, n>^2 / (|w|^2 |n|^2) - 1.
-    nx, ny = x / table.a**2, y / table.b**2
-    dot = wx * nx + wy * ny
-    return 2.0 * dot * dot / ((wx * wx + wy * wy) * (nx * nx + ny * ny)) - 1.0
-
-
 def interior_cosine(table, caustic, u):
     """Mean of the interior vertex cosines at the two endpoints of the chord at u.
 
-    At each endpoint the vertex angle is the angle between the rays toward the
-    two neighboring vertices; its cosine is computed geometrically from the
-    chord direction and the boundary normal (see _vertex_cosine).  The value
-    also equals the algebraic form 2 lam/(d1 d2) - 1 at each endpoint: the
-    constant 2 lam (and not lam/2) is forced by the circle degenerations
+    At a vertex (x, y) of any orbit tangent to the caustic, the cosine of the
+    angle between the rays toward its two neighbors is 2 lam/(d1 d2) - 1, with
+    d1 d2 = b^2 + c^2 y^2/b^2 its focal distances' product (no cancellation).
+    The constant 2 lam (and not lam/2) is forced by the circle degenerations
     (square family -> 0, triangle family -> 1/2) and by the periodic-orbit
     identity sum(cos theta_i) = J L - N.  u may be an array.
     """
-    x1, y1, x2, y2 = endpoint_coordinates(table, caustic, u)
-    wx, wy = x2 - x1, y2 - y1
-    val = 0.5 * (
-        _vertex_cosine(table, x1, y1, wx, wy) + _vertex_cosine(table, x2, y2, wx, wy)
-    )
+    _, y1, _, y2 = endpoint_coordinates(table, caustic, u)
+    b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
+    val = caustic.lam * (1.0 / (b2 + c2_b2 * y1 * y1) + 1.0 / (b2 + c2_b2 * y2 * y2)) - 1.0
     return float(val) if np.ndim(val) == 0 else val
 
 

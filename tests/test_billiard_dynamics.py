@@ -11,6 +11,8 @@ Proves:
      next_tangency to 1e-9
    - the lift step always lies in (0, pi)
    - the cached orbit shared by every caller is read-only
+   - the cache keeps a period's closure-certificate orbit while seeded
+     periodic orbits of that period are built
    - a corrupted step is rejected by the orbit certificate in every caller
  Group 2 - Orbit iteration
    - n+1 lifted parameters, strictly increasing lift
@@ -54,6 +56,7 @@ from caustics.billiard_dynamics import (
     time_average,
 )
 from caustics.errors import DomainError, NumericalError
+from caustics.invariant_suite import build_periodic_orbit
 from oracles import next_tangency
 
 T12 = cg.BilliardTable(1.2, 1.0)
@@ -137,6 +140,17 @@ def test_cached_orbit_is_read_only():
         us[:10] *= 2.0
     with pytest.raises(ValueError, match="read-only"):
         verts[3, 1] = 0.0
+
+
+def test_orbit_cache_reuses_the_closure_certificate():
+    # build_periodic_orbit re-solves lambda_N, whose certificate is the orbit
+    # from u0 = 0, then iterates from its seed: the certificate must survive
+    # one seed's orbit in the cache to be reused by the next seed
+    bd._orbit.cache_clear()
+    find_caustic_for_period(T2, 7)
+    for seed in (0.3, 0.6):
+        build_periodic_orbit(T2, 7, seed_u=seed)
+    assert bd._orbit.cache_info().hits == 2
 
 
 def test_certificate_rejects_a_corrupted_step(monkeypatch):

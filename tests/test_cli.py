@@ -24,6 +24,8 @@ Proves:
    - a closed form off by 1e-6 fails the dual-route comparison: sweep
      --method both exits 3 naming the quantity, and the battery records a
      failing dual-route check (kappa^(2/3) included)
+   - the ergodic check passes on a table whose mean interior cosine
+     vanishes at one of its caustics
 """
 from __future__ import annotations
 
@@ -258,6 +260,14 @@ def test_battery_compares_kappa23_routes(monkeypatch):
     checks = cli.run_battery([(2.0, 1.0)], quick=True)
     dual = [c for c in checks if c.name.startswith("dual-route")]
     assert len(dual) == 1 and not dual[0].passed
+
+
+def test_battery_ergodic_check_where_the_mean_cosine_vanishes():
+    # lambda* = a^2 b^2/(a^2 + b^2) is 0.68 b^2 here, one of the ergodic
+    # caustics, and the mean interior cosine there is ~1e-16
+    checks = cli.run_battery([(1.457737973711325, 1.0)], quick=True)
+    ergodic = [c for c in checks if c.name.startswith("ergodic")]
+    assert len(ergodic) == 1 and ergodic[0].passed
 
 
 def test_numerical_failure_exits_three(capsys):

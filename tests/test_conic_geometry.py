@@ -13,6 +13,8 @@ Proves:
    - chord_length equals the Euclidean endpoint distance everywhere
    - joachimsthal equals sqrt(lambda)/(ab) and the chord inner products
    - interior_cosine matches the vertex-angle oracle built from adjacent chords
+   - interior_cosine within 2e-15 of 40-digit vertex angles from a = 1 to 20
+     and lambda/b^2 from 1e-9 to 1 - 1e-9
    - the rational form of interior_cosine in cos^2 u and its endpoint values
    - outer_cosine: factored form vs tangent-direction oracle vs gradient form
    - curvature23 against the parametric curvature formula and the linear
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +106,32 @@ def oracle_endpoints(table, caustic, u):
     t1 = (-qb + math.sqrt(disc)) / (2.0 * qa)
     t2 = (-qb - math.sqrt(disc)) / (2.0 * qa)
     return (xc + t1 * tx, yc + t1 * ty), (xc + t2 * tx, yc + t2 * ty)
+
+
+def interior_cosine_mp(a, b, lam, u):
+    """interior_cosine at 40 digits, geometrically: the endpoints from the
+    tangent-line/ellipse quadratic, and at each the cosine of the angle between
+    the rays toward its two tangency points on the caustic."""
+    with mp.workdps(40):
+        a, b, lam, u = mp.mpf(a), mp.mpf(b), mp.mpf(lam), mp.mpf(u)
+        ac, bc = mp.sqrt(a * a - lam), mp.sqrt(b * b - lam)
+        xc, yc = ac * mp.cos(u), bc * mp.sin(u)
+        tx, ty = -ac * mp.sin(u), bc * mp.cos(u)
+        qa = tx * tx / (a * a) + ty * ty / (b * b)
+        qb = 2 * (xc * tx / (a * a) + yc * ty / (b * b))
+        qc = xc * xc / (a * a) + yc * yc / (b * b) - 1
+        root = mp.sqrt(qb * qb - 4 * qa * qc)
+        total = 0
+        for t in ((-qb + root) / (2 * qa), (-qb - root) / (2 * qa)):
+            px, py = xc + t * tx, yc + t * ty
+            # tangency parameters w from (px/a_c) cos w + (py/b_c) sin w = 1
+            phi = mp.atan2(py / bc, px / ac)
+            delta = mp.acos(1 / mp.hypot(px / ac, py / bc))
+            (r1x, r1y), (r2x, r2y) = (
+                (ac * mp.cos(w) - px, bc * mp.sin(w) - py) for w in (phi + delta, phi - delta)
+            )
+            total += (r1x * r2x + r1y * r2y) / (mp.hypot(r1x, r1y) * mp.hypot(r2x, r2y))
+        return float(total / 2)
 
 
 def vertex_cosine_oracle(table, caustic, u_in, u_out):
@@ -305,6 +334,19 @@ def test_interior_cosine_focal_identity():
             assert cg.interior_cosine(table, caustic, float(u)) == pytest.approx(
                 0.5 * (vals[0] + vals[1]), abs=1e-10
             )
+
+
+def test_interior_cosine_against_40_digit_vertex_angles():
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for a in (1.0, 1.2, 2.0, 5.0, 20.0):
+        table = cg.BilliardTable(a, 1.0)
+        for frac in (1e-9, 1e-5, 0.01, 0.3, 0.7, 0.99, 1.0 - 1e-6, 1.0 - 1e-9):
+            us = rng.uniform(0.0, 2.0 * math.pi, 20)
+            got = cg.interior_cosine(table, cg.CausticSpec(frac), us)
+            ref = np.array([interior_cosine_mp(a, 1.0, frac, u) for u in us])
+            worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst < 2e-15
 
 
 def test_rational_form_matches_geometric_cosine():
