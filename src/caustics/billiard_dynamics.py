@@ -10,9 +10,12 @@ x = a_c cos w, y = b_c sin w solve
 i.e. R cos(w - phi) = 1 with (R, phi) the polar form of (px/a_c, py/b_c), so
 w = phi +/- delta with delta = arccos(1/R) = arctan(sqrt(R^2 - 1)).
 Counterclockwise orientation makes the step u -> u + 2 delta, with delta
-evaluated at the forward endpoint P1(u).  Every orbit is iterated by
-_advance_sequence and certified by _orbit.  rotation_number is exact: the map
-is conjugate to a rigid rotation.
+evaluated at the forward endpoint P1(u).  _advance_sequence is the one
+implementation of that step.  The map is conjugate to a rigid rotation
+t -> t + Delta, so rotation_number is exact, and an orbit of _COMPOSE_MIN or
+more bounces is composed from two ~sqrt(n)-bounce runs of the step by the
+addition theorem of sn, cn, dn (_composed_sequence).  Every orbit, composed or
+scalar, is certified step by step by _orbit.
 """
 from __future__ import annotations
 
@@ -38,6 +41,8 @@ __all__ = [
 ]
 
 _SHARE_TOL = 1e-8  # endpoint-sharing residual accepted from the closed-form step
+_TAU = 2.0 * math.pi
+_COMPOSE_MIN = 200  # orbit length from which composing wins; the measured break-even is ~150
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +86,57 @@ def _advance_sequence(table, caustic, u0, n):
     return us
 
 
-@functools.lru_cache(maxsize=2)
-def _orbit(table, caustic, u0, n):
-    """The certified n-step orbit from u0: read-only (lifted u's, vertices).
+def _composed_sequence(table, caustic, u0, n):
+    """The n+1 lifted tangency parameters from u0, composed from two short runs.
 
-    Every step is checked against endpoint_coordinates: the chord at u_{k+1}
-    must start where the chord at u_k ends, P2(u_{k+1}) = P1(u_k) to
-    _SHARE_TOL, and u_{k+1} - u_k must lie in (0, pi); otherwise
-    NumericalError.  Vertex 0 is P2(u_0) and vertex k+1 is P1(u_k).  Callers
-    share the cached arrays, so they are handed out read-only.
+    In t = F(u - pi/2 | s3), s3 = c^2/a_c^2, the map is the rotation
+    t -> t + Delta, and the chord at u has (sn t, cn t, dn t) =
+    (-cos u, sin u, sqrt(b_c^2 + c^2 sin^2 u)/a_c).  Two runs of the scalar
+    loop, B ~ sqrt(n) bounces each, give the base u_0 ... u_{B-1} and, from
+    u = pi/2 (t = 0), the jump state at t = B Delta.  The shifts S_j at
+    t = j B Delta are j jumps chained by the addition theorem (DLMF 22.8.1-2),
+    each link renormalized to sn^2 + cn^2 = 1 with dn^2 = b_c^2/a_c^2 + s3 cn^2,
+    and u_{jB+i} is the angle of base_i + S_j.  The theorem's common
+    denominator 1 - s3 sn^2 sn^2 is positive, so it drops out of every angle.
+    The angles are lifted by whole turns, not by a sum of steps, whose
+    rounding drifts.
     """
-    us = _advance_sequence(table, caustic, u0, n)
+    ac, bc = cg.caustic_axes(table, caustic)
+    c2 = table.c2
+    s3, kp2 = c2 / (ac * ac), (bc * bc) / (ac * ac)
+    runs = math.isqrt(n) + 1  # runs^2 > n, so runs * blocks >= n + 1
+    blocks = -(-(n + 1) // runs)
+    base = _advance_sequence(table, caustic, u0, runs - 1)
+    sb, cb = -np.cos(base), np.sin(base)
+    db = np.sqrt(bc * bc + c2 * cb * cb) / ac
+    v = float(_advance_sequence(table, caustic, 0.5 * math.pi, runs)[-1])
+    sj, cj = -math.cos(v), math.sin(v)
+    dj = math.sqrt(bc * bc + c2 * cj * cj) / ac
+    cjdj, sjdj = cj * dj, sj * dj
+    shifts = []
+    s, c, d = 0.0, 1.0, 1.0
+    sqrt, hypot = math.sqrt, math.hypot
+    for _ in range(blocks):
+        shifts.append((s, c, d))
+        s, c = s * cjdj + sj * c * d, c * cj - s * sjdj * d
+        h = hypot(s, c)
+        s, c = s / h, c / h
+        d = sqrt(kp2 + s3 * c * c)
+    ss, cs, ds = np.array(shifts).T
+    sn = np.multiply.outer(cs * ds, sb) + np.multiply.outer(ss, cb * db)
+    cn = np.multiply.outer(cs, cb) - np.multiply.outer(ss * ds, sb * db)
+    w = np.arctan2(cn.ravel()[: n + 1], -sn.ravel()[: n + 1])
+    turns = np.r_[0.0, np.cumsum(np.diff(w) < 0.0)]
+    return u0 + ((w - w[0]) + _TAU * turns)
+
+
+def _certified_vertices(table, caustic, us):
+    """Vertices of the orbit us, after checking every step against endpoint_coordinates.
+
+    The chord at u_{k+1} must start where the chord at u_k ends,
+    P2(u_{k+1}) = P1(u_k) to _SHARE_TOL, and u_{k+1} - u_k must lie in
+    (0, pi); otherwise NumericalError.  Vertex 0 is P2(u_0), vertex k+1 is P1(u_k).
+    """
     x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, us)
     share = np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])
     steps = np.diff(us)
@@ -102,7 +147,33 @@ def _orbit(table, caustic, u0, n):
             f"billiard step {k} failed at u={us[k]}, lam={caustic.lam}: "
             f"endpoint-sharing residual {share[k]:.3e}, advance {float(steps[k])!r}"
         )
-    vertices = np.column_stack([np.r_[x2[0], x1[:-1]], np.r_[y2[0], y1[:-1]]])
+    return np.column_stack([np.r_[x2[0], x1[:-1]], np.r_[y2[0], y1[:-1]]])
+
+
+@functools.lru_cache(maxsize=2)
+def _orbit(table, caustic, u0, n):
+    """The certified n-step orbit from u0: read-only (lifted u's, vertices).
+
+    Both paths iterate from r0 = u0 mod 2 pi and certify that orbit; the
+    seed's whole turns u0 - r0 are added back afterwards, so u_sequence[0] is
+    u0 and a far seed costs no precision.  From _COMPOSE_MIN bounces the orbit
+    is composed (_composed_sequence); if its certificate fails, or below
+    _COMPOSE_MIN, the scalar loop's orbit is certified, and its failure
+    raises.  Callers share the cached arrays, so they are handed out read-only.
+    """
+    r0 = u0 % _TAU % _TAU  # the second % maps 2 pi, rounded from a tiny negative u0, to 0
+    vertices = None
+    if n >= _COMPOSE_MIN:
+        us = _composed_sequence(table, caustic, r0, n)
+        try:
+            vertices = _certified_vertices(table, caustic, us)
+        except NumericalError:
+            pass  # certify the scalar loop's orbit instead
+    if vertices is None:
+        us = _advance_sequence(table, caustic, r0, n)
+        vertices = _certified_vertices(table, caustic, us)
+    if r0 != u0:
+        us = u0 + (us - r0)
     us.flags.writeable = False
     vertices.flags.writeable = False
     return us, vertices

@@ -13,13 +13,22 @@ Proves:
    - the cached orbit shared by every caller is read-only
    - the cache keeps a period's closure-certificate orbit while seeded
      periodic orbits of that period are built
-   - a corrupted step is rejected by the orbit certificate in every caller
+   - a corrupted step is rejected by the orbit certificate in every caller,
+     through the composed path of a long orbit too; a corrupted composed
+     block falls back to the scalar loop's certified orbit
  Group 2 - Orbit iteration
    - n+1 lifted parameters, strictly increasing lift
    - every chord tangent to the caustic, Joachimsthal constant at every
      vertex, all vertices on the boundary (self-validating 1e5-step run)
    - circle square orbit closes exactly after 4 steps
    - n = 1 gives two parameters, one chord
+   - seeds at u0 = 1e8 and 1e9 keep full precision: the orbit is the one from
+     u0 mod 2 pi, shifted by the seed's whole turns, with u_sequence[0] = u0
+   - 2e4-bounce composed orbits agree with the scalar loop to 1e-9 in the
+     lifted u on a in {1, 1.2, 2, 5} x lambda/b^2 in {0.05, 0.3, 0.68, 0.95}
+   - property: on any admitted (a, lambda, u0) and n up to 3e4, iterate_orbit
+     returns an orbit whose every step re-checks against endpoint_coordinates,
+     or raises NumericalError
  Group 3 - Rotation numbers and periodic caustics
    - circle pentagon rotation number exactly 1/5 (to 1e-15)
    - rho -> 0+ in the grazing limit; rho in (0, 1/2) always
@@ -44,6 +53,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caustics.billiard_dynamics as bd
 import caustics.conic_geometry as cg
@@ -169,9 +180,35 @@ def test_certificate_rejects_a_corrupted_step(monkeypatch):
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         iterate_orbit(T2, caustic, 0.3, 100)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
+        iterate_orbit(T2, caustic, 0.3, 20_000)  # composed from corrupted runs
+    with pytest.raises(NumericalError, match="endpoint-sharing"):
         time_average(T2, caustic, "sidelength", 100, u0=0.3)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         find_caustic_for_period(T2, 5)
+
+
+def test_a_corrupted_composed_block_falls_back_to_the_scalar_loop(monkeypatch):
+    """A composed orbit that fails the certificate is replaced by the scalar
+    loop's orbit, certified the same way, not returned and not raised."""
+    honest = bd._composed_sequence
+    calls = []
+
+    def corrupted(table, caustic, u0, n):
+        us = honest(table, caustic, u0, n)
+        us[5000:5100] += 1e-6
+        calls.append(n)
+        return us
+
+    monkeypatch.setattr(bd, "_composed_sequence", corrupted)
+    bd._orbit.cache_clear()
+    caustic, n = cg.CausticSpec(0.5), 20_000
+    sample = iterate_orbit(T2, caustic, 0.3, n)
+    assert calls == [n]
+    scalar = bd._advance_sequence(T2, caustic, 0.3, n)
+    assert np.array_equal(sample.u_sequence, scalar)
+    x1, y1, x2, y2 = cg.endpoint_coordinates(T2, caustic, scalar)
+    assert np.array_equal(sample.vertex_sequence[1:], np.column_stack([x1, y1])[:-1])
+    assert np.array_equal(sample.vertex_sequence[0], [x2[0], y2[0]])
 
 
 # ----------------------------------------------------------------- group 2
@@ -216,6 +253,82 @@ def test_circle_square_closes():
     sample = iterate_orbit(CIRCLE, cg.CausticSpec(0.5), 0.0, 4)
     assert sample.u_sequence[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
     assert float(np.max(np.abs(sample.vertex_sequence[4] - sample.vertex_sequence[0]))) < 1e-12
+
+
+@pytest.mark.parametrize("u0", [1e8, 1e9])
+@pytest.mark.parametrize("n", [10, 1000])
+def test_far_seed_keeps_full_precision(u0, n):
+    """A seed's whole turns are carried apart from the iteration: the orbit is
+    the one from u0 mod 2 pi, lifted back, so ulp(u0) never enters a step."""
+    caustic = cg.CausticSpec(0.5)
+    sample = iterate_orbit(T2, caustic, u0, n)
+    r0 = u0 % (2.0 * math.pi)
+    near = iterate_orbit(T2, caustic, r0, n)
+    us = sample.u_sequence
+    assert us[0] == u0
+    assert np.array_equal(sample.vertex_sequence, near.vertex_sequence)
+    assert np.max(np.abs((us - u0) - (near.u_sequence - r0))) <= 2.0 * np.spacing(us[-1])
+
+
+def scalar_loop_by_turns(table, caustic, u0, n, leg=8):
+    """The scalar loop's orbit from u0 in [0, 2 pi), restarted every `leg`
+    bounces from its angle mod 2 pi and lifted by whole turns.
+
+    The loop run in one piece rounds u + 2 delta at ulp(u), about 7e-12 near
+    u = 6e4, and on the circle, whose step is constant, it rounds the same way
+    at every bounce: after 2e4 bounces it is 1.5e-8 off a 40-digit run of the
+    same step, against 1.7e-10 for the composed orbit.  In legs each rounding
+    is at ulp(8 pi) and the lift adds one more.
+    """
+    tau = 2.0 * math.pi
+    angles, turns = [np.array([u0])], [np.array([0.0])]
+    done = 0
+    while done < n:
+        m = min(leg, n - done)
+        q, r = np.divmod(bd._advance_sequence(table, caustic, float(angles[-1][-1]), m)[1:], tau)
+        angles.append(r)
+        turns.append(turns[-1][-1] + q)
+        done += m
+    return np.concatenate(angles) + tau * np.concatenate(turns)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
+@pytest.mark.parametrize("fraction", [0.05, 0.3, 0.68, 0.95])
+def test_composed_orbit_matches_the_scalar_loop(a, fraction):
+    table, caustic, n = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction), 20_000
+    assert n >= bd._COMPOSE_MIN
+    us = iterate_orbit(table, caustic, 0.3, n).u_sequence
+    assert np.max(np.abs(us - scalar_loop_by_turns(table, caustic, 0.3, n))) < 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.floats(1.0, 5.0),
+    st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.floats(1.0, 9.0).map(lambda k: 1.0 - 10.0**-k)),
+    st.floats(-20.0, 20.0),
+    st.integers(1, 30_000),
+)
+def test_every_returned_orbit_is_certified(a, fraction, u0, n):
+    """Each step re-checks on the orbit from u0 mod 2 pi, the one certified:
+    a seed outside [0, 2 pi) returns it lifted by whole turns, and re-rounding
+    the lift at ulp(u) moves endpoints by up to ulp(u) a/b_c, 1e-8 near the
+    guard, so the shifted lift itself is not re-checked."""
+    table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
+    r0 = u0 % bd._TAU % bd._TAU
+    try:
+        sample = iterate_orbit(table, caustic, u0, n)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            iterate_orbit(table, caustic, r0, n)
+        return
+    near = iterate_orbit(table, caustic, r0, n)
+    assert np.array_equal(sample.vertex_sequence, near.vertex_sequence)
+    assert sample.u_sequence[0] == u0
+    us = near.u_sequence
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, us)
+    assert np.max(np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])) <= bd._SHARE_TOL
+    steps = np.diff(us)
+    assert np.all(steps > 0.0) and np.all(steps < math.pi)
 
 
 # ----------------------------------------------------------------- group 3
