@@ -15,7 +15,8 @@ implementation of that step.  The map is conjugate to a rigid rotation
 t -> t + Delta, so rotation_number is exact, and an orbit of _COMPOSE_MIN or
 more bounces is composed from two ~sqrt(n)-bounce runs of the step by the
 addition theorem of sn, cn, dn (_composed_sequence).  Every orbit, composed or
-scalar, is certified step by step by _orbit.
+scalar, is certified step by step by _orbit on its angles mod 2pi; the
+monotone lift u_sequence is derived from them where it is read.
 """
 from __future__ import annotations
 
@@ -47,20 +48,28 @@ _COMPOSE_MIN = 200  # orbit length from which composing wins; the measured break
 
 @dataclass(frozen=True, eq=False)
 class OrbitSample:
-    """A simulated orbit: lifted tangency parameters and boundary vertices.
+    """A simulated orbit: certified tangency angles and boundary vertices.
 
-    u_sequence[i] is the tangency parameter of the i-th chord (monotone lift,
-    not reduced mod 2pi); vertex_sequence[i] is the vertex shared by chords
+    angles[i] is the tangency parameter of the i-th chord mod 2pi, as the
+    orbit was certified; vertex_sequence[i] is the vertex shared by chords
     i-1 and i, so chord i joins vertex i to vertex i+1.  Both arrays have
-    length n+1 for an n-step orbit.
+    length n+1 for an n-step orbit and are read-only.  u_sequence, built on
+    first access, is their monotone lift from u0: u0 + (angles - angles[0])
+    + 2pi (whole turns so far), a turn being a step that lowers the angle.
     """
 
-    u_sequence: np.ndarray
+    u0: float
+    angles: np.ndarray
     vertex_sequence: np.ndarray
+
+    @functools.cached_property
+    def u_sequence(self) -> np.ndarray:
+        turns = np.r_[0.0, np.cumsum(self.angles[1:] < self.angles[:-1])]
+        return self.u0 + ((self.angles - self.angles[0]) + _TAU * turns)
 
 
 def _advance_sequence(table, caustic, u0, n):
-    """Scalar iteration of the map: the n+1 lifted tangency parameters from u0."""
+    """Scalar iteration of the map: the n+1 tangency angles from u0, kept in [0, 2pi)."""
     a, b = table.a, table.b
     ac, bc = cg.caustic_axes(table, caustic)
     ac2, bc2 = ac * ac, bc * bc
@@ -74,6 +83,7 @@ def _advance_sequence(table, caustic, u0, n):
     sqrt_lam, abc2, bac2 = math.sqrt(lam), a * bc2, b * ac2
     a2bc2, b2ac2 = a * abc2, b * bac2
     cos, sin, sqrt, atan, hypot = math.cos, math.sin, math.sqrt, math.atan, math.hypot
+    tau = _TAU
     us = np.empty(n + 1)
     u = float(u0)
     for i in range(n):
@@ -82,12 +92,14 @@ def _advance_sequence(table, caustic, u0, n):
         z = sqrt(lam * (bc2 * C * C + ac2 * S * S))
         d = a2bc2 * C * C + b2ac2 * S * S
         u = u + 2.0 * atan(sqrt_lam * hypot(abc2 * C - b * z * S, bac2 * S + a * z * C) / d)
+        if u >= tau:  # a step is below pi, so one turn at most; u - 2pi is exact
+            u -= tau
     us[n] = u
     return us
 
 
 def _composed_sequence(table, caustic, u0, n):
-    """The n+1 lifted tangency parameters from u0, composed from two short runs.
+    """The n+1 tangency angles from u0, in [-pi, pi], composed from two short runs.
 
     In t = F(u - pi/2 | s3), s3 = c^2/a_c^2, the map is the rotation
     t -> t + Delta, and the chord at u has (sn t, cn t, dn t) =
@@ -98,8 +110,6 @@ def _composed_sequence(table, caustic, u0, n):
     each link renormalized to sn^2 + cn^2 = 1 with dn^2 = b_c^2/a_c^2 + s3 cn^2,
     and u_{jB+i} is the angle of base_i + S_j.  The theorem's common
     denominator 1 - s3 sn^2 sn^2 is positive, so it drops out of every angle.
-    The angles are lifted by whole turns, not by a sum of steps, whose
-    rounding drifts.
     """
     ac, bc = cg.caustic_axes(table, caustic)
     c2 = table.c2
@@ -125,71 +135,52 @@ def _composed_sequence(table, caustic, u0, n):
     ss, cs, ds = np.array(shifts).T
     sn = np.multiply.outer(cs * ds, sb) + np.multiply.outer(ss, cb * db)
     cn = np.multiply.outer(cs, cb) - np.multiply.outer(ss * ds, sb * db)
-    w = np.arctan2(cn.ravel()[: n + 1], -sn.ravel()[: n + 1])
-    turns = np.r_[0.0, np.cumsum(np.diff(w) < 0.0)]
-    return u0 + ((w - w[0]) + _TAU * turns)
-
-
-def _certified_vertices(table, caustic, us):
-    """Vertices of the orbit us, after checking every step against endpoint_coordinates.
-
-    The chord at u_{k+1} must start where the chord at u_k ends,
-    P2(u_{k+1}) = P1(u_k) to _SHARE_TOL, and u_{k+1} - u_k must lie in
-    (0, pi); otherwise NumericalError.  Vertex 0 is P2(u_0), vertex k+1 is P1(u_k).
-    """
-    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, us)
-    share = np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])
-    steps = np.diff(us)
-    bad = np.flatnonzero(~((share <= _SHARE_TOL) & (steps > 0.0) & (steps < math.pi)))
-    if bad.size:
-        k = bad[0]
-        raise NumericalError(
-            f"billiard step {k} failed at u={us[k]}, lam={caustic.lam}: "
-            f"endpoint-sharing residual {share[k]:.3e}, advance {float(steps[k])!r}"
-        )
-    return np.column_stack([np.r_[x2[0], x1[:-1]], np.r_[y2[0], y1[:-1]]])
+    return np.arctan2(cn.ravel()[: n + 1], -sn.ravel()[: n + 1])
 
 
 @functools.lru_cache(maxsize=2)
 def _orbit(table, caustic, u0, n):
-    """The certified n-step orbit from u0: read-only (lifted u's, vertices).
+    """The certified n-step orbit from u0 mod 2pi: read-only (angles, vertices).
 
-    Both paths iterate from r0 = u0 mod 2 pi and certify that orbit; the
-    seed's whole turns u0 - r0 are added back afterwards, so u_sequence[0] is
-    u0 and a far seed costs no precision.  From _COMPOSE_MIN bounces the orbit
-    is composed (_composed_sequence); if its certificate fails, or below
-    _COMPOSE_MIN, the scalar loop's orbit is certified, and its failure
-    raises.  Callers share the cached arrays, so they are handed out read-only.
+    From _COMPOSE_MIN bounces the angles are composed (_composed_sequence),
+    below it the scalar loop runs.  Either way they are certified as computed,
+    never lifted, so each is rounded at ulp(2pi) at most and a far seed costs
+    no precision: the chord at u_{k+1} must start where the chord at u_k ends,
+    P2(u_{k+1}) = P1(u_k) to _SHARE_TOL, and u_{k+1} - u_k mod 2pi must lie
+    in (0, pi); otherwise NumericalError.  Vertex 0 is P2(u_0), vertex k+1 is
+    P1(u_k).  Callers share the cached arrays, so they are handed out read-only.
     """
     r0 = u0 % _TAU % _TAU  # the second % maps 2 pi, rounded from a tiny negative u0, to 0
-    vertices = None
-    if n >= _COMPOSE_MIN:
-        us = _composed_sequence(table, caustic, r0, n)
-        try:
-            vertices = _certified_vertices(table, caustic, us)
-        except NumericalError:
-            pass  # certify the scalar loop's orbit instead
-    if vertices is None:
-        us = _advance_sequence(table, caustic, r0, n)
-        vertices = _certified_vertices(table, caustic, us)
-    if r0 != u0:
-        us = u0 + (us - r0)
-    us.flags.writeable = False
+    sequence = _composed_sequence if n >= _COMPOSE_MIN else _advance_sequence
+    angles = sequence(table, caustic, r0, n)
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, angles)
+    share = np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])
+    steps = angles[1:] - angles[:-1]
+    steps += _TAU * (steps < 0.0)  # both angles lie in one interval of length 2pi
+    bad = np.flatnonzero(~((share <= _SHARE_TOL) & (steps > 0.0) & (steps < math.pi)))
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(
+            f"billiard step {k} failed at u={angles[k]}, lam={caustic.lam}: "
+            f"endpoint-sharing residual {share[k]:.3e}, advance {float(steps[k])!r}"
+        )
+    vertices = np.column_stack([np.r_[x2[0], x1[:-1]], np.r_[y2[0], y1[:-1]]])
+    angles.flags.writeable = False
     vertices.flags.writeable = False
-    return us, vertices
+    return angles, vertices
 
 
 def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
     """Iterate the billiard map n times from tangency parameter u0.
 
-    Returns an OrbitSample with n+1 lifted parameters and n+1 vertices;
-    vertex 0 is the backward endpoint P2(u0), vertex i+1 the forward endpoint
-    P1(u_i), so the sample describes n chords.  The arrays are read-only.
+    Returns an OrbitSample with n+1 angles and n+1 vertices; vertex 0 is the
+    backward endpoint P2(u0), vertex i+1 the forward endpoint P1(u_i), so the
+    sample describes n chords.  The arrays are read-only.
     """
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
-    us, verts = _orbit(table, caustic, float(u0), int(n))
-    return OrbitSample(us, verts)
+    angles, verts = _orbit(table, caustic, float(u0), int(n))
+    return OrbitSample(float(u0), angles, verts)
 
 
 def rotation_number(table, caustic) -> float:
@@ -215,9 +206,9 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     tends to 1/2 as lam -> b^2, but for a > b only logarithmically, so at the
     upper guard it is below 1/2 (0.414 at a = 5) and periods n with 1/n above
     it are not bracketed.  The root is certified independently of the solve:
-    the n-step orbit from u_0 = 0 must close, |u_n - u_0 - 2 pi| <= 1e-10
-    (by Poncelet it then closes from every seed).  On the circle
-    lam_n = b^2 sin^2(pi/n) exactly.
+    the n-step orbit from u_0 = 0 must close after one turn, |u_n - u_0 - 2 pi|
+    <= 1e-10, read off its angles and their count of wraps (by Poncelet it
+    then closes from every seed).  On the circle lam_n = b^2 sin^2(pi/n) exactly.
     """
     if n < 3:
         raise DomainError(f"period must be >= 3; got n={n}")
@@ -233,8 +224,9 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
         )
     lam_n = brentq(excess, lo, hi, xtol=1e-15 * b2, rtol=8.9e-16)
     caustic = cg.CausticSpec(lam_n)
-    us, _ = _orbit(table, caustic, 0.0, int(n))
-    residual = abs(us[-1] - us[0] - 2.0 * math.pi)
+    angles, _ = _orbit(table, caustic, 0.0, int(n))
+    wraps = int(np.count_nonzero(angles[1:] < angles[:-1]))  # a Python int: numpy scalar math is slow
+    residual = abs(angles[-1] - angles[0] + _TAU * (wraps - 1))
     if residual > 1e-10:
         raise NumericalError(
             f"{n}-periodic closure defect {residual:.3e} at lam={lam_n}"
@@ -258,9 +250,9 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         )
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
-    us = _orbit(table, caustic, float(u0), int(n))[0][:n]
+    angles = _orbit(table, caustic, float(u0), int(n))[0][:n]
     with np.errstate(divide="ignore"):  # log|outer cosine| is -inf where ca = 0
-        samples = CHORD_SAMPLES[quantity](table, caustic, us)
+        samples = CHORD_SAMPLES[quantity](table, caustic, angles)
     value = float(np.mean(samples))
     half = float(np.mean(samples[: max(1, n // 2)]))
     return AverageResult(value, "time_average", abs(value - half), caustic.lam)

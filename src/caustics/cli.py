@@ -210,7 +210,7 @@ def cmd_orbit(args) -> int:
     )
     print("# joachimsthal_residual: ||<A P, unit edge>| - J| on the outgoing edge (incoming for the last row)")
     print("index,x,y,u_lifted,joachimsthal_residual")
-    verts = sample.vertex_sequence
+    verts, us = sample.vertex_sequence, sample.u_sequence
     edges = np.diff(verts, axis=0)
     edges /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
     normals = np.column_stack([verts[:, 0] / table.a**2, verts[:, 1] / table.b**2])
@@ -219,7 +219,7 @@ def cmd_orbit(args) -> int:
         residual = abs(abs(float(np.dot(normals[i], edge))) - j)
         print(
             ",".join(
-                [str(i), _fmt(verts[i, 0]), _fmt(verts[i, 1]), _fmt(sample.u_sequence[i]), _fmt(residual)]
+                [str(i), _fmt(verts[i, 0]), _fmt(verts[i, 1]), _fmt(us[i]), _fmt(residual)]
             )
         )
     return 0

@@ -111,14 +111,14 @@ def endpoint_coordinates(table, caustic, u):
 def chord_length(table, caustic, u):
     """Length of the chord tangent at u; u may be an array.
 
-    Closed form 2 a b sqrt(lam) (a_c^2 - c^2 cos^2 u)/(a_c^2 b^2 - lam c^2 cos^2 u);
-    both factors are strictly positive for 0 < lam < b^2.
+    Closed form 2 a b sqrt(lam) (b_c^2 + c^2 sin^2 u)/(a^2 b_c^2 + lam c^2 sin^2 u);
+    its terms are all non-negative, so nothing cancels as lam -> b^2.
     """
     a, b = table.a, table.b
-    ac, _ = caustic_axes(table, caustic)
-    ac2, c2, lam = ac * ac, table.c2, caustic.lam
-    z = np.cos(np.asarray(u, dtype=float)) ** 2
-    val = 2.0 * a * b * math.sqrt(lam) * (ac2 - c2 * z) / (ac2 * b * b - lam * c2 * z)
+    _, bc = caustic_axes(table, caustic)
+    bc2, c2, lam = bc * bc, table.c2, caustic.lam
+    s = np.sin(np.asarray(u, dtype=float)) ** 2
+    val = 2.0 * a * b * math.sqrt(lam) * (bc2 + c2 * s) / (a * a * bc2 + lam * c2 * s)
     return float(val) if val.ndim == 0 else val
 
 
@@ -173,30 +173,33 @@ def rational_coefficients(table, caustic):
 def outer_cosine(table, caustic, u):
     """Cosine of the angle between the boundary normals at the two chord endpoints.
 
-    Factored form ca sqrt(a_c^2 - c^2 cos^2 u)/sqrt(r3 + r4 cos^2 u) of the
+    Factored form ca sqrt(b_c^2 + c^2 sin^2 u)/sqrt(r3 + r4 - r4 sin^2 u) of the
     normalized dot product of the gradients A P1, A P2 (A = diag(1/a^2, 1/b^2)),
-    with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4 from rational_coefficients.
+    with ca = a^2 b^2 - lam (a^2 + b^2), r4 = -c^2 ca^2 from rational_coefficients
+    and r3 + r4 = b_c^2 (a^2 b^2 + lam c^2)^2, so nothing cancels as lam -> b^2.
     Its sign is sign(ca); it vanishes identically at ca = 0, and its log stays
     finite when ca is within roundoff of zero.  u may be an array.
     """
-    a, lam = table.a, caustic.lam
-    _, _, r3, r4 = rational_coefficients(table, caustic)
-    z = np.cos(np.asarray(u, dtype=float)) ** 2
-    val = _ca(table, caustic) * np.sqrt((a * a - lam - table.c2 * z) / (r3 + r4 * z))
+    a, b, lam = table.a, table.b, caustic.lam
+    _, bc = caustic_axes(table, caustic)
+    bc2, c2 = bc * bc, table.c2
+    r4 = rational_coefficients(table, caustic)[3]
+    r34 = bc2 * (a * a * b * b + lam * c2) ** 2
+    s = np.sin(np.asarray(u, dtype=float)) ** 2
+    val = _ca(table, caustic) * np.sqrt((bc2 + c2 * s) / (r34 - r4 * s))
     return float(val) if val.ndim == 0 else val
 
 
 def measure_density(table, caustic, u):
-    """Invariant measure density rho(u) = (a_c b_c)^(2/3) / sqrt(a_c^2 - c^2 cos^2 u).
+    """Invariant measure density rho(u) = (a_c b_c)^(2/3) / sqrt(b_c^2 + c^2 sin^2 u).
 
     rho du is the asymptotic density of chord tangency points of any aperiodic
     orbit; it is 2pi-periodic and symmetric under u -> -u and u -> pi - u.
     u may be an array.
     """
     ac, bc = caustic_axes(table, caustic)
-    c2 = table.c2
-    z = np.cos(np.asarray(u, dtype=float)) ** 2
-    val = (ac * bc) ** (2.0 / 3.0) / np.sqrt(ac * ac - c2 * z)
+    s = np.sin(np.asarray(u, dtype=float)) ** 2
+    val = (ac * bc) ** (2.0 / 3.0) / np.sqrt(bc * bc + table.c2 * s)
     return float(val) if val.ndim == 0 else val
 
 

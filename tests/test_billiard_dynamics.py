@@ -1,6 +1,6 @@
 """The discrete system: billiard map in the caustic coordinate, orbit
-iteration with angular lift, the exact rotation number, N-periodic caustic
-location, and time averages.
+iteration certified on angles mod 2 pi with a derived lift, the exact rotation
+number, N-periodic caustic location, and time averages.
 
 Proves:
  Group 1 - One-step map
@@ -15,9 +15,9 @@ Proves:
      periodic orbits of that period are built
    - a corrupted step is rejected by the orbit certificate in every caller,
      through the composed path of a long orbit too; a corrupted composed
-     block falls back to the scalar loop's certified orbit
+     orbit raises as well
  Group 2 - Orbit iteration
-   - n+1 lifted parameters, strictly increasing lift
+   - n+1 angles and lifted parameters, strictly increasing lift
    - every chord tangent to the caustic, Joachimsthal constant at every
      vertex, all vertices on the boundary (self-validating 1e5-step run)
    - circle square orbit closes exactly after 4 steps
@@ -25,10 +25,11 @@ Proves:
    - seeds at u0 = 1e8 and 1e9 keep full precision: the orbit is the one from
      u0 mod 2 pi, shifted by the seed's whole turns, with u_sequence[0] = u0
    - 2e4-bounce composed orbits agree with the scalar loop to 1e-9 in the
-     lifted u on a in {1, 1.2, 2, 5} x lambda/b^2 in {0.05, 0.3, 0.68, 0.95}
+     angles on a in {1, 1.2, 2, 5} x lambda/b^2 in {0.05, 0.3, 0.68, 0.95}
    - property: on any admitted (a, lambda, u0) and n up to 3e4, iterate_orbit
-     returns an orbit whose every step re-checks against endpoint_coordinates,
-     or raises NumericalError
+     returns angles whose every step re-checks against endpoint_coordinates
+     and a lift that differs from them by whole turns, or raises
+     NumericalError; three near-guard orbits of up to 1e6 bounces certify
  Group 3 - Rotation numbers and periodic caustics
    - circle pentagon rotation number exactly 1/5 (to 1e-15)
    - rho -> 0+ in the grazing limit; rho in (0, 1/2) always
@@ -53,7 +54,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import caustics.billiard_dynamics as bd
@@ -142,13 +143,13 @@ def test_prev_inverts_next():
 def test_cached_orbit_is_read_only():
     # iterate_orbit, time_average and the periodic certificate share one
     # cached orbit per (table, caustic, u0, n)
-    us, verts = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, 100)
+    angles, verts = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, 100)
     sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.1, 100)
-    assert sample.u_sequence is us and sample.vertex_sequence is verts
+    assert sample.angles is angles and sample.vertex_sequence is verts
     with pytest.raises(ValueError, match="read-only"):
-        us[0] = 0.0
+        angles[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        us[:10] *= 2.0
+        angles[:10] *= 2.0
     with pytest.raises(ValueError, match="read-only"):
         verts[3, 1] = 0.0
 
@@ -164,17 +165,22 @@ def test_orbit_cache_reuses_the_closure_certificate():
     assert bd._orbit.cache_info().hits == 2
 
 
-def test_certificate_rejects_a_corrupted_step(monkeypatch):
-    """Every orbit reaches its callers through the one certificate in _orbit:
-    a single perturbed parameter makes each of them raise."""
-    honest = bd._advance_sequence
+def corrupt(sequence):
+    """sequence with its middle angle moved by 1e-6."""
 
     def corrupted(table, caustic, u0, n):
-        us = honest(table, caustic, u0, n)
+        us = sequence(table, caustic, u0, n)
         us[len(us) // 2] += 1e-6
         return us
 
-    monkeypatch.setattr(bd, "_advance_sequence", corrupted)
+    return corrupted
+
+
+def test_certificate_rejects_a_corrupted_step(monkeypatch):
+    """Every orbit reaches its callers through the one certificate in _orbit:
+    a single perturbed parameter makes each of them raise, and a corrupted
+    composed orbit raises too, with no other path to fall back on."""
+    monkeypatch.setattr(bd, "_advance_sequence", corrupt(bd._advance_sequence))
     bd._orbit.cache_clear()  # a cached orbit would bypass the patched step
     caustic = cg.CausticSpec(0.5)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
@@ -185,30 +191,11 @@ def test_certificate_rejects_a_corrupted_step(monkeypatch):
         time_average(T2, caustic, "sidelength", 100, u0=0.3)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         find_caustic_for_period(T2, 5)
-
-
-def test_a_corrupted_composed_block_falls_back_to_the_scalar_loop(monkeypatch):
-    """A composed orbit that fails the certificate is replaced by the scalar
-    loop's orbit, certified the same way, not returned and not raised."""
-    honest = bd._composed_sequence
-    calls = []
-
-    def corrupted(table, caustic, u0, n):
-        us = honest(table, caustic, u0, n)
-        us[5000:5100] += 1e-6
-        calls.append(n)
-        return us
-
-    monkeypatch.setattr(bd, "_composed_sequence", corrupted)
+    monkeypatch.undo()
+    monkeypatch.setattr(bd, "_composed_sequence", corrupt(bd._composed_sequence))
     bd._orbit.cache_clear()
-    caustic, n = cg.CausticSpec(0.5), 20_000
-    sample = iterate_orbit(T2, caustic, 0.3, n)
-    assert calls == [n]
-    scalar = bd._advance_sequence(T2, caustic, 0.3, n)
-    assert np.array_equal(sample.u_sequence, scalar)
-    x1, y1, x2, y2 = cg.endpoint_coordinates(T2, caustic, scalar)
-    assert np.array_equal(sample.vertex_sequence[1:], np.column_stack([x1, y1])[:-1])
-    assert np.array_equal(sample.vertex_sequence[0], [x2[0], y2[0]])
+    with pytest.raises(NumericalError, match="endpoint-sharing"):
+        iterate_orbit(T2, caustic, 0.3, 20_000)
 
 
 # ----------------------------------------------------------------- group 2
@@ -216,7 +203,7 @@ def test_a_corrupted_composed_block_falls_back_to_the_scalar_loop(monkeypatch):
 
 def test_orbit_sample_shapes():
     sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.3, 1)
-    assert len(sample.u_sequence) == 2
+    assert len(sample.angles) == len(sample.u_sequence) == 2
     assert sample.vertex_sequence.shape == (2, 2)
     with pytest.raises(DomainError):
         iterate_orbit(T2, cg.CausticSpec(0.5), 0.3, 0)
@@ -266,39 +253,30 @@ def test_far_seed_keeps_full_precision(u0, n):
     near = iterate_orbit(T2, caustic, r0, n)
     us = sample.u_sequence
     assert us[0] == u0
+    assert np.array_equal(sample.angles, near.angles)
     assert np.array_equal(sample.vertex_sequence, near.vertex_sequence)
     assert np.max(np.abs((us - u0) - (near.u_sequence - r0))) <= 2.0 * np.spacing(us[-1])
-
-
-def scalar_loop_by_turns(table, caustic, u0, n, leg=8):
-    """The scalar loop's orbit from u0 in [0, 2 pi), restarted every `leg`
-    bounces from its angle mod 2 pi and lifted by whole turns.
-
-    The loop run in one piece rounds u + 2 delta at ulp(u), about 7e-12 near
-    u = 6e4, and on the circle, whose step is constant, it rounds the same way
-    at every bounce: after 2e4 bounces it is 1.5e-8 off a 40-digit run of the
-    same step, against 1.7e-10 for the composed orbit.  In legs each rounding
-    is at ulp(8 pi) and the lift adds one more.
-    """
-    tau = 2.0 * math.pi
-    angles, turns = [np.array([u0])], [np.array([0.0])]
-    done = 0
-    while done < n:
-        m = min(leg, n - done)
-        q, r = np.divmod(bd._advance_sequence(table, caustic, float(angles[-1][-1]), m)[1:], tau)
-        angles.append(r)
-        turns.append(turns[-1][-1] + q)
-        done += m
-    return np.concatenate(angles) + tau * np.concatenate(turns)
 
 
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
 @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.68, 0.95])
 def test_composed_orbit_matches_the_scalar_loop(a, fraction):
+    """The composed angles against the scalar loop's run in one piece, which
+    keeps its angle in [0, 2 pi), so each of its steps rounds at ulp(2 pi)."""
     table, caustic, n = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction), 20_000
     assert n >= bd._COMPOSE_MIN
-    us = iterate_orbit(table, caustic, 0.3, n).u_sequence
-    assert np.max(np.abs(us - scalar_loop_by_turns(table, caustic, 0.3, n))) < 1e-9
+    angles = iterate_orbit(table, caustic, 0.3, n).angles
+    gap = angles - bd._advance_sequence(table, caustic, 0.3, n)
+    assert np.max(np.abs((gap + math.pi) % bd._TAU - math.pi)) < 1e-9
+
+
+# (a, lambda/b^2, u0, n) near the guard, where the lifted u's, each rounded at
+# ulp(u), fail the certificate that the angles pass
+NEAR_THE_GUARD = (
+    (2.2006651396449017, 0.9999950402926633, 0.1, 64_000),
+    (5.0, 0.99, 0.1, 1_000_000),
+    (2.0, 1.0 - 1e-8, 0.1, 1_000_000),
+)
 
 
 @settings(deadline=None, max_examples=60)
@@ -308,27 +286,32 @@ def test_composed_orbit_matches_the_scalar_loop(a, fraction):
     st.floats(-20.0, 20.0),
     st.integers(1, 30_000),
 )
+@example(*NEAR_THE_GUARD[0])
+@example(*NEAR_THE_GUARD[1])
+@example(*NEAR_THE_GUARD[2])
 def test_every_returned_orbit_is_certified(a, fraction, u0, n):
-    """Each step re-checks on the orbit from u0 mod 2 pi, the one certified:
-    a seed outside [0, 2 pi) returns it lifted by whole turns, and re-rounding
-    the lift at ulp(u) moves endpoints by up to ulp(u) a/b_c, 1e-8 near the
-    guard, so the shifted lift itself is not re-checked."""
+    """Each step of the angles _orbit returns re-checks against
+    endpoint_coordinates; the lift starts at u0, advances by less than pi
+    and differs from the angles by whole turns.  Otherwise iterate_orbit
+    raises NumericalError, which the NEAR_THE_GUARD orbits must not."""
     table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
-    r0 = u0 % bd._TAU % bd._TAU
     try:
         sample = iterate_orbit(table, caustic, u0, n)
     except NumericalError:
-        with pytest.raises(NumericalError):
-            iterate_orbit(table, caustic, r0, n)
+        assert (a, fraction, u0, n) not in NEAR_THE_GUARD
         return
-    near = iterate_orbit(table, caustic, r0, n)
-    assert np.array_equal(sample.vertex_sequence, near.vertex_sequence)
-    assert sample.u_sequence[0] == u0
-    us = near.u_sequence
-    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, us)
+    angles, us = sample.angles, sample.u_sequence
+    assert angles is bd._orbit(table, caustic, u0, n)[0]
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, angles)
     assert np.max(np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])) <= bd._SHARE_TOL
+    steps = np.diff(angles) % bd._TAU
+    assert np.all(steps > 0.0) and np.all(steps < math.pi)
+    assert us[0] == u0
     steps = np.diff(us)
     assert np.all(steps > 0.0) and np.all(steps < math.pi)
+    offset = us - angles
+    whole = bd._TAU * np.round(offset / bd._TAU)
+    assert np.max(np.abs(offset - whole)) <= 8.0 * np.spacing(max(abs(us[-1]), bd._TAU))
 
 
 # ----------------------------------------------------------------- group 3

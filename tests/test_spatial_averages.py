@@ -21,6 +21,8 @@ Proves:
    - circle families log(1/2) and the (-inf, 0) degenerate point
    - sign convention -sign(ca) across the sweep range
    - discrete product matching at lambda_5 (a = 5)
+   - near the guard, lambda = b^2 (1 - 1e-6) on a in {2, 5}, the quadrature
+     sidelength and log-geometric mean match 40-digit references to 1e-12
  Group 6 - Structure
    - monotonicity in lambda, range bounds, degeneracy guard, result fields
    - the quadrature and orbit routes run with every K/Pi evaluation disabled
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
@@ -296,6 +299,42 @@ def test_log_geomean_quadrature_route_is_consistent():
             * cg.measure_density(table, caustic, u)
         )
         assert log_mean == pytest.approx(brute / sa.normalization(table, caustic), abs=1e-11)
+
+
+def forty_digit_average(a, lam, quantity):
+    """The spatial average of the chord length or of log|outer cosine| (b = 1),
+    by mpmath quadrature at 40 digits of their a_c^2 - c^2 cos^2 u forms, over
+    a quarter turn split where rho peaks near u = 0, at width about b_c/c."""
+    with mp.workdps(40):
+        a, lam = mp.mpf(a), mp.mpf(lam)
+        ac2, c2 = a * a - lam, a * a - 1
+        ca = a * a - lam * (a * a + 1)
+        r3, r4 = (a * a - lam * c2) ** 2 * ac2, -c2 * ca * ca
+
+        def rho(u):
+            return 1 / mp.sqrt(ac2 - c2 * mp.cos(u) ** 2)
+
+        def sample(u):
+            z = mp.cos(u) ** 2
+            if quantity == "sidelength":
+                return 2 * a * mp.sqrt(lam) * (ac2 - c2 * z) / (ac2 - lam * c2 * z)
+            return mp.log(abs(ca)) + mp.log((ac2 - c2 * z) / (r3 + r4 * z)) / 2
+
+        w = mp.sqrt((1 - lam) / c2)
+        nodes = [0, w, 10 * w, 100 * w, mp.pi / 2]
+        return float(mp.quad(lambda u: sample(u) * rho(u), nodes) / mp.quad(rho, nodes))
+
+
+@pytest.mark.parametrize("a", [2.0, 5.0])
+def test_quadrature_near_the_guard_against_40_digits(a):
+    """In float the a_c^2 - c^2 cos^2 u forms cancel near cos^2 u = 1 as
+    lam -> b^2; the integrands' b_c^2 + c^2 sin^2 u forms keep the quadrature
+    within 1e-12 of the 40-digit references (measured: 1.6e-13 at worst)."""
+    table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(1.0 - 1e-6)
+    sidelength = sa.mean_sidelength(table, caustic, method="quadrature").value
+    log_mean, _ = sa.log_geomean_outer(table, caustic)
+    assert abs(sidelength - forty_digit_average(a, caustic.lam, "sidelength")) <= 1e-12
+    assert abs(log_mean - forty_digit_average(a, caustic.lam, "outer")) <= 1e-12
 
 
 # ----------------------------------------------------------------- group 6
