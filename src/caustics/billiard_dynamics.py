@@ -30,7 +30,7 @@ from scipy.special import ellipk, ellipkinc
 
 from . import conic_geometry as cg
 from .errors import DomainError, NumericalError
-from .spatial_averages import CHORD_SAMPLES, AverageResult
+from .spatial_averages import _CHORD_QUANTITIES, AverageResult, _chord_samples
 
 __all__ = [
     "OrbitSample",
@@ -209,9 +209,17 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     the n-step orbit from u_0 = 0 must close after one turn, |u_n - u_0 - 2 pi|
     <= 1e-10, read off its angles and their count of wraps (by Poncelet it
     then closes from every seed).  On the circle lam_n = b^2 sin^2(pi/n) exactly.
+    The last two (table, n) solved are kept, so a caller that builds several
+    seeds of one period solves it once.
     """
     if n < 3:
         raise DomainError(f"period must be >= 3; got n={n}")
+    return _caustic_for_period(table, int(n))
+
+
+@functools.lru_cache(maxsize=2)
+def _caustic_for_period(table, n):
+    """find_caustic_for_period's bracket, root solve and closure certificate."""
     b2 = table.b * table.b
     lo, hi = 1e-9 * b2, (1.0 - 1e-9) * b2
 
@@ -224,7 +232,7 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
         )
     lam_n = brentq(excess, lo, hi, xtol=1e-15 * b2, rtol=8.9e-16)
     caustic = cg.CausticSpec(lam_n)
-    angles, _ = _orbit(table, caustic, 0.0, int(n))
+    angles, _ = _orbit(table, caustic, 0.0, n)
     wraps = int(np.count_nonzero(angles[1:] < angles[:-1]))  # a Python int: numpy scalar math is slow
     residual = abs(angles[-1] - angles[0] + _TAU * (wraps - 1))
     if residual > 1e-10:
@@ -234,7 +242,18 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     return caustic
 
 
-TIME_AVERAGE_QUANTITIES = tuple(CHORD_SAMPLES)
+TIME_AVERAGE_QUANTITIES = _CHORD_QUANTITIES
+
+
+@functools.lru_cache(maxsize=2)
+def _orbit_means(table, caustic, u0, n):
+    """(mean over the first n chords, mean over the first half of them) of
+    each per-chord sample, in TIME_AVERAGE_QUANTITIES order, from one pass of
+    _chord_samples over the certified orbit's angles."""
+    samples = _chord_samples(table, caustic, _orbit(table, caustic, u0, n)[0][:n])
+    full = np.mean(samples, axis=-1).tolist()
+    half = np.mean(samples[:, : max(1, n // 2)], axis=-1).tolist()
+    return tuple(zip(full, half))
 
 
 def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> AverageResult:
@@ -243,6 +262,8 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
     Each chord is evaluated at its tangency parameter; curvature23 means the
     average of kappa^(2/3) at the chord's two endpoints, the orbit's vertices.
     The error estimate is the drift between the half-orbit and full-orbit means.
+    All four quantities of the last two orbits asked for are kept, so asking
+    for the others costs no further pass over the orbit.
     """
     if quantity not in TIME_AVERAGE_QUANTITIES:
         raise DomainError(
@@ -250,9 +271,6 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         )
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
-    angles = _orbit(table, caustic, float(u0), int(n))[0][:n]
-    with np.errstate(divide="ignore"):  # log|outer cosine| is -inf where ca = 0
-        samples = CHORD_SAMPLES[quantity](table, caustic, angles)
-    value = float(np.mean(samples))
-    half = float(np.mean(samples[: max(1, n // 2)]))
+    means = _orbit_means(table, caustic, float(u0), int(n))
+    value, half = means[TIME_AVERAGE_QUANTITIES.index(quantity)]
     return AverageResult(value, "time_average", abs(value - half), caustic.lam)

@@ -133,9 +133,14 @@ def interior_cosine(table, caustic, u):
     identity sum(cos theta_i) = J L - N.  u may be an array.
     """
     _, y1, _, y2 = endpoint_coordinates(table, caustic, u)
-    b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
-    val = caustic.lam * (1.0 / (b2 + c2_b2 * y1 * y1) + 1.0 / (b2 + c2_b2 * y2 * y2)) - 1.0
+    val = _interior_cosine_at(table, caustic, y1, y2)
     return float(val) if np.ndim(val) == 0 else val
+
+
+def _interior_cosine_at(table, caustic, y1, y2):
+    """interior_cosine from the ordinates y1, y2 of the chord's endpoints."""
+    b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
+    return caustic.lam * (1.0 / (b2 + c2_b2 * y1 * y1) + 1.0 / (b2 + c2_b2 * y2 * y2)) - 1.0
 
 
 def _ca(table, caustic):

@@ -9,9 +9,13 @@ orbit this equals the asymptotic time average of g over the bounce sequence.
 Mean sidelength and mean vertex cosine also admit closed forms in the complete
 elliptic integrals K and Pi; both routes are computed and cross-checked.  The
 quadrature route integrates Z itself, so it evaluates no elliptic integral.
+All four per-chord samples are evaluated together (_chord_samples), and one
+periodic_quadrature call per caustic integrates them all on one grid: each
+average pairs its sample with Z and converges, or fails, on its own.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,27 +65,43 @@ def _check_caustic(table, caustic):
 
 
 def periodic_quadrature(f):
-    """Integrate a smooth 2pi-periodic function over one period.
+    """Integrate smooth 2pi-periodic functions over one period.
 
     Composite trapezoid on uniform grids, doubling from 16 up to 2^20 nodes
     until successive estimates differ by less than _QUAD_TOL (the trapezoid rule
     converges spectrally for smooth periodic integrands, so doubling is the
     whole refinement strategy).  Returns (value, last defect).
 
-    f : vectorized callable on arrays of u in [0, 2pi).  It may return shape
-        (..., len(u)) to integrate several functions on the same nodes; value
-        then has the leading shape and the defect is the largest component's.
+    f : vectorized callable on arrays of u in [0, 2pi).  It returns shape
+        (len(u),) for one integral, (m, len(u)) for m integrals that converge
+        together (the defect is the largest of theirs), or (k, m, len(u)) for
+        k such groups on one grid.  Each group keeps the values and defect of
+        the first level at which all its defects are below _QUAD_TOL, so it
+        gets what it would get alone; doubling stops once every group has.
+        value has f's leading shape, the defect one entry per group.  A lone
+        group that has not converged at 2^20 nodes raises NumericalError; one
+        of k groups is returned with its last defect, for the caller to reject.
     """
     n = 16
     value = np.mean(f(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)), axis=-1) * 2.0 * math.pi
-    while n < _MAX_NODES:
+    shape = value.shape
+    value = value.reshape(-1, shape[-1] if shape else 1)  # groups x integrals
+    result, defect = value.copy(), np.full(len(value), np.inf)
+    while n < _MAX_NODES and not np.all(defect < _QUAD_TOL):
         midpoints = np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2]
-        refined = 0.5 * value + np.mean(f(midpoints), axis=-1) * math.pi
-        defect = float(np.max(np.abs(refined - value)))
+        refined = 0.5 * value + np.mean(f(midpoints), axis=-1).reshape(value.shape) * math.pi
+        still_open = ~(defect < _QUAD_TOL)  # a NaN defect never converges
+        result[still_open] = refined[still_open]
+        defect[still_open] = np.max(np.abs(refined - value), axis=-1)[still_open]
         value, n = refined, 2 * n
-        if defect < _QUAD_TOL:
-            return value, defect
-    raise NumericalError(
+    result, defect = result.reshape(shape)[()], defect.reshape(shape[:-1])[()]
+    if np.ndim(defect) == 0 and not defect < _QUAD_TOL:
+        raise _not_converged(defect)
+    return result, defect
+
+
+def _not_converged(defect):
+    return NumericalError(
         f"periodic quadrature did not converge at {_MAX_NODES} nodes "
         f"(last defect {defect:.3e} > tol {_QUAD_TOL:.3e})"
     )
@@ -98,43 +118,72 @@ def normalization(table, caustic) -> float:
     return 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k(table.c2 / (ac * ac)) / ac
 
 
-def _chord_kappa23(table, caustic, u):
-    """Mean of kappa^(2/3) at the two endpoints P1(u), P2(u) of the chords at u."""
-    ends = np.stack(cg.endpoint_coordinates(table, caustic, u), axis=-1)
-    return np.mean(cg.curvature23(table, ends.reshape(np.shape(u) + (2, 2))), axis=-1)
+# The per-chord samples behind the four averages, in the row order of
+# _chord_samples; billiard_dynamics exports them as TIME_AVERAGE_QUANTITIES.
+_CHORD_QUANTITIES = ("sidelength", "interior_cosine", "curvature23", "log_abs_outer_cosine")
 
 
-# The per-chord g(u) behind each average (its keys are TIME_AVERAGE_QUANTITIES);
-# the quadrature route and time_average both evaluate it.  The lambdas look up
-# conic_geometry at call time, so a wrapper bound there sees every call.
-CHORD_SAMPLES = {
-    "sidelength": lambda t, c, u: cg.chord_length(t, c, u),
-    "interior_cosine": lambda t, c, u: cg.interior_cosine(t, c, u),
-    "curvature23": _chord_kappa23,
-    "log_abs_outer_cosine": lambda t, c, u: np.log(np.abs(cg.outer_cosine(t, c, u))),
-}
+def _chord_samples(table, caustic, u):
+    """The per-chord g(u) of each average at the chords tangent at u, one row
+    per _CHORD_QUANTITIES entry: chord length, interior cosine, the mean of
+    kappa^(2/3) at the two endpoints and log|outer cosine| (-inf where ca = 0).
+
+    The quadrature route and time_average both read it.  The endpoints are
+    computed once, and every conic_geometry function is looked up at call
+    time, so a wrapper bound there sees every call.
+    """
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
+    rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(u))
+    rows[0] = cg.chord_length(table, caustic, u)
+    rows[1] = cg._interior_cosine_at(table, caustic, y1, y2)
+    # one endpoint at a time, so a long orbit never holds all four coordinates twice
+    rows[2] = cg.curvature23(table, np.stack([x1, y1], axis=-1))
+    rows[2] += cg.curvature23(table, np.stack([x2, y2], axis=-1))
+    rows[2] *= 0.5
+    with np.errstate(divide="ignore"):
+        rows[3] = np.log(np.abs(cg.outer_cosine(table, caustic, u)))
+    return rows
+
+
+@functools.lru_cache(maxsize=2)
+def _quadrature_averages(table, caustic):
+    """(average, error estimate, defect) of each per-chord sample, in
+    _CHORD_QUANTITIES order, from one periodic_quadrature call.
+
+    Group i pairs rho with g_i rho, so average i is integral g_i rho over
+    integral rho on the same nodes, frozen at the first level where both
+    defects are below _QUAD_TOL; its error estimate is defect / Z.  Nothing
+    here evaluates an elliptic integral, so this route stays independent of
+    the closed forms.  At ca = 0, log|outer cosine| is -inf on every node: its
+    row is left out of the grid and reads (-inf, 0.0, 0.0).
+    """
+    rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
+
+    def weighted(u):
+        pairs = np.empty((rows, 2, len(u)))
+        pairs[:, 0] = rho = cg.measure_density(table, caustic, u)
+        np.multiply(_chord_samples(table, caustic, u)[:rows], rho, out=pairs[:, 1])
+        return pairs
+
+    values, defects = periodic_quadrature(weighted)
+    averages = tuple(
+        (float(raw / z), float(d / z), float(d)) for (z, raw), d in zip(values, defects)
+    )
+    return averages + ((-math.inf, 0.0, 0.0),) * (len(_CHORD_QUANTITIES) - rows)
 
 
 def _quadrature_average(table, caustic, quantity):
-    """(integral g rho / integral rho, defect / Z) with g = CHORD_SAMPLES[quantity].
-
-    Numerator and Z come from one periodic_quadrature call on the same nodes,
-    so this route uses no elliptic integral and stays independent of the
-    closed forms.
-    """
-    sample = CHORD_SAMPLES[quantity]
-
-    def weighted(u):
-        rho = cg.measure_density(table, caustic, u)
-        return np.stack([rho, sample(table, caustic, u) * rho])
-
-    (z, raw), defect = periodic_quadrature(weighted)
-    return float(raw / z), float(defect / z)
+    """(integral g rho / integral rho, defect / Z) for the per-chord sample
+    named quantity; NumericalError if its pair did not converge."""
+    value, err, defect = _quadrature_averages(table, caustic)[_CHORD_QUANTITIES.index(quantity)]
+    if not defect < _QUAD_TOL:
+        raise _not_converged(defect)
+    return value, err
 
 
 def _average(table, caustic, method, quantity, closed_form):
-    """Route dispatch of the mean_* averages: "quadrature" averages
-    CHORD_SAMPLES[quantity], "closed_form" evaluates closed_form(a_c)."""
+    """Route dispatch of the mean_* averages: "quadrature" averages the
+    per-chord sample named quantity, "closed_form" evaluates closed_form(a_c)."""
     ac, _ = _check_caustic(table, caustic)
     if method == "quadrature":
         value, err = _quadrature_average(table, caustic, quantity)

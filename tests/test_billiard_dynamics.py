@@ -11,8 +11,8 @@ Proves:
      next_tangency to 1e-9
    - the lift step always lies in (0, pi)
    - the cached orbit shared by every caller is read-only
-   - the cache keeps a period's closure-certificate orbit while seeded
-     periodic orbits of that period are built
+   - lambda_N is solved once while seeded periodic orbits of period N are
+     built
    - a corrupted step is rejected by the orbit certificate in every caller,
      through the composed path of a long orbit too; a corrupted composed
      orbit raises as well
@@ -154,15 +154,22 @@ def test_cached_orbit_is_read_only():
         verts[3, 1] = 0.0
 
 
-def test_orbit_cache_reuses_the_closure_certificate():
-    # build_periodic_orbit re-solves lambda_N, whose certificate is the orbit
-    # from u0 = 0, then iterates from its seed: the certificate must survive
-    # one seed's orbit in the cache to be reused by the next seed
-    bd._orbit.cache_clear()
+def test_period_is_solved_once_for_its_seeds(monkeypatch):
+    # build_periodic_orbit asks for lambda_N at every seed; the root solve and
+    # its closure certificate run once per (table, N)
+    solves = []
+
+    def counting_brentq(*args, **kwargs):
+        solves.append(args[1:3])
+        return brentq(*args, **kwargs)
+
+    brentq = bd.brentq
+    monkeypatch.setattr(bd, "brentq", counting_brentq)
+    bd._caustic_for_period.cache_clear()
     find_caustic_for_period(T2, 7)
     for seed in (0.3, 0.6):
         build_periodic_orbit(T2, 7, seed_u=seed)
-    assert bd._orbit.cache_info().hits == 2
+    assert len(solves) == 1
 
 
 def corrupt(sequence):
@@ -181,7 +188,9 @@ def test_certificate_rejects_a_corrupted_step(monkeypatch):
     a single perturbed parameter makes each of them raise, and a corrupted
     composed orbit raises too, with no other path to fall back on."""
     monkeypatch.setattr(bd, "_advance_sequence", corrupt(bd._advance_sequence))
-    bd._orbit.cache_clear()  # a cached orbit would bypass the patched step
+    # a cached orbit, its means or a solved period would bypass the patched step
+    for cache in (bd._orbit, bd._orbit_means, bd._caustic_for_period):
+        cache.cache_clear()
     caustic = cg.CausticSpec(0.5)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         iterate_orbit(T2, caustic, 0.3, 100)

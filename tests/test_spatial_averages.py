@@ -5,6 +5,17 @@ log-geometric mean of outer cosines.
 Proves:
  Group 1 - Periodic quadrature
    - exact smooth integrals, spectral convergence, non-convergence error
+   - groups on one grid: a group that does not converge is reported, not
+     raised, and leaves the others as they are alone
+   - each of the four averages, read off one shared grid, equals bit for bit
+     a quadrature of its own [rho, g rho] pair on 40 cells (the circle and
+     the near-guard cells included); a sample made discontinuous fails only
+     its own average
+   - one quadrature per caustic for all four averages, one endpoint pass per
+     level, and two per orbit (certificate and samples) for all four time
+     averages
+   - at ca = 0 (circle lambda = 1/2, a = 2 lambda = 0.8) log|outer cosine|
+     stays off the grid, so the other averages converge as usual
  Group 2 - Normalization
    - circle closed form 2 pi (1-lambda)^(1/6)
    - dual route (quadrature vs K(s3) closed form) to 1e-11, incl. b != 1
@@ -37,10 +48,15 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import caustics.billiard_dynamics as bd
 import caustics.conic_geometry as cg
 import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
-from caustics.billiard_dynamics import find_caustic_for_period, time_average
+from caustics.billiard_dynamics import (
+    TIME_AVERAGE_QUANTITIES,
+    find_caustic_for_period,
+    time_average,
+)
 from caustics.elliptic_integrals import complete_k, complete_pi
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
@@ -87,8 +103,148 @@ def test_periodic_quadrature_spectral_convergence():
 
 
 def test_periodic_quadrature_nonconvergence():
+    def jump(u):
+        return np.sign(np.cos(u)) * np.cos(u / 2.0 + 0.1)
+
     with pytest.raises(NumericalError, match="defect"):
-        sa.periodic_quadrature(lambda u: np.sign(np.cos(u)) * np.cos(u / 2.0 + 0.1))
+        sa.periodic_quadrature(jump)
+    # as one group of several on one grid it is reported, not raised, and the
+    # smooth group keeps the level and value it has alone
+    values, defects = sa.periodic_quadrature(
+        lambda u: np.stack([np.stack([np.ones_like(u), np.exp(np.cos(u))]),
+                            np.stack([np.ones_like(u), jump(u)])])
+    )
+    alone, defect = sa.periodic_quadrature(lambda u: np.stack([np.ones_like(u), np.exp(np.cos(u))]))
+    assert np.array_equal(values[0], alone) and defects[0] == defect < sa._QUAD_TOL
+    assert not defects[1] < sa._QUAD_TOL
+
+
+def chord_sample(quantity, table, caustic, u):
+    """The per-chord sample of one average from the public pointwise functions."""
+    if quantity == "sidelength":
+        return cg.chord_length(table, caustic, u)
+    if quantity == "interior_cosine":
+        return cg.interior_cosine(table, caustic, u)
+    if quantity == "curvature23":
+        x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
+        ends = (np.stack([x1, y1], axis=-1), np.stack([x2, y2], axis=-1))
+        return 0.5 * (cg.curvature23(table, ends[0]) + cg.curvature23(table, ends[1]))
+    return np.log(np.abs(cg.outer_cosine(table, caustic, u)))
+
+
+def shared_grid_averages(table, caustic):
+    """{quantity: value or NumericalError} of the four averages, read off a
+    fresh shared grid that is not left in the cache for later callers."""
+    sa._quadrature_averages.cache_clear()
+    got = {}
+    for quantity in TIME_AVERAGE_QUANTITIES:
+        try:
+            got[quantity] = sa._quadrature_average(table, caustic, quantity)
+        except NumericalError as exc:
+            got[quantity] = exc
+    sa._quadrature_averages.cache_clear()
+    return got
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
+def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
+    """Each average converges on its own [rho, g rho] pair: the shared grid
+    gives bit for bit what a quadrature of that pair alone gives, error
+    estimate and failures included.  lambda = b^2 (1 - 1e-6) is the cell of
+    the 40-digit references below."""
+    table = cg.BilliardTable(a, 1.0)
+    for fraction in (0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99, 1.0 - 1e-6):
+        caustic = cg.CausticSpec(fraction)
+        got = shared_grid_averages(table, caustic)
+        for quantity in TIME_AVERAGE_QUANTITIES:
+            def pair(u):
+                rho = cg.measure_density(table, caustic, u)
+                return np.stack([rho, chord_sample(quantity, table, caustic, u) * rho])
+
+            try:
+                (z, raw), defect = sa.periodic_quadrature(pair)
+            except NumericalError:
+                assert isinstance(got[quantity], NumericalError), (a, fraction, quantity)
+                continue
+            assert got[quantity] == (float(raw / z), float(defect / z)), (a, fraction, quantity)
+
+
+@pytest.mark.parametrize("broken", TIME_AVERAGE_QUANTITIES)
+def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
+    table, caustic = T2, cg.CausticSpec(0.37)
+    intact = shared_grid_averages(table, caustic)
+    samples = sa._chord_samples
+
+    def with_a_jump(table, caustic, u):
+        rows = samples(table, caustic, u)
+        rows[TIME_AVERAGE_QUANTITIES.index(broken)] = np.sign(np.cos(u)) * np.cos(u / 2.0 + 0.1)
+        return rows
+
+    monkeypatch.setattr(sa, "_chord_samples", with_a_jump)
+    got = shared_grid_averages(table, caustic)
+    for quantity in TIME_AVERAGE_QUANTITIES:
+        if quantity == broken:
+            assert isinstance(got[quantity], NumericalError)
+            assert "did not converge" in str(got[quantity])
+        else:
+            assert got[quantity] == intact[quantity], quantity
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts of endpoint_coordinates passes and of periodic_quadrature calls
+    and their integrand evaluations (one per level)."""
+    counts = {"endpoints": 0, "quadratures": 0, "levels": 0, "nodes": 0}
+    endpoints, quadrature = cg.endpoint_coordinates, sa.periodic_quadrature
+
+    def counting_endpoints(table, caustic, u):
+        counts["endpoints"] += 1
+        return endpoints(table, caustic, u)
+
+    def counting_quadrature(f):
+        def level(u):
+            counts["levels"] += 1
+            counts["nodes"] += len(u)
+            return f(u)
+
+        counts["quadratures"] += 1
+        return quadrature(level)
+
+    monkeypatch.setattr(cg, "endpoint_coordinates", counting_endpoints)
+    monkeypatch.setattr(sa, "periodic_quadrature", counting_quadrature)
+    return counts
+
+
+def test_one_pass_over_the_samples_per_set_of_chords(passes):
+    table, caustic = T5, cg.CausticSpec(0.61)
+    sa._quadrature_averages.cache_clear()
+    for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
+        average(table, caustic, method="quadrature")
+    sa.log_geomean_outer(table, caustic)
+    assert passes["quadratures"] == 1
+    assert passes["endpoints"] == passes["levels"] > 1
+    passes["endpoints"] = 0
+    bd._orbit.cache_clear()
+    bd._orbit_means.cache_clear()
+    for quantity in TIME_AVERAGE_QUANTITIES:
+        time_average(table, caustic, quantity, 1000)
+    assert passes["endpoints"] == 2
+
+
+@pytest.mark.parametrize("table, lam", [(CIRCLE, 0.5), (T2, 0.8)])
+def test_shared_grid_at_vanishing_ca(passes, table, lam):
+    """At ca = 0 log|outer cosine| is -inf on every node and never converges;
+    it stays off the grid, so the other three converge at their usual level
+    rather than doubling to the 2^20-node cap."""
+    caustic = cg.CausticSpec(lam)
+    assert cg._ca(table, caustic) == 0.0
+    sa._quadrature_averages.cache_clear()
+    for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
+        quad = average(table, caustic, method="quadrature").value
+        closed = average(table, caustic, method="closed_form").value
+        assert abs(quad - closed) <= 1e-9 * max(1.0, abs(closed))
+    assert sa.log_geomean_outer(table, caustic) == (-math.inf, 0)
+    assert passes["quadratures"] == 1 and passes["nodes"] <= 512
 
 
 # ----------------------------------------------------------------- group 2
