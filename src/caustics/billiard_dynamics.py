@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ellipk, ellipkinc
 
 from . import conic_geometry as cg
@@ -198,6 +197,15 @@ def rotation_number(table, caustic) -> float:
     return float(ellipkinc(phi, s3) / (2.0 * ellipk(s3)))
 
 
+def brentq(f, a, b, **kwargs):
+    """scipy.optimize.brentq, imported on the first root solve: only
+    find_caustic_for_period needs it, and the import would be a third of
+    `import caustics`."""
+    from scipy.optimize import brentq as solve
+
+    return solve(f, a, b, **kwargs)
+
+
 def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     """Caustic parameter lam_n of the non-self-intersecting n-periodic family.
 
@@ -249,8 +257,11 @@ TIME_AVERAGE_QUANTITIES = _CHORD_QUANTITIES
 def _orbit_means(table, caustic, u0, n):
     """(mean over the first n chords, mean over the first half of them) of
     each per-chord sample, in TIME_AVERAGE_QUANTITIES order, from one pass of
-    _chord_samples over the certified orbit's angles."""
-    samples = _chord_samples(table, caustic, _orbit(table, caustic, u0, n)[0][:n])
+    _chord_samples over the certified orbit.  Chord k joins vertex k to
+    vertex k+1, which _orbit certified as P2(u_k) and P1(u_k), so the samples
+    read the vertices and evaluate no endpoint again."""
+    angles, vertices = _orbit(table, caustic, u0, n)
+    samples = _chord_samples(table, caustic, angles[:n], vertices[1:], vertices[:-1])
     full = np.mean(samples, axis=-1).tolist()
     half = np.mean(samples[:, : max(1, n // 2)], axis=-1).tolist()
     return tuple(zip(full, half))
@@ -273,4 +284,6 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         raise DomainError(f"orbit length must be >= 1; got n={n}")
     means = _orbit_means(table, caustic, float(u0), int(n))
     value, half = means[TIME_AVERAGE_QUANTITIES.index(quantity)]
-    return AverageResult(value, "time_average", abs(value - half), caustic.lam)
+    # equal means drift by 0, also where both are -inf (log|outer cosine| at ca = 0)
+    err = abs(value - half) if value != half else 0.0
+    return AverageResult(value, "time_average", err, caustic.lam)

@@ -101,10 +101,12 @@ def endpoint_coordinates(table, caustic, u):
     psi = a * a * bc2 * bc2 * xc * xc + b * b * ac2 * ac2 * yc * yc
     if not np.all(psi > 0.0):
         raise NumericalError(f"degenerate chord denominator psi <= 0 at u={u!r}")
-    x1 = ac2 * a * (a * bc2 * bc2 * xc - zeta * b * yc) / psi
-    y1 = bc2 * b * (b * ac2 * ac2 * yc + zeta * a * xc) / psi
-    x2 = ac2 * a * (a * bc2 * bc2 * xc + zeta * b * yc) / psi
-    y2 = bc2 * b * (b * ac2 * ac2 * yc - zeta * a * xc) / psi
+    ax, bz = a * bc2 * bc2 * xc, zeta * b * yc
+    by, az = b * ac2 * ac2 * yc, zeta * a * xc
+    x1 = ac2 * a * (ax - bz) / psi
+    y1 = bc2 * b * (by + az) / psi
+    x2 = ac2 * a * (ax + bz) / psi
+    y2 = bc2 * b * (by - az) / psi
     return x1, y1, x2, y2
 
 

@@ -11,7 +11,9 @@ elliptic integrals K and Pi; both routes are computed and cross-checked.  The
 quadrature route integrates Z itself, so it evaluates no elliptic integral.
 All four per-chord samples are evaluated together (_chord_samples), and one
 periodic_quadrature call per caustic integrates them all on one grid: each
-average pairs its sample with Z and converges, or fails, on its own.
+average pairs its sample with Z and converges, or fails, on its own.  That
+call evaluates its first six levels (16 to 512 nodes) in one integrand call,
+and most caustics converge within them.
 """
 from __future__ import annotations
 
@@ -41,6 +43,12 @@ _DEGENERACY_GUARD = 1.0 - 1e-9
 
 _QUAD_TOL = 1e-12
 _MAX_NODES = 2**20
+# periodic_quadrature's first integrand call evaluates this grid, which holds
+# levels 16 through 512.  Below about 1,000 nodes a call costs nearly the same
+# whatever its size (numpy dispatch, not nodes), and of bulk-sweep's caustics
+# 55% converge by 256 nodes, 34% at 512 and 11% beyond, so evaluating ahead
+# to 512 wastes little and saves the level-by-level calls.
+_FIRST_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,12 @@ def periodic_quadrature(f):
     converges spectrally for smooth periodic integrands, so doubling is the
     whole refinement strategy).  Returns (value, last defect).
 
+    The first call of f evaluates the _FIRST_GRID = 512 nodes, which hold
+    every level from 16 to 512; the doubling reads those levels off strided
+    slices of it, each summed as a contiguous copy, so every estimate is bit
+    for bit what one call per level would give.  Past 512 nodes each level
+    calls f on its midpoints only.
+
     f : vectorized callable on arrays of u in [0, 2pi).  It returns shape
         (len(u),) for one integral, (m, len(u)) for m integrals that converge
         together (the defect is the largest of theirs), or (k, m, len(u)) for
@@ -82,14 +96,21 @@ def periodic_quadrature(f):
         group that has not converged at 2^20 nodes raises NumericalError; one
         of k groups is returned with its last defect, for the caller to reject.
     """
+    grid = f(np.linspace(0.0, 2.0 * math.pi, _FIRST_GRID, endpoint=False))
     n = 16
-    value = np.mean(f(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)), axis=-1) * 2.0 * math.pi
+    # each level is summed as a fresh contiguous array: numpy may add the
+    # elements of a strided view in another order
+    value = np.mean(np.ascontiguousarray(grid[..., :: _FIRST_GRID // n]), axis=-1) * 2.0 * math.pi
     shape = value.shape
     value = value.reshape(-1, shape[-1] if shape else 1)  # groups x integrals
     result, defect = value.copy(), np.full(len(value), np.inf)
     while n < _MAX_NODES and not np.all(defect < _QUAD_TOL):
-        midpoints = np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2]
-        refined = 0.5 * value + np.mean(f(midpoints), axis=-1).reshape(value.shape) * math.pi
+        if 2 * n <= _FIRST_GRID:
+            stride = _FIRST_GRID // n
+            at_midpoints = np.ascontiguousarray(grid[..., stride // 2 :: stride])
+        else:
+            at_midpoints = f(np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2])
+        refined = 0.5 * value + np.mean(at_midpoints, axis=-1).reshape(value.shape) * math.pi
         still_open = ~(defect < _QUAD_TOL)  # a NaN defect never converges
         result[still_open] = refined[still_open]
         defect[still_open] = np.max(np.abs(refined - value), axis=-1)[still_open]
@@ -123,22 +144,21 @@ def normalization(table, caustic) -> float:
 _CHORD_QUANTITIES = ("sidelength", "interior_cosine", "curvature23", "log_abs_outer_cosine")
 
 
-def _chord_samples(table, caustic, u):
+def _chord_samples(table, caustic, u, p1, p2):
     """The per-chord g(u) of each average at the chords tangent at u, one row
     per _CHORD_QUANTITIES entry: chord length, interior cosine, the mean of
     kappa^(2/3) at the two endpoints and log|outer cosine| (-inf where ca = 0).
 
-    The quadrature route and time_average both read it.  The endpoints are
-    computed once, and every conic_geometry function is looked up at call
-    time, so a wrapper bound there sees every call.
+    p1 and p2, shape (len(u), 2), are the endpoints P1(u) and P2(u), which the
+    caller has at hand: the quadrature route from endpoint_coordinates, an
+    orbit from its certified vertices.  Every conic_geometry function is looked
+    up at call time, so a wrapper bound there sees every call.
     """
-    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
     rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(u))
     rows[0] = cg.chord_length(table, caustic, u)
-    rows[1] = cg._interior_cosine_at(table, caustic, y1, y2)
-    # one endpoint at a time, so a long orbit never holds all four coordinates twice
-    rows[2] = cg.curvature23(table, np.stack([x1, y1], axis=-1))
-    rows[2] += cg.curvature23(table, np.stack([x2, y2], axis=-1))
+    rows[1] = cg._interior_cosine_at(table, caustic, p1[:, 1], p2[:, 1])
+    rows[2] = cg.curvature23(table, p1)
+    rows[2] += cg.curvature23(table, p2)
     rows[2] *= 0.5
     with np.errstate(divide="ignore"):
         rows[3] = np.log(np.abs(cg.outer_cosine(table, caustic, u)))
@@ -160,9 +180,13 @@ def _quadrature_averages(table, caustic):
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
     def weighted(u):
+        x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
+        samples = _chord_samples(
+            table, caustic, u, np.stack([x1, y1], axis=-1), np.stack([x2, y2], axis=-1)
+        )
         pairs = np.empty((rows, 2, len(u)))
         pairs[:, 0] = rho = cg.measure_density(table, caustic, u)
-        np.multiply(_chord_samples(table, caustic, u)[:rows], rho, out=pairs[:, 1])
+        np.multiply(samples[:rows], rho, out=pairs[:, 1])
         return pairs
 
     values, defects = periodic_quadrature(weighted)

@@ -12,7 +12,8 @@ Proves:
    - the lift step always lies in (0, pi)
    - the cached orbit shared by every caller is read-only
    - lambda_N is solved once while seeded periodic orbits of period N are
-     built
+     built; `import caustics` leaves scipy.optimize unloaded until the first
+     solve (fresh interpreter)
    - a corrupted step is rejected by the orbit certificate in every caller,
      through the composed path of a long orbit too; a corrupted composed
      orbit raises as well
@@ -46,11 +47,16 @@ Proves:
    - 1e6-bounce averages match spatial quadrature to 1e-3 (a=2, lambda=0.37)
    - log|outer cosine| at lambda_4 (ca within roundoff of 0) matches the
      spatial route to 1e-9 on a in {1.2, 2, 5}
-   - error estimate and bookkeeping fields
+   - error estimate and bookkeeping fields; at ca = 0 (circle lambda = 1/2,
+     a = 2 lambda = 0.8) log|outer cosine| averages to -inf with estimate 0
 """
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +176,18 @@ def test_period_is_solved_once_for_its_seeds(monkeypatch):
     for seed in (0.3, 0.6):
         build_periodic_orbit(T2, 7, seed_u=seed)
     assert len(solves) == 1
+
+
+def test_root_solver_is_imported_by_the_first_solve():
+    code = (
+        "import sys; import caustics; from caustics.conic_geometry import BilliardTable; "
+        "assert 'scipy.optimize' not in sys.modules; "
+        "lam = caustics.find_caustic_for_period(BilliardTable(2.0, 1.0), 4).lam; "
+        "assert abs(lam - 0.8) < 1e-12, lam; assert 'scipy.optimize' in sys.modules"
+    )
+    src = str(Path(bd.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def corrupt(sequence):
@@ -442,6 +460,17 @@ def test_log_outer_time_average_at_the_four_periodic_caustic():
         got = time_average(table, caustic, "log_abs_outer_cosine", 20000).value
         ref, _ = sa.log_geomean_outer(table, caustic)
         assert got == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("table, lam", [(CIRCLE, 0.5), (T2, 0.8)])
+def test_log_outer_time_average_where_ca_vanishes(table, lam):
+    """At ca = 0 every outer cosine is 0: both means are -inf, and they drift
+    by 0, as log_geomean_outer reports."""
+    caustic = cg.CausticSpec(lam)
+    assert cg._ca(table, caustic) == 0.0
+    res = time_average(table, caustic, "log_abs_outer_cosine", 1000)
+    assert (res.value, res.err_estimate) == (-math.inf, 0.0)
+    assert sa.log_geomean_outer(table, caustic) == (-math.inf, 0)
 
 
 def test_time_average_validation():

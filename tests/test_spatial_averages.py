@@ -11,8 +11,14 @@ Proves:
      a quadrature of its own [rho, g rho] pair on 40 cells (the circle and
      the near-guard cells included); a sample made discontinuous fails only
      its own average
+   - the first integrand call evaluates 512 nodes and the levels up to 512
+     are replayed from it: values, defects and raises are bit for bit those
+     of the level-by-level loop (tests/oracles.py) on the test integrands and
+     on 44 caustics (the circle and the near-guard cells included); a caustic
+     that converges by 512 nodes costs one integrand call, and past 512 no
+     node is evaluated twice
    - one quadrature per caustic for all four averages, one endpoint pass per
-     level, and two per orbit (certificate and samples) for all four time
+     integrand call, and one per orbit (its certificate) for all four time
      averages
    - at ca = 0 (circle lambda = 1/2, a = 2 lambda = 0.8) log|outer cosine|
      stays off the grid, so the other averages converge as usual
@@ -60,7 +66,7 @@ from caustics.billiard_dynamics import (
 from caustics.elliptic_integrals import complete_k, complete_pi
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
-from oracles import outer_cosine_gradient
+from oracles import level_by_level_quadrature, outer_cosine_gradient
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -103,9 +109,6 @@ def test_periodic_quadrature_spectral_convergence():
 
 
 def test_periodic_quadrature_nonconvergence():
-    def jump(u):
-        return np.sign(np.cos(u)) * np.cos(u / 2.0 + 0.1)
-
     with pytest.raises(NumericalError, match="defect"):
         sa.periodic_quadrature(jump)
     # as one group of several on one grid it is reported, not raised, and the
@@ -117,6 +120,41 @@ def test_periodic_quadrature_nonconvergence():
     alone, defect = sa.periodic_quadrature(lambda u: np.stack([np.ones_like(u), np.exp(np.cos(u))]))
     assert np.array_equal(values[0], alone) and defects[0] == defect < sa._QUAD_TOL
     assert not defects[1] < sa._QUAD_TOL
+
+
+def jump(u):
+    return np.sign(np.cos(u)) * np.cos(u / 2.0 + 0.1)
+
+
+def raised(quadrature, f):
+    """quadrature(f), or the message of the NumericalError it raises."""
+    try:
+        return quadrature(f)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def assert_same_quadrature(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for g, w in zip(got, want, strict=True):
+        assert np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("f", [
+    lambda u: np.sin(u) ** 2,
+    np.ones_like,
+    lambda u: np.exp(np.cos(u)),
+    jump,
+    lambda u: np.stack([np.ones_like(u), np.exp(np.cos(u))]),
+    lambda u: np.stack([np.stack([np.ones_like(u), np.exp(np.cos(u))]),
+                        np.stack([np.ones_like(u), jump(u)])]),
+], ids=["sin2", "one", "exp_cos", "jump", "pair", "groups_one_open"])
+def test_first_grid_replays_the_level_by_level_loop(f):
+    """The levels read off the first 512-node call are those of one call per
+    level, bit for bit: values, defects, and the lone group's raise."""
+    assert_same_quadrature(raised(sa.periodic_quadrature, f), raised(level_by_level_quadrature, f))
 
 
 def chord_sample(quantity, table, caustic, u):
@@ -146,6 +184,10 @@ def shared_grid_averages(table, caustic):
     return got
 
 
+# lambda / b^2 of the shared-grid cells; 1 - 1e-6 is the cell of the 40-digit references
+CELLS = (0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99, 1.0 - 1e-6)
+
+
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
 def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
     """Each average converges on its own [rho, g rho] pair: the shared grid
@@ -153,7 +195,7 @@ def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
     estimate and failures included.  lambda = b^2 (1 - 1e-6) is the cell of
     the 40-digit references below."""
     table = cg.BilliardTable(a, 1.0)
-    for fraction in (0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99, 1.0 - 1e-6):
+    for fraction in CELLS:
         caustic = cg.CausticSpec(fraction)
         got = shared_grid_averages(table, caustic)
         for quantity in TIME_AVERAGE_QUANTITIES:
@@ -169,15 +211,36 @@ def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
             assert got[quantity] == (float(raw / z), float(defect / z)), (a, fraction, quantity)
 
 
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
+def test_shared_grid_on_the_first_grid_is_the_level_by_level_loop(monkeypatch, a):
+    """Every caustic's grouped quadrature gives, bit for bit, the values and
+    defects of the level-by-level loop, on the cells above and at the guard
+    lambda = b^2 (1 - 1e-9), where a in {2, 5} leaves all four groups
+    unconverged at 2^20 nodes."""
+    table = cg.BilliardTable(a, 1.0)
+    first_grid, calls = sa.periodic_quadrature, []
+
+    def both(f):
+        got = first_grid(f)
+        assert_same_quadrature(got, level_by_level_quadrature(f))
+        calls.append(f)
+        return got
+
+    monkeypatch.setattr(sa, "periodic_quadrature", both)
+    for fraction in CELLS + (1.0 - 1e-9,):
+        shared_grid_averages(table, cg.CausticSpec(fraction))
+    assert len(calls) == len(CELLS) + 1
+
+
 @pytest.mark.parametrize("broken", TIME_AVERAGE_QUANTITIES)
 def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
     table, caustic = T2, cg.CausticSpec(0.37)
     intact = shared_grid_averages(table, caustic)
     samples = sa._chord_samples
 
-    def with_a_jump(table, caustic, u):
-        rows = samples(table, caustic, u)
-        rows[TIME_AVERAGE_QUANTITIES.index(broken)] = np.sign(np.cos(u)) * np.cos(u / 2.0 + 0.1)
+    def with_a_jump(table, caustic, u, p1, p2):
+        rows = samples(table, caustic, u, p1, p2)
+        rows[TIME_AVERAGE_QUANTITIES.index(broken)] = jump(u)
         return rows
 
     monkeypatch.setattr(sa, "_chord_samples", with_a_jump)
@@ -193,8 +256,8 @@ def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
 @pytest.fixture
 def passes(monkeypatch):
     """Counts of endpoint_coordinates passes and of periodic_quadrature calls
-    and their integrand evaluations (one per level)."""
-    counts = {"endpoints": 0, "quadratures": 0, "levels": 0, "nodes": 0}
+    and their integrand calls ("levels"), with the nodes of each call."""
+    counts = {"endpoints": 0, "quadratures": 0, "levels": 0, "grids": []}
     endpoints, quadrature = cg.endpoint_coordinates, sa.periodic_quadrature
 
     def counting_endpoints(table, caustic, u):
@@ -204,7 +267,7 @@ def passes(monkeypatch):
     def counting_quadrature(f):
         def level(u):
             counts["levels"] += 1
-            counts["nodes"] += len(u)
+            counts["grids"].append(np.array(u))
             return f(u)
 
         counts["quadratures"] += 1
@@ -216,7 +279,8 @@ def passes(monkeypatch):
 
 
 def test_one_pass_over_the_samples_per_set_of_chords(passes):
-    table, caustic = T5, cg.CausticSpec(0.61)
+    # (5, 0.95) converges at 2048 nodes: three integrand calls
+    table, caustic = T5, cg.CausticSpec(0.95)
     sa._quadrature_averages.cache_clear()
     for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
         average(table, caustic, method="quadrature")
@@ -228,7 +292,20 @@ def test_one_pass_over_the_samples_per_set_of_chords(passes):
     bd._orbit_means.cache_clear()
     for quantity in TIME_AVERAGE_QUANTITIES:
         time_average(table, caustic, quantity, 1000)
-    assert passes["endpoints"] == 2
+    assert passes["endpoints"] == 1  # the certificate; the samples read its vertices
+
+
+def test_first_grid_is_one_integrand_call(passes):
+    """A caustic that converges by 512 nodes costs one integrand call; one
+    that needs 4096 evaluates each node of the 4096-node grid exactly once."""
+    sa._quadrature_averages.cache_clear()
+    sa.mean_sidelength(T5, cg.CausticSpec(0.61), method="quadrature")
+    assert [len(u) for u in passes["grids"]] == [512]
+    passes["grids"].clear()
+    sa.mean_sidelength(T5, cg.CausticSpec(0.99), method="quadrature")
+    nodes = np.sort(np.concatenate(passes["grids"]))
+    assert len(passes["grids"]) == 4
+    assert np.array_equal(nodes, np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
 
 
 @pytest.mark.parametrize("table, lam", [(CIRCLE, 0.5), (T2, 0.8)])
@@ -244,7 +321,7 @@ def test_shared_grid_at_vanishing_ca(passes, table, lam):
         closed = average(table, caustic, method="closed_form").value
         assert abs(quad - closed) <= 1e-9 * max(1.0, abs(closed))
     assert sa.log_geomean_outer(table, caustic) == (-math.inf, 0)
-    assert passes["quadratures"] == 1 and passes["nodes"] <= 512
+    assert passes["quadratures"] == 1 and sum(map(len, passes["grids"])) <= 512
 
 
 # ----------------------------------------------------------------- group 2
