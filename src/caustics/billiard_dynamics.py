@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipk, ellipkinc
+from scipy.special import ellipkinc, ellipkm1
 
 from . import conic_geometry as cg
 from .errors import DomainError, NumericalError
-from .spatial_averages import _CHORD_QUANTITIES, AverageResult, _chord_samples
+from .spatial_averages import _CHORD_QUANTITIES, _DEGENERACY_GUARD, AverageResult, _chord_samples
 
 __all__ = [
     "OrbitSample",
@@ -183,18 +183,25 @@ def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
 
 
 def rotation_number(table, caustic) -> float:
-    """Exact rotation number rho = F(arcsin(sqrt(lam)/b) | s3) / (2 K(s3)).
+    """Exact rotation number rho = F(phi | s3) / (2 K(s3)), phi = arcsin(sqrt(lam)/b).
 
     In t = F(u - pi/2 | s3), s3 = c^2/(a^2 - lam), the billiard map is the
-    rigid rotation t -> t + 2 F(arcsin(sqrt(lam)/b) | s3) and one turn of u
-    is 4 K(s3) (Chang & Friedberg, J. Math. Phys. 29 (1988) 1537).  rho is the
-    fraction of a turn per bounce; on the circle it is arcsin(sqrt(lam)/b)/pi.
+    rigid rotation t -> t + 2 F(phi | s3) and one turn of u is 4 K(s3)
+    (Chang & Friedberg, J. Math. Phys. 29 (1988) 1537).  rho is the fraction
+    of a turn per bounce; on the circle it is phi/pi.  s3 rounds toward 1 as
+    a grows or lam -> b^2, so K is taken from the complementary parameter,
+    ellipkm1(b_c^2/a_c^2), and phi as atan2(sqrt(lam), b_c), which keeps its
+    digits near pi/2 where arcsin would not.  NumericalError where rho is not
+    finite (a^2 overflows).
     """
-    cg.caustic_axes(table, caustic)  # domain check
+    ac, bc = cg.caustic_axes(table, caustic)
     lam = caustic.lam
     s3 = table.c2 / (table.a * table.a - lam)
-    phi = math.asin(math.sqrt(lam) / table.b)
-    return float(ellipkinc(phi, s3) / (2.0 * ellipk(s3)))
+    phi = math.atan2(math.sqrt(lam), bc)
+    rho = float(ellipkinc(phi, s3) / (2.0 * ellipkm1(bc * bc / (ac * ac))))
+    if not math.isfinite(rho):
+        raise NumericalError(f"rotation number {rho} at a={table.a}, b={table.b}, lam={lam}")
+    return rho
 
 
 def brentq(f, a, b, **kwargs):
@@ -229,7 +236,7 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
 def _caustic_for_period(table, n):
     """find_caustic_for_period's bracket, root solve and closure certificate."""
     b2 = table.b * table.b
-    lo, hi = 1e-9 * b2, (1.0 - 1e-9) * b2
+    lo, hi = 1e-9 * b2, _DEGENERACY_GUARD * b2
 
     def excess(lam):
         return rotation_number(table, cg.CausticSpec(lam)) - 1.0 / n

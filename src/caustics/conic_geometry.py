@@ -24,7 +24,6 @@ __all__ = [
     "endpoint_coordinates",
     "chord_length",
     "interior_cosine",
-    "rational_coefficients",
     "outer_cosine",
     "measure_density",
     "curvature23",
@@ -151,49 +150,26 @@ def _ca(table, caustic):
     return a * a * b * b - caustic.lam * (a * a + b * b)
 
 
-def rational_coefficients(table, caustic):
-    """Coefficients (r1, r2, r3, r4) of interior_cosine as a rational function of cos^2 u.
-
-    interior_cosine(u) = (r1 + r2 z)/(r3 + r4 z) with z = cos^2 u, where
-
-        ca = a^2 b^2 - lam (a^2 + b^2)
-        r1 = -ca (a^4 (b^2-lam) + lam^2 c^2)
-        r2 =  ca c^2 (ca + 2 lam^2)
-        r3 = (a^2 b^2 - lam c^2)^2 (a^2 - lam)
-        r4 = -c^2 ca^2
-
-    The denominator r3 + r4 z is strictly positive for 0 < lam < b^2.  The
-    normalized form (r1/r3)(1 - s1 z)/(1 - s2 z) with s1 = -r2/r1, s2 = -r4/r3
-    feeds the closed-form spatial averages.
-    """
-    a, b = table.a, table.b
-    caustic_axes(table, caustic)  # domain check
-    lam, c2 = caustic.lam, table.c2
-    ca = _ca(table, caustic)
-    r1 = -ca * (a**4 * (b * b - lam) + lam * lam * c2)
-    r2 = ca * c2 * (ca + 2.0 * lam * lam)
-    r3 = (a * a * b * b - lam * c2) ** 2 * (a * a - lam)
-    r4 = -c2 * ca * ca
-    return r1, r2, r3, r4
-
-
 def outer_cosine(table, caustic, u):
     """Cosine of the angle between the boundary normals at the two chord endpoints.
 
     Factored form ca sqrt(b_c^2 + c^2 sin^2 u)/sqrt(r3 + r4 - r4 sin^2 u) of the
     normalized dot product of the gradients A P1, A P2 (A = diag(1/a^2, 1/b^2)),
-    with ca = a^2 b^2 - lam (a^2 + b^2), r4 = -c^2 ca^2 from rational_coefficients
-    and r3 + r4 = b_c^2 (a^2 b^2 + lam c^2)^2, so nothing cancels as lam -> b^2.
+    with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4 the denominator coefficients
+    of the interior cosine's rational form (spatial_averages._closed_forms):
+    r4 = -c^2 ca^2 and r3 + r4 = b_c^2 (a^2 b^2 + lam c^2)^2, so nothing
+    cancels as lam -> b^2.
     Its sign is sign(ca); it vanishes identically at ca = 0, and its log stays
     finite when ca is within roundoff of zero.  u may be an array.
     """
     a, b, lam = table.a, table.b, caustic.lam
     _, bc = caustic_axes(table, caustic)
     bc2, c2 = bc * bc, table.c2
-    r4 = rational_coefficients(table, caustic)[3]
+    ca = _ca(table, caustic)
+    r4 = -c2 * ca * ca
     r34 = bc2 * (a * a * b * b + lam * c2) ** 2
     s = np.sin(np.asarray(u, dtype=float)) ** 2
-    val = _ca(table, caustic) * np.sqrt((bc2 + c2 * s) / (r34 - r4 * s))
+    val = ca * np.sqrt((bc2 + c2 * s) / (r34 - r4 * s))
     return float(val) if val.ndim == 0 else val
 
 

@@ -7,8 +7,10 @@ For any per-chord quantity g(u) the spatial average is
 with rho the invariant measure density from conic_geometry.  For an aperiodic
 orbit this equals the asymptotic time average of g over the bounce sequence.
 Mean sidelength and mean vertex cosine also admit closed forms in the complete
-elliptic integrals K and Pi; both routes are computed and cross-checked.  The
-quadrature route integrates Z itself, so it evaluates no elliptic integral.
+elliptic integrals K and Pi, and kappa^(2/3) follows from the cosine; the three
+are evaluated together, once per caustic (_closed_forms), and both routes are
+cross-checked.  The quadrature route integrates Z itself, so it evaluates no
+elliptic integral and no closed form.
 All four per-chord samples are evaluated together (_chord_samples), and one
 periodic_quadrature call per caustic integrates them all on one grid: each
 average pairs its sample with Z and converges, or fails, on its own.  That
@@ -167,15 +169,15 @@ def _chord_samples(table, caustic, u, p1, p2):
 
 @functools.lru_cache(maxsize=2)
 def _quadrature_averages(table, caustic):
-    """(average, error estimate, defect) of each per-chord sample, in
+    """(average, error estimate, defect, Z) of each per-chord sample, in
     _CHORD_QUANTITIES order, from one periodic_quadrature call.
 
     Group i pairs rho with g_i rho, so average i is integral g_i rho over
-    integral rho on the same nodes, frozen at the first level where both
+    integral rho = Z on the same nodes, frozen at the first level where both
     defects are below _QUAD_TOL; its error estimate is defect / Z.  Nothing
     here evaluates an elliptic integral, so this route stays independent of
     the closed forms.  At ca = 0, log|outer cosine| is -inf on every node: its
-    row is left out of the grid and reads (-inf, 0.0, 0.0).
+    row is left out of the grid and reads (-inf, 0.0, 0.0, None).
     """
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
@@ -191,30 +193,59 @@ def _quadrature_averages(table, caustic):
 
     values, defects = periodic_quadrature(weighted)
     averages = tuple(
-        (float(raw / z), float(d / z), float(d)) for (z, raw), d in zip(values, defects)
+        (float(raw / z), float(d / z), float(d), float(z)) for (z, raw), d in zip(values, defects)
     )
-    return averages + ((-math.inf, 0.0, 0.0),) * (len(_CHORD_QUANTITIES) - rows)
+    return averages + ((-math.inf, 0.0, 0.0, None),) * (len(_CHORD_QUANTITIES) - rows)
 
 
-def _quadrature_average(table, caustic, quantity):
-    """(integral g rho / integral rho, defect / Z) for the per-chord sample
-    named quantity; NumericalError if its pair did not converge."""
-    value, err, defect = _quadrature_averages(table, caustic)[_CHORD_QUANTITIES.index(quantity)]
+@functools.lru_cache(maxsize=2)
+def _closed_forms(table, caustic):
+    """The closed form of each average in _CHORD_QUANTITIES order (None for
+    log|outer cosine|, which has none yet), with s3 = c^2/(a^2 - lam) and
+    K(s3) taken once for all three.  Sidelength and kappa^(2/3) are as in
+    mean_sidelength and mean_curvature23; the mean cosine is
+
+        Cbar = r1/r3 + (r2 r3 - r1 r4)/r3^2 * H(s2, s3) / K(s3),  s2 = -r4/r3,
+
+    with H(n, m) = (Pi(n, m) - K(m))/n in its stable Carlson form and r1..r4,
+    written out below, the coefficients of interior_cosine(u) =
+    (r1 + r2 z)/(r3 + r4 z) in z = cos^2 u.  It rearranges
+    (r1/r3)((s2 - s1) Pi(s2, s3) + s1 K)/(s2 K), s1 = -r2/r1, so that it stays
+    finite at ca = 0, where r1, r2 and r4 vanish (Cbar = 0 there).
+    """
+    ac, _ = _check_caustic(table, caustic)
+    a, b, lam, c2 = table.a, table.b, caustic.lam, table.c2
+    s3 = c2 / (ac * ac)
+    k = complete_k(s3)
+    sidelength = (
+        2.0 * a * (b * b * k + (lam - b * b) * complete_pi(lam * s3 / (b * b), s3))
+        / (b * math.sqrt(lam) * k)
+    )
+    ca = cg._ca(table, caustic)
+    r1 = -ca * (a**4 * (b * b - lam) + lam * lam * c2)
+    r2 = ca * c2 * (ca + 2.0 * lam * lam)
+    r3 = (a * a * b * b - lam * c2) ** 2 * (a * a - lam)
+    r4 = -c2 * ca * ca
+    cosine = r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(-r4 / r3, s3) / k
+    j = cg.joachimsthal(table, caustic)
+    curvature23 = (a * b) ** (-4.0 / 3.0) * (1.0 + cosine) / (2.0 * j * j)
+    return sidelength, cosine, curvature23, None
+
+
+def _average(table, caustic, method, quantity):
+    """Route dispatch of the averages: the entry for quantity of the caustic's
+    _closed_forms ("closed_form") or _quadrature_averages ("quadrature")
+    record; NumericalError if its quadrature pair did not converge."""
+    _check_caustic(table, caustic)
+    i = _CHORD_QUANTITIES.index(quantity)
+    if method == "closed_form":
+        return AverageResult(_closed_forms(table, caustic)[i], method, 0.0, caustic.lam)
+    if method != "quadrature":
+        raise DomainError(f"unknown method {method!r}")
+    value, err, defect, _ = _quadrature_averages(table, caustic)[i]
     if not defect < _QUAD_TOL:
         raise _not_converged(defect)
-    return value, err
-
-
-def _average(table, caustic, method, quantity, closed_form):
-    """Route dispatch of the mean_* averages: "quadrature" averages the
-    per-chord sample named quantity, "closed_form" evaluates closed_form(a_c)."""
-    ac, _ = _check_caustic(table, caustic)
-    if method == "quadrature":
-        value, err = _quadrature_average(table, caustic, quantity)
-        return AverageResult(value, "quadrature", err, caustic.lam)
-    if method != "closed_form":
-        raise DomainError(f"unknown method {method!r}")
-    return AverageResult(closed_form(ac), "closed_form", 0.0, caustic.lam)
+    return AverageResult(value, method, err, caustic.lam)
 
 
 def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResult:
@@ -225,40 +256,17 @@ def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResul
     quadrature:  integral of chord_length(u) rho(u) du / integral rho(u) du.
     The two agree to 1e-9 relative; on the circle both reduce to 2 sqrt(lam).
     """
-
-    def closed_form(ac):
-        a, b, lam = table.a, table.b, caustic.lam
-        s3 = table.c2 / (ac * ac)
-        k = complete_k(s3)
-        return (
-            2.0 * a * (b * b * k + (lam - b * b) * complete_pi(lam * s3 / (b * b), s3))
-            / (b * math.sqrt(lam) * k)
-        )
-
-    return _average(table, caustic, method, "sidelength", closed_form)
+    return _average(table, caustic, method, "sidelength")
 
 
 def mean_cosine(table, caustic, method: str = "closed_form") -> AverageResult:
     """Measure-weighted mean interior vertex cosine.
 
     quadrature route integrates the geometric interior_cosine; the closed form
-
-        Cbar = r1/r3 + (r2 r3 - r1 r4)/r3^2 * H(s2, s3) / K(s3),
-
-    with H(n, m) = (Pi(n, m) - K(m))/n evaluated in its stable Carlson form,
-    r1..r4, s1 and s2 as in rational_coefficients and s3 = c^2/(a^2 - lam),
-    is an equivalent rearrangement of (r1/r3)((s2-s1) Pi(s2,s3) + s1 K)/(s2 K)
-    that stays finite at ca = 0 where r1, r2, r4 all vanish (Cbar = 0 there).
-    On the circle Cbar = 2 lam - 1 exactly.
+    in K and Pi, written out in _closed_forms, is 0 at ca = 0.  On the circle
+    Cbar = 2 lam - 1 exactly.
     """
-
-    def closed_form(ac):
-        r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
-        s3 = table.c2 / (ac * ac)
-        k = complete_k(s3)
-        return r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(-r4 / r3, s3) / k
-
-    return _average(table, caustic, method, "interior_cosine", closed_form)
+    return _average(table, caustic, method, "interior_cosine")
 
 
 def mean_curvature23(table, caustic, method: str = "quadrature") -> AverageResult:
@@ -268,13 +276,7 @@ def mean_curvature23(table, caustic, method: str = "quadrature") -> AverageResul
     the chord at u.  closed_form uses the linear identity
     kappa23bar = (a b)^(-4/3) (1 + Cbar) / (2 J^2) with the closed-form Cbar.
     """
-
-    def closed_form(ac):
-        cbar = mean_cosine(table, caustic, method="closed_form")
-        j = cg.joachimsthal(table, caustic)
-        return (table.a * table.b) ** (-4.0 / 3.0) * (1.0 + cbar.value) / (2.0 * j * j)
-
-    return _average(table, caustic, method, "curvature23", closed_form)
+    return _average(table, caustic, method, "curvature23")
 
 
 def log_geomean_outer(table, caustic) -> tuple[float, int]:
@@ -287,9 +289,6 @@ def log_geomean_outer(table, caustic) -> tuple[float, int]:
     the opposite sign.  At ca = 0 the outer cosine vanishes identically and
     the result is (-inf, 0), meaning geometric mean 0.
     """
-    _check_caustic(table, caustic)
+    value = _average(table, caustic, "quadrature", "log_abs_outer_cosine").value
     ca = cg._ca(table, caustic)
-    if ca == 0.0:
-        return -math.inf, 0
-    value, _ = _quadrature_average(table, caustic, "log_abs_outer_cosine")
-    return value, (-1 if ca > 0.0 else 1)
+    return value, (ca < 0.0) - (ca > 0.0)

@@ -2,8 +2,10 @@
 
 next_tangency is the one-step billiard map, read off a certified one-step
 orbit; outer_cosine_gradient is the outer cosine built independently of
-conic_geometry.outer_cosine's factored form; level_by_level_quadrature is
-periodic_quadrature with one integrand call per doubling level.
+conic_geometry.outer_cosine's factored form; rational_coefficients restates
+the coefficients of the interior cosine's rational form, which the cosine's
+closed form is built on; level_by_level_quadrature is periodic_quadrature
+with one integrand call per doubling level.
 """
 from __future__ import annotations
 
@@ -32,6 +34,23 @@ def outer_cosine_gradient(table, caustic, u):
     n2x, n2y = x2 / table.a**2, y2 / table.b**2
     val = (n1x * n2x + n1y * n2y) / np.sqrt((n1x * n1x + n1y * n1y) * (n2x * n2x + n2y * n2y))
     return float(val) if np.ndim(val) == 0 else val
+
+
+def rational_coefficients(table, caustic):
+    """Coefficients (r1, r2, r3, r4) of interior_cosine as a rational function
+    (r1 + r2 z)/(r3 + r4 z) of z = cos^2 u, with ca = a^2 b^2 - lam (a^2 + b^2):
+
+        r1 = -ca (a^4 (b^2-lam) + lam^2 c^2)     r2 = ca c^2 (ca + 2 lam^2)
+        r3 = (a^2 b^2 - lam c^2)^2 (a^2 - lam)   r4 = -c^2 ca^2
+    """
+    a2, b2, lam = table.a**2, table.b**2, caustic.lam
+    c2, ca = a2 - b2, a2 * b2 - lam * (a2 + b2)
+    return (
+        -ca * (a2 * a2 * (b2 - lam) + lam * lam * c2),
+        ca * c2 * (ca + 2.0 * lam * lam),
+        (a2 * b2 - lam * c2) ** 2 * (a2 - lam),
+        -c2 * ca * ca,
+    )
 
 
 def level_by_level_quadrature(f):

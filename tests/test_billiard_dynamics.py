@@ -37,10 +37,14 @@ Proves:
    - the exact rho matches the winding (u_n - u_0)/(2 pi n) of a 1e5-step
      orbit within 1/n on four tables, the circle included
    - strict monotonicity of rho in lambda on a 200-point grid
+   - rho within 1e-11 of 40-digit references for a from 1.0001 to 1e8 and
+     lambda up to b^2 (1 - 1e-6), within 5e-9 beyond, out to the guard
+     (measured: 4.0e-12 and 1.1e-9); NumericalError where a^2 overflows
    - find_caustic_for_period: circle lambda_N = sin^2(pi/N) b^2 to 1e-12,
      the exact N=4 value a^2 b^2/(a^2+b^2), frozen regression values for
-     a in {1.2, 2, 5}, 10-seed closure certificates, and periods 2000 and
-     5000 on a in {1.1, 1.2}
+     a in {1.2, 2, 5}, 10-seed closure certificates, periods 2000 and
+     5000 on a in {1.1, 1.2}, and far-from-circular tables: N = 3 at a = 100,
+     N in {5, 20, 40} at a in {1e4, 1e5}
    - unbracketable period raises a numerical error
  Group 4 - Time averages
    - constant quantity on the circle averages exactly
@@ -58,6 +62,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -171,7 +176,6 @@ def test_period_is_solved_once_for_its_seeds(monkeypatch):
 
     brentq = bd.brentq
     monkeypatch.setattr(bd, "brentq", counting_brentq)
-    bd._caustic_for_period.cache_clear()
     find_caustic_for_period(T2, 7)
     for seed in (0.3, 0.6):
         build_periodic_orbit(T2, 7, seed_u=seed)
@@ -206,9 +210,6 @@ def test_certificate_rejects_a_corrupted_step(monkeypatch):
     a single perturbed parameter makes each of them raise, and a corrupted
     composed orbit raises too, with no other path to fall back on."""
     monkeypatch.setattr(bd, "_advance_sequence", corrupt(bd._advance_sequence))
-    # a cached orbit, its means or a solved period would bypass the patched step
-    for cache in (bd._orbit, bd._orbit_means, bd._caustic_for_period):
-        cache.cache_clear()
     caustic = cg.CausticSpec(0.5)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         iterate_orbit(T2, caustic, 0.3, 100)
@@ -373,6 +374,46 @@ def test_rotation_monotone_in_lambda():
         for lam in np.linspace(0.01, 0.99, 200)
     ]
     assert all(b > a for a, b in zip(rhos, rhos[1:]))
+
+
+def forty_digit_rotation_number(a, lam):
+    """F(arcsin(sqrt(lam)) | m) / (2 K(m)), m = (a^2 - 1)/(a^2 - lam), at 40 digits (b = 1)."""
+    with mp.workdps(40):
+        a, lam = mp.mpf(a), mp.mpf(lam)
+        m = (a * a - 1) / (a * a - lam)
+        return mp.ellipf(mp.asin(mp.sqrt(lam)), m) / (2 * mp.ellipk(m))
+
+
+@pytest.mark.parametrize("a", [1.0001, 1.01, 1.2, 2.0, 20.0, 1e3, 1e5, 1e6, 1e8])
+def test_rotation_number_against_40_digits(a):
+    """s3 = c^2/(a^2 - lam) rounds toward 1 as a grows or lam -> b^2; K from
+    the complementary parameter and phi from atan2 keep rho within 1e-11 up to
+    lam = b^2 (1 - 1e-6) and 5e-9 beyond (measured: 4.0e-12 and 1.1e-9 over
+    a in [1.0001, 1e8]).  K(s3) and arcsin gave 2.1e-2 at (1e5, 1 - 1e-6)
+    and exactly 0 from a = 1e6."""
+    table = cg.BilliardTable(a, 1.0)
+    for lam in (0.01, 0.2, 0.5, 0.8) + tuple(1.0 - 10.0**-k for k in range(1, 10)):
+        ref = forty_digit_rotation_number(a, lam)
+        rel = float(abs(rotation_number(table, cg.CausticSpec(lam)) - ref) / ref)
+        assert rel <= (1e-11 if lam <= 1.0 - 1e-6 else 5e-9), (a, lam, rel)
+
+
+@pytest.mark.parametrize("a", [1e200, math.inf])
+def test_rotation_number_raises_where_it_is_not_finite(a):
+    with pytest.raises(NumericalError, match="rotation number"):
+        rotation_number(cg.BilliardTable(a, 1.0), cg.CausticSpec(0.5))
+
+
+@pytest.mark.parametrize("a, n", [(100.0, 3), (1e4, 5), (1e4, 20), (1e4, 40),
+                                  (1e5, 5), (1e5, 20), (1e5, 40)])
+def test_find_caustic_far_from_the_circle(a, n):
+    """Bracketed and certified on tables where s3 rounds toward 1: the
+    certificate closed only to 1.7e-10 at (100, 3) and the others failed to
+    bracket while K was taken from s3."""
+    table = cg.BilliardTable(a, 1.0)
+    caustic = find_caustic_for_period(table, n)
+    us = iterate_orbit(table, caustic, 0.0, n).u_sequence
+    assert abs(us[-1] - us[0] - 2.0 * math.pi) < 1e-10
 
 
 def test_find_caustic_circle_exact():

@@ -11,6 +11,8 @@ Proves:
    - --mark-periodics appends PERIODIC rows whose spatial and discrete
      columns agree to 1e-6
    - byte-identical output for identical flags
+   - a --method both row evaluates its closed forms once: one closed-form
+     record per caustic, four elliptic-integral calls
  Group 2 - periodic
    - circle square row: lambda = 0.5, L = 4 sqrt(2)
    - identity residual below 1e-9; n=100 resolves to a valid row
@@ -26,6 +28,8 @@ Proves:
      failing dual-route check (kappa^(2/3) included)
    - the ergodic check passes on a table whose mean interior cosine
      vanishes at one of its caustics
+   - the battery integrates each caustic once: the dual-route Z check reads
+     the Z of the averages' own quadrature
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ import math
 import numpy as np
 import pytest
 
+import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
 from caustics import cli
 from caustics.cli import Check, main
@@ -134,6 +139,21 @@ def test_sweep_deterministic(capsys):
     _, first, _ = run_cli(capsys, "sweep", "--a", "1.7", "--steps", "7", "--mark-periodics", "4")
     _, second, _ = run_cli(capsys, "sweep", "--a", "1.7", "--steps", "7", "--mark-periodics", "4")
     assert first == second
+
+
+def test_sweep_row_evaluates_its_closed_forms_once(capsys, monkeypatch):
+    calls = []
+    for name in ("complete_k", "complete_pi", "complete_pi_minus_k"):
+        def counting(*args, _fn=getattr(ei, name)):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(ei, name, counting)
+        monkeypatch.setattr(sa, name, counting)
+    code, _, _ = run_cli(capsys, "sweep", "--a", "2", "--steps", "3", "--method", "both")
+    assert code == 0
+    assert len(calls) == 3 * 4  # per row: K, Pi (which takes its own K) and Pi - K
+    assert sa._closed_forms.cache_info().misses == 3
 
 
 # ----------------------------------------------------------------- group 2
@@ -268,6 +288,21 @@ def test_battery_ergodic_check_where_the_mean_cosine_vanishes():
     checks = cli.run_battery([(1.457737973711325, 1.0)], quick=True)
     ergodic = [c for c in checks if c.name.startswith("ergodic")]
     assert len(ergodic) == 1 and ergodic[0].passed
+
+
+def test_battery_integrates_each_caustic_once(monkeypatch):
+    quadrature, calls = sa.periodic_quadrature, []
+
+    def counting(f):
+        calls.append(f)
+        return quadrature(f)
+
+    monkeypatch.setattr(sa, "periodic_quadrature", counting)
+    checks = cli.run_battery([(2.0, 1.0)], quick=True)
+    assert all(c.passed for c in checks)
+    # 19 dual-route caustics, 5 ergodic ones and lambda_3 ... lambda_7, whose
+    # PERIODIC rows read the outer average
+    assert len(calls) == 19 + 5 + 5
 
 
 def test_numerical_failure_exits_three(capsys):

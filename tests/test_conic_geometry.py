@@ -24,7 +24,8 @@ Proves:
    - ranges: cosines in [-1, 1], lengths and density positive
 
 The oracles focal_distances and interior_cosine_rational are local to this
-module; outer_cosine_gradient and the billiard step next_tangency come from
+module; outer_cosine_gradient, the rational form's coefficients
+rational_coefficients and the billiard step next_tangency come from
 tests/oracles.py, and the inverse step is -next_tangency(-u).
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
 from caustics.errors import DomainError, NumericalError
-from oracles import next_tangency, outer_cosine_gradient
+from oracles import next_tangency, outer_cosine_gradient, rational_coefficients
 
 RNG = np.random.default_rng(20240817)
 
@@ -80,7 +81,7 @@ def focal_distances(table, p):
 
 def interior_cosine_rational(table, caustic, u):
     """interior_cosine as (r1 + r2 z)/(r3 + r4 z) in z = cos^2 u; u may be an array."""
-    r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
+    r1, r2, r3, r4 = rational_coefficients(table, caustic)
     z = np.cos(np.asarray(u, dtype=float)) ** 2
     val = (r1 + r2 * z) / (r3 + r4 * z)
     return float(val) if val.ndim == 0 else val
@@ -359,7 +360,7 @@ def test_rational_form_matches_geometric_cosine():
 
 def test_rational_form_endpoint_values():
     table, caustic = T5, cg.CausticSpec(0.9)
-    r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
+    r1, r2, r3, r4 = rational_coefficients(table, caustic)
     s1, s2 = -r2 / r1, -r4 / r3
     at_zero = (r1 / r3) * (1.0 - s1) / (1.0 - s2)
     at_half_pi = r1 / r3

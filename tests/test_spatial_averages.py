@@ -42,7 +42,8 @@ Proves:
      sidelength and log-geometric mean match 40-digit references to 1e-12
  Group 6 - Structure
    - monotonicity in lambda, range bounds, degeneracy guard, result fields
-   - the quadrature and orbit routes run with every K/Pi evaluation disabled
+   - the quadrature and orbit routes run with every K/Pi evaluation and the
+     closed forms' record disabled
 """
 from __future__ import annotations
 
@@ -54,7 +55,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-import caustics.billiard_dynamics as bd
 import caustics.conic_geometry as cg
 import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
@@ -66,7 +66,7 @@ from caustics.billiard_dynamics import (
 from caustics.elliptic_integrals import complete_k, complete_pi
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
-from oracles import level_by_level_quadrature, outer_cosine_gradient
+from oracles import level_by_level_quadrature, outer_cosine_gradient, rational_coefficients
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -177,7 +177,8 @@ def shared_grid_averages(table, caustic):
     got = {}
     for quantity in TIME_AVERAGE_QUANTITIES:
         try:
-            got[quantity] = sa._quadrature_average(table, caustic, quantity)
+            res = sa._average(table, caustic, "quadrature", quantity)
+            got[quantity] = (res.value, res.err_estimate)
         except NumericalError as exc:
             got[quantity] = exc
     sa._quadrature_averages.cache_clear()
@@ -281,15 +282,12 @@ def passes(monkeypatch):
 def test_one_pass_over_the_samples_per_set_of_chords(passes):
     # (5, 0.95) converges at 2048 nodes: three integrand calls
     table, caustic = T5, cg.CausticSpec(0.95)
-    sa._quadrature_averages.cache_clear()
     for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
         average(table, caustic, method="quadrature")
     sa.log_geomean_outer(table, caustic)
     assert passes["quadratures"] == 1
     assert passes["endpoints"] == passes["levels"] > 1
     passes["endpoints"] = 0
-    bd._orbit.cache_clear()
-    bd._orbit_means.cache_clear()
     for quantity in TIME_AVERAGE_QUANTITIES:
         time_average(table, caustic, quantity, 1000)
     assert passes["endpoints"] == 1  # the certificate; the samples read its vertices
@@ -298,7 +296,6 @@ def test_one_pass_over_the_samples_per_set_of_chords(passes):
 def test_first_grid_is_one_integrand_call(passes):
     """A caustic that converges by 512 nodes costs one integrand call; one
     that needs 4096 evaluates each node of the 4096-node grid exactly once."""
-    sa._quadrature_averages.cache_clear()
     sa.mean_sidelength(T5, cg.CausticSpec(0.61), method="quadrature")
     assert [len(u) for u in passes["grids"]] == [512]
     passes["grids"].clear()
@@ -315,7 +312,6 @@ def test_shared_grid_at_vanishing_ca(passes, table, lam):
     rather than doubling to the 2^20-node cap."""
     caustic = cg.CausticSpec(lam)
     assert cg._ca(table, caustic) == 0.0
-    sa._quadrature_averages.cache_clear()
     for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
         quad = average(table, caustic, method="quadrature").value
         closed = average(table, caustic, method="closed_form").value
@@ -429,7 +425,7 @@ def test_mean_cosine_closed_form_written_out():
     the ca = 0 cancellation, with re-derived coefficients."""
     for table, lam in ((T2, 0.3), (T5, 0.7), (TB, 1.5)):
         caustic = cg.CausticSpec(lam)
-        r1, r2, r3, r4 = cg.rational_coefficients(table, caustic)
+        r1, r2, r3, r4 = rational_coefficients(table, caustic)
         s1, s2 = -r2 / r1, -r4 / r3
         s3 = table.c2 / (table.a**2 - lam)
         k = complete_k(s3)
@@ -607,8 +603,8 @@ def test_average_result_fields():
 
 
 def test_routes_independent_of_elliptic_integrals(monkeypatch):
-    """Quadrature and orbit routes never evaluate K or Pi, so they cross-check
-    the closed forms rather than repeat them."""
+    """Quadrature and orbit routes never evaluate K or Pi, nor the closed
+    forms' record, so they cross-check the closed forms rather than repeat them."""
 
     def forbidden(*args):
         raise RuntimeError("complete elliptic integral evaluated")
@@ -619,6 +615,7 @@ def test_routes_independent_of_elliptic_integrals(monkeypatch):
     caustic = cg.CausticSpec(0.37)
     with pytest.raises(RuntimeError, match="elliptic"):
         sa.mean_sidelength(T2, caustic, method="closed_form")
+    monkeypatch.setattr(sa, "_closed_forms", forbidden)
     for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
         res = average(T2, caustic, method="quadrature")
         assert res.method == "quadrature" and math.isfinite(res.value)
@@ -626,3 +623,4 @@ def test_routes_independent_of_elliptic_integrals(monkeypatch):
     assert math.isfinite(log_mean) and sign == -1
     assert math.isfinite(time_average(T2, caustic, "sidelength", 1000).value)
     assert find_caustic_for_period(T2, 4).lam == pytest.approx(0.8, abs=1e-12)
+
