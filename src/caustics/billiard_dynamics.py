@@ -15,8 +15,9 @@ implementation of that step.  The map is conjugate to a rigid rotation
 t -> t + Delta, so rotation_number is exact, and an orbit of _COMPOSE_MIN or
 more bounces is composed from two ~sqrt(n)-bounce runs of the step by the
 addition theorem of sn, cn, dn (_composed_sequence).  Every orbit, composed or
-scalar, is certified step by step by _orbit on its angles mod 2pi; the
-monotone lift u_sequence is derived from them where it is read.
+scalar, is certified step by step by _orbit on its points (cos u, sin u) and
+angles mod 2pi, whose cosines and sines are taken once; the monotone lift
+u_sequence is derived from the angles where it is read.
 """
 from __future__ import annotations
 
@@ -51,7 +52,11 @@ class OrbitSample:
 
     angles[i] is the tangency parameter of the i-th chord mod 2pi, as the
     orbit was certified; vertex_sequence[i] is the vertex shared by chords
-    i-1 and i, so chord i joins vertex i to vertex i+1.  Both arrays have
+    i-1 and i, so chord i joins vertex i to vertex i+1.  Vertex i+1 is P1 at
+    the orbit's point i, whose angle is its rounded read: on a composed orbit
+    (_COMPOSE_MIN bounces or more) the vertex read at the angle instead moves
+    by up to 5.8e-12 at a = 20, lam = b^2 (1 - 1e-6), against the orbit's own
+    error of 9e-9 there (1,500 bounces, 40-digit reference).  Both arrays have
     length n+1 for an n-step orbit and are read-only.  u_sequence, built on
     first access, is their monotone lift from u0: u0 + (angles - angles[0])
     + 2pi (whole turns so far), a turn being a step that lowers the angle.
@@ -78,7 +83,7 @@ def _advance_sequence(table, caustic, u0, n):
     #   tan(delta) = sqrt(lam) hypot(a b_c^2 C - b z S, b a_c^2 S + a z C) / d,
     #   z = sqrt(lam (b_c^2 C^2 + a_c^2 S^2)),  d = a^2 b_c^2 C^2 + b^2 a_c^2 S^2,
     # which keeps its relative accuracy as lam -> 0, where R -> 1 and acos(1/R)
-    # would not.  _orbit certifies every step against endpoint_coordinates.
+    # would not.  _orbit certifies every step against the chord endpoints.
     sqrt_lam, abc2, bac2 = math.sqrt(lam), a * bc2, b * ac2
     a2bc2, b2ac2 = a * abc2, b * bac2
     cos, sin, sqrt, atan, hypot = math.cos, math.sin, math.sqrt, math.atan, math.hypot
@@ -98,7 +103,8 @@ def _advance_sequence(table, caustic, u0, n):
 
 
 def _composed_sequence(table, caustic, u0, n):
-    """The n+1 tangency angles from u0, in [-pi, pi], composed from two short runs.
+    """(angles, cos u, sin u) of the n+1 tangency points from u0, composed
+    from two short runs; the angles lie in [-pi, pi].
 
     In t = F(u - pi/2 | s3), s3 = c^2/a_c^2, the map is the rotation
     t -> t + Delta, and the chord at u has (sn t, cn t, dn t) =
@@ -107,8 +113,11 @@ def _composed_sequence(table, caustic, u0, n):
     u = pi/2 (t = 0), the jump state at t = B Delta.  The shifts S_j at
     t = j B Delta are j jumps chained by the addition theorem (DLMF 22.8.1-2),
     each link renormalized to sn^2 + cn^2 = 1 with dn^2 = b_c^2/a_c^2 + s3 cn^2,
-    and u_{jB+i} is the angle of base_i + S_j.  The theorem's common
-    denominator 1 - s3 sn^2 sn^2 is positive, so it drops out of every angle.
+    and point jB+i is base_i + S_j.  The theorem's common denominator
+    1 - s3 sn^2 sn^2 is positive, so it drops out: point k is (-sn, cn) of
+    the sum divided by its norm, and u_k is its rounded atan2 read.  The
+    points are handed out with the angles, so their cosines and sines are
+    never taken again.
     """
     ac, bc = cg.caustic_axes(table, caustic)
     c2 = table.c2
@@ -134,39 +143,66 @@ def _composed_sequence(table, caustic, u0, n):
     ss, cs, ds = np.array(shifts).T
     sn = np.multiply.outer(cs * ds, sb) + np.multiply.outer(ss, cb * db)
     cn = np.multiply.outer(cs, cb) - np.multiply.outer(ss * ds, sb * db)
-    return np.arctan2(cn.ravel()[: n + 1], -sn.ravel()[: n + 1])
+    cos_u, sin_u = np.negative(sn, out=sn).ravel()[: n + 1], cn.ravel()[: n + 1]
+    angles = np.arctan2(sin_u, cos_u)
+    norm = np.sqrt(cos_u * cos_u + sin_u * sin_u)
+    cos_u /= norm
+    sin_u /= norm
+    return angles, cos_u, sin_u
 
 
 @functools.lru_cache(maxsize=2)
 def _orbit(table, caustic, u0, n):
-    """The certified n-step orbit from u0 mod 2pi: read-only (angles, vertices).
+    """The certified n-step orbit from u0 mod 2pi: read-only (angles,
+    vertices, sin^2 u) of its n+1 tangency points.
 
-    From _COMPOSE_MIN bounces the angles are composed (_composed_sequence),
-    below it the scalar loop runs.  Either way they are certified as computed,
+    From _COMPOSE_MIN bounces the points are composed (_composed_sequence),
+    each with its angle, its rounded atan2 read; below it the scalar loop runs
+    and its angles are the points.  Either way they are certified as computed,
     never lifted, so each is rounded at ulp(2pi) at most and a far seed costs
-    no precision: the chord at u_{k+1} must start where the chord at u_k ends,
-    P2(u_{k+1}) = P1(u_k) to _SHARE_TOL, and u_{k+1} - u_k mod 2pi must lie
-    in (0, pi); otherwise NumericalError.  Vertex 0 is P2(u_0), vertex k+1 is
-    P1(u_k).  Callers share the cached arrays, so they are handed out read-only.
+    no precision: the chord at point k+1 must start where the chord at point k
+    ends, P2 = P1 to _SHARE_TOL (compared squared), and u_{k+1} - u_k mod 2pi
+    must lie in (0, pi); otherwise NumericalError.  Vertex 0 is P2 at point 0,
+    vertex k+1 is P1 at point k (OrbitSample says how far a vertex read at the
+    rounded angle moves).  sin^2 u of the points is kept for the samples that
+    need it, so no caller takes a sine again.  Callers share the cached
+    arrays, so they are handed out read-only.
     """
     r0 = u0 % _TAU % _TAU  # the second % maps 2 pi, rounded from a tiny negative u0, to 0
-    sequence = _composed_sequence if n >= _COMPOSE_MIN else _advance_sequence
-    angles = sequence(table, caustic, r0, n)
-    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, angles)
-    share = np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])
+    if n >= _COMPOSE_MIN:
+        angles, cos_u, sin_u = _composed_sequence(table, caustic, r0, n)
+    else:
+        angles = _advance_sequence(table, caustic, r0, n)
+        cos_u, sin_u = np.cos(angles), np.sin(angles)
+    # allocated before the endpoints' temporaries, so that the cached array
+    # does not sit above their freed space: verify then peaks at 224-238 MB,
+    # against 232-246 MB with it allocated after them
+    vertices = np.empty((n + 1, 2))
+    x1, y1, x2, y2 = cg._endpoints(table, caustic, cos_u, sin_u)
+    del cos_u
+    sin2 = np.square(sin_u, out=sin_u)
+    vertices[0] = x2[0], y2[0]
+    vertices[1:, 0], vertices[1:, 1] = x1[:-1], y1[:-1]
+    # the squared gap from P2 at point k+1 to P1 at point k, formed in x2, y2
+    gap, dy = x2[1:], y2[1:]
+    gap -= x1[:-1]
+    gap *= gap
+    dy -= y1[:-1]
+    dy *= dy
+    gap += dy
+    del x1, y1
     steps = angles[1:] - angles[:-1]
     steps += _TAU * (steps < 0.0)  # both angles lie in one interval of length 2pi
-    bad = np.flatnonzero(~((share <= _SHARE_TOL) & (steps > 0.0) & (steps < math.pi)))
+    bad = np.flatnonzero(~((gap <= _SHARE_TOL**2) & (steps > 0.0) & (steps < math.pi)))
     if bad.size:
         k = bad[0]
         raise NumericalError(
             f"billiard step {k} failed at u={angles[k]}, lam={caustic.lam}: "
-            f"endpoint-sharing residual {share[k]:.3e}, advance {float(steps[k])!r}"
+            f"endpoint-sharing residual {math.sqrt(gap[k]):.3e}, advance {float(steps[k])!r}"
         )
-    vertices = np.column_stack([np.r_[x2[0], x1[:-1]], np.r_[y2[0], y1[:-1]]])
-    angles.flags.writeable = False
-    vertices.flags.writeable = False
-    return angles, vertices
+    for array in (angles, vertices, sin2):
+        array.flags.writeable = False
+    return angles, vertices, sin2
 
 
 def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
@@ -178,7 +214,7 @@ def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
     """
     if n < 1:
         raise DomainError(f"orbit length must be >= 1; got n={n}")
-    angles, verts = _orbit(table, caustic, float(u0), int(n))
+    angles, verts, _ = _orbit(table, caustic, float(u0), int(n))
     return OrbitSample(float(u0), angles, verts)
 
 
@@ -247,7 +283,7 @@ def _caustic_for_period(table, n):
         )
     lam_n = brentq(excess, lo, hi, xtol=1e-15 * b2, rtol=8.9e-16)
     caustic = cg.CausticSpec(lam_n)
-    angles, _ = _orbit(table, caustic, 0.0, n)
+    angles = _orbit(table, caustic, 0.0, n)[0]
     wraps = int(np.count_nonzero(angles[1:] < angles[:-1]))  # a Python int: numpy scalar math is slow
     residual = abs(angles[-1] - angles[0] + _TAU * (wraps - 1))
     if residual > 1e-10:
@@ -265,10 +301,11 @@ def _orbit_means(table, caustic, u0, n):
     """(mean over the first n chords, mean over the first half of them) of
     each per-chord sample, in TIME_AVERAGE_QUANTITIES order, from one pass of
     _chord_samples over the certified orbit.  Chord k joins vertex k to
-    vertex k+1, which _orbit certified as P2(u_k) and P1(u_k), so the samples
-    read the vertices and evaluate no endpoint again."""
-    angles, vertices = _orbit(table, caustic, u0, n)
-    samples = _chord_samples(table, caustic, angles[:n], vertices[1:], vertices[:-1])
+    vertex k+1, which _orbit certified as P2 and P1 at point k, so the samples
+    read the vertices and the points' sin^2 u, and evaluate no endpoint and
+    no trigonometric function again."""
+    _, vertices, sin2 = _orbit(table, caustic, u0, n)
+    samples = _chord_samples(table, caustic, sin2[:n], vertices[1:], vertices[:-1])
     full = np.mean(samples, axis=-1).tolist()
     half = np.mean(samples[:, : max(1, n // 2)], axis=-1).tolist()
     return tuple(zip(full, half))

@@ -6,6 +6,12 @@ The outer ellipse x^2/a^2 + y^2/b^2 = 1 is the billiard boundary; the inner
 by the angular parameter u of its tangency point.  This module computes the
 chord endpoints, lengths, vertex cosines, outer-normal cosines, curvature and
 the invariant measure density, all as plain functions of (table, caustic, u).
+Each formula is written once, in the trigonometric values it needs: the
+endpoints in (cos u, sin u) (_endpoints), the chord length, outer cosine and
+density in s = sin^2 u (_chord_length_at, _outer_cosine_at,
+_measure_density_at).  The public functions of u wrap them; an orbit or a
+quadrature grid, which needs several of them at the same u, takes cos and sin
+once and calls the private forms.
 """
 from __future__ import annotations
 
@@ -89,38 +95,74 @@ def endpoint_coordinates(table, caustic, u):
     P1 is the endpoint ahead of the tangency point in the counterclockwise
     direction, P2 the one behind, so consecutive chords share P1(u) = P2(u+).
     """
+    u = np.asarray(u, dtype=float)
+    return _endpoints(table, caustic, np.cos(u), np.sin(u))
+
+
+def _endpoints(table, caustic, cos_u, sin_u):
+    """endpoint_coordinates of the chords tangent at the angles u with the
+    given cos u and sin u, which the caller has at hand: an orbit or a
+    quadrature grid takes them once for every sample it needs.
+
+    After the psi check each array is overwritten once it is read for the
+    last time, so a call holds six arrays of the input's size at most.
+    """
     a, b = table.a, table.b
     ac, bc = caustic_axes(table, caustic)
     ac2, bc2 = ac * ac, bc * bc
-    lam = caustic.lam
-    u = np.asarray(u, dtype=float)
-    xc, yc = ac * np.cos(u), bc * np.sin(u)
+    xc, yc = ac * cos_u, bc * sin_u
     # zeta >= 0 fixes which endpoint is labeled P1 for every u
-    zeta = np.sqrt(lam * (bc2 * bc2 * xc * xc + ac2 * ac2 * yc * yc))
+    zeta = np.sqrt(caustic.lam * (bc2 * bc2 * xc * xc + ac2 * ac2 * yc * yc))
     psi = a * a * bc2 * bc2 * xc * xc + b * b * ac2 * ac2 * yc * yc
-    if not np.all(psi > 0.0):
-        raise NumericalError(f"degenerate chord denominator psi <= 0 at u={u!r}")
-    ax, bz = a * bc2 * bc2 * xc, zeta * b * yc
-    by, az = b * ac2 * ac2 * yc, zeta * a * xc
+    positive = psi > 0.0
+    if not np.all(positive):
+        k = int(np.argmin(positive))  # the first failing index
+        u = math.atan2(np.ravel(sin_u)[k], np.ravel(cos_u)[k])
+        raise NumericalError(f"degenerate chord denominator psi <= 0 at index {k}, u={u!r}")
+    bz = zeta * b * yc
+    az = zeta
+    az *= a
+    az *= xc
+    ax = xc
+    ax *= a * bc2 * bc2
+    by = yc
+    by *= b * ac2 * ac2
     x1 = ac2 * a * (ax - bz) / psi
+    x2 = ax
+    x2 += bz
+    x2 *= ac2 * a
+    x2 /= psi
+    del bz
     y1 = bc2 * b * (by + az) / psi
-    x2 = ac2 * a * (ax + bz) / psi
-    y2 = bc2 * b * (by - az) / psi
+    y2 = by
+    y2 -= az
+    y2 *= bc2 * b
+    y2 /= psi
     return x1, y1, x2, y2
 
 
-def chord_length(table, caustic, u):
-    """Length of the chord tangent at u; u may be an array.
+def _pointwise(formula, table, caustic, u):
+    """formula(table, caustic, sin^2 u) at u, a float where u is a scalar."""
+    val = formula(table, caustic, np.sin(np.asarray(u, dtype=float)) ** 2)
+    return float(val) if val.ndim == 0 else val
 
-    Closed form 2 a b sqrt(lam) (b_c^2 + c^2 sin^2 u)/(a^2 b_c^2 + lam c^2 sin^2 u);
+
+def chord_length(table, caustic, u):
+    """Length of the chord tangent at u; u may be an array (_chord_length_at)."""
+    return _pointwise(_chord_length_at, table, caustic, u)
+
+
+def _chord_length_at(table, caustic, s):
+    """chord_length at s = sin^2 u:
+
+        2 a b sqrt(lam) (b_c^2 + c^2 s)/(a^2 b_c^2 + lam c^2 s);
+
     its terms are all non-negative, so nothing cancels as lam -> b^2.
     """
     a, b = table.a, table.b
     _, bc = caustic_axes(table, caustic)
     bc2, c2, lam = bc * bc, table.c2, caustic.lam
-    s = np.sin(np.asarray(u, dtype=float)) ** 2
-    val = 2.0 * a * b * math.sqrt(lam) * (bc2 + c2 * s) / (a * a * bc2 + lam * c2 * s)
-    return float(val) if val.ndim == 0 else val
+    return 2.0 * a * b * math.sqrt(lam) * (bc2 + c2 * s) / (a * a * bc2 + lam * c2 * s)
 
 
 def interior_cosine(table, caustic, u):
@@ -153,14 +195,23 @@ def _ca(table, caustic):
 def outer_cosine(table, caustic, u):
     """Cosine of the angle between the boundary normals at the two chord endpoints.
 
-    Factored form ca sqrt(b_c^2 + c^2 sin^2 u)/sqrt(r3 + r4 - r4 sin^2 u) of the
-    normalized dot product of the gradients A P1, A P2 (A = diag(1/a^2, 1/b^2)),
-    with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4 the denominator coefficients
-    of the interior cosine's rational form (spatial_averages._closed_forms):
-    r4 = -c^2 ca^2 and r3 + r4 = b_c^2 (a^2 b^2 + lam c^2)^2, so nothing
-    cancels as lam -> b^2.
     Its sign is sign(ca); it vanishes identically at ca = 0, and its log stays
-    finite when ca is within roundoff of zero.  u may be an array.
+    finite when ca is within roundoff of zero.  u may be an array
+    (_outer_cosine_at).
+    """
+    return _pointwise(_outer_cosine_at, table, caustic, u)
+
+
+def _outer_cosine_at(table, caustic, s):
+    """outer_cosine at s = sin^2 u, in the factored form
+
+        ca sqrt(b_c^2 + c^2 s)/sqrt(r3 + r4 - r4 s)
+
+    of the normalized dot product of the gradients A P1, A P2
+    (A = diag(1/a^2, 1/b^2)), with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4
+    the denominator coefficients of the interior cosine's rational form
+    (spatial_averages._closed_forms): r4 = -c^2 ca^2 and
+    r3 + r4 = b_c^2 (a^2 b^2 + lam c^2)^2, so nothing cancels as lam -> b^2.
     """
     a, b, lam = table.a, table.b, caustic.lam
     _, bc = caustic_axes(table, caustic)
@@ -168,9 +219,7 @@ def outer_cosine(table, caustic, u):
     ca = _ca(table, caustic)
     r4 = -c2 * ca * ca
     r34 = bc2 * (a * a * b * b + lam * c2) ** 2
-    s = np.sin(np.asarray(u, dtype=float)) ** 2
-    val = ca * np.sqrt((bc2 + c2 * s) / (r34 - r4 * s))
-    return float(val) if val.ndim == 0 else val
+    return ca * np.sqrt((bc2 + c2 * s) / (r34 - r4 * s))
 
 
 def measure_density(table, caustic, u):
@@ -178,12 +227,15 @@ def measure_density(table, caustic, u):
 
     rho du is the asymptotic density of chord tangency points of any aperiodic
     orbit; it is 2pi-periodic and symmetric under u -> -u and u -> pi - u.
-    u may be an array.
+    u may be an array (_measure_density_at).
     """
+    return _pointwise(_measure_density_at, table, caustic, u)
+
+
+def _measure_density_at(table, caustic, s):
+    """measure_density at s = sin^2 u."""
     ac, bc = caustic_axes(table, caustic)
-    s = np.sin(np.asarray(u, dtype=float)) ** 2
-    val = (ac * bc) ** (2.0 / 3.0) / np.sqrt(bc * bc + table.c2 * s)
-    return float(val) if val.ndim == 0 else val
+    return (ac * bc) ** (2.0 / 3.0) / np.sqrt(bc * bc + table.c2 * s)
 
 
 def curvature23(table, p):

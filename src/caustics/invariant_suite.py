@@ -69,8 +69,8 @@ def evaluate_invariants(orbit: PeriodicOrbit) -> InvariantReport:
     table = orbit.table
     v = orbit.vertices
     n = orbit.n
-    nxt = np.roll(v, -1, axis=0)
-    prv = np.roll(v, 1, axis=0)
+    nxt = np.concatenate((v[1:], v[:1]))
+    prv = np.concatenate((v[-1:], v[:-1]))
     edges = nxt - v
     edge_len = np.hypot(edges[:, 0], edges[:, 1])
     perimeter = float(np.sum(edge_len))
@@ -82,7 +82,8 @@ def evaluate_invariants(orbit: PeriodicOrbit) -> InvariantReport:
 
     normals = np.column_stack([v[:, 0] / table.a**2, v[:, 1] / table.b**2])
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    product_outer = float(np.prod(np.sum(normals * np.roll(normals, -1, axis=0), axis=1)))
+    nxt_normals = np.concatenate((normals[1:], normals[:1]))
+    product_outer = float(np.prod(np.sum(normals * nxt_normals, axis=1)))
 
     sum_kappa23 = float(np.sum(cg.curvature23(table, v)))
 

@@ -11,9 +11,10 @@ elliptic integrals K and Pi, and kappa^(2/3) follows from the cosine; the three
 are evaluated together, once per caustic (_closed_forms), and both routes are
 cross-checked.  The quadrature route integrates Z itself, so it evaluates no
 elliptic integral and no closed form.
-All four per-chord samples are evaluated together (_chord_samples), and one
-periodic_quadrature call per caustic integrates them all on one grid: each
-average pairs its sample with Z and converges, or fails, on its own.  That
+All four per-chord samples are evaluated together (_chord_samples), from one
+cos u and sin u per node, and one periodic_quadrature call per caustic
+integrates them all on one grid: each average pairs its sample with Z and
+converges, or fails, on its own.  That
 call evaluates its first six levels (16 to 512 nodes) in one integrand call,
 and most caustics converge within them.
 """
@@ -146,24 +147,25 @@ def normalization(table, caustic) -> float:
 _CHORD_QUANTITIES = ("sidelength", "interior_cosine", "curvature23", "log_abs_outer_cosine")
 
 
-def _chord_samples(table, caustic, u, p1, p2):
+def _chord_samples(table, caustic, s, p1, p2):
     """The per-chord g(u) of each average at the chords tangent at u, one row
     per _CHORD_QUANTITIES entry: chord length, interior cosine, the mean of
     kappa^(2/3) at the two endpoints and log|outer cosine| (-inf where ca = 0).
 
-    p1 and p2, shape (len(u), 2), are the endpoints P1(u) and P2(u), which the
-    caller has at hand: the quadrature route from endpoint_coordinates, an
-    orbit from its certified vertices.  Every conic_geometry function is looked
-    up at call time, so a wrapper bound there sees every call.
+    s = sin^2 u and the endpoints p1 = P1(u), p2 = P2(u), shape (len(s), 2),
+    are what the caller has at hand: a quadrature grid takes cos u and sin u
+    once for them, an orbit hands out its certified vertices and sin^2 of its
+    points.  Every conic_geometry function is looked up at call time, so a
+    wrapper bound there sees every call.
     """
-    rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(u))
-    rows[0] = cg.chord_length(table, caustic, u)
+    rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(s))
+    rows[0] = cg._chord_length_at(table, caustic, s)
     rows[1] = cg._interior_cosine_at(table, caustic, p1[:, 1], p2[:, 1])
     rows[2] = cg.curvature23(table, p1)
     rows[2] += cg.curvature23(table, p2)
     rows[2] *= 0.5
     with np.errstate(divide="ignore"):
-        rows[3] = np.log(np.abs(cg.outer_cosine(table, caustic, u)))
+        rows[3] = np.log(np.abs(cg._outer_cosine_at(table, caustic, s)))
     return rows
 
 
@@ -182,12 +184,14 @@ def _quadrature_averages(table, caustic):
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
     def weighted(u):
-        x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
+        cos_u, sin_u = np.cos(u), np.sin(u)
+        s = sin_u**2
+        x1, y1, x2, y2 = cg._endpoints(table, caustic, cos_u, sin_u)
         samples = _chord_samples(
-            table, caustic, u, np.stack([x1, y1], axis=-1), np.stack([x2, y2], axis=-1)
+            table, caustic, s, np.stack([x1, y1], axis=-1), np.stack([x2, y2], axis=-1)
         )
         pairs = np.empty((rows, 2, len(u)))
-        pairs[:, 0] = rho = cg.measure_density(table, caustic, u)
+        pairs[:, 0] = rho = cg._measure_density_at(table, caustic, s)
         np.multiply(samples[:rows], rho, out=pairs[:, 1])
         return pairs
 

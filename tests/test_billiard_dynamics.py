@@ -10,13 +10,14 @@ Proves:
    - the inverse step -next_tangency(-u) (the y -> -y reflection) inverts
      next_tangency to 1e-9
    - the lift step always lies in (0, pi)
-   - the cached orbit shared by every caller is read-only
+   - the cached orbit shared by every caller, its sin^2 u included, is
+     read-only, scalar or composed
    - lambda_N is solved once while seeded periodic orbits of period N are
      built; `import caustics` leaves scipy.optimize unloaded until the first
      solve (fresh interpreter)
    - a corrupted step is rejected by the orbit certificate in every caller,
-     through the composed path of a long orbit too; a corrupted composed
-     orbit raises as well
+     through the composed path of a long orbit too; a composed orbit with a
+     corrupted point raises as well
  Group 2 - Orbit iteration
    - n+1 angles and lifted parameters, strictly increasing lift
    - every chord tangent to the caustic, Joachimsthal constant at every
@@ -27,6 +28,11 @@ Proves:
      u0 mod 2 pi, shifted by the seed's whole turns, with u_sequence[0] = u0
    - 2e4-bounce composed orbits agree with the scalar loop to 1e-9 in the
      angles on a in {1, 1.2, 2, 5} x lambda/b^2 in {0.05, 0.3, 0.68, 0.95}
+   - the composed points (cos u, sin u) lie within 8.9e-16 of np.cos and
+     np.sin of their angles on a in {1, 1.2, 2, 5, 20}, lambda out to the
+     guard; 500-bounce composed vertices at (5, 0.99) and (20, 1 - 1e-6) are
+     within 7e-12 and 2.7e-9 of a 40-digit orbit, bounds set from the error
+     of the vertices read at the rounded angles
    - property: on any admitted (a, lambda, u0) and n up to 3e4, iterate_orbit
      returns angles whose every step re-checks against endpoint_coordinates
      and a lift that differs from them by whole turns, or raises
@@ -154,15 +160,20 @@ def test_prev_inverts_next():
 def test_cached_orbit_is_read_only():
     # iterate_orbit, time_average and the periodic certificate share one
     # cached orbit per (table, caustic, u0, n)
-    angles, verts = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, 100)
-    sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.1, 100)
-    assert sample.angles is angles and sample.vertex_sequence is verts
-    with pytest.raises(ValueError, match="read-only"):
-        angles[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        angles[:10] *= 2.0
-    with pytest.raises(ValueError, match="read-only"):
-        verts[3, 1] = 0.0
+    for n in (100, 1000):  # the scalar loop and a composed orbit
+        angles, verts, sin2 = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, n)
+        sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.1, n)
+        assert sample.angles is angles and sample.vertex_sequence is verts
+        with pytest.raises(ValueError, match="read-only"):
+            angles[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            angles[:10] *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            verts[3, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sin2[5] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sin2[:10] *= 2.0
 
 
 def test_period_is_solved_once_for_its_seeds(monkeypatch):
@@ -195,12 +206,18 @@ def test_root_solver_is_imported_by_the_first_solve():
 
 
 def corrupt(sequence):
-    """sequence with its middle angle moved by 1e-6."""
+    """sequence with its middle angle moved by 1e-6; where it also returns the
+    points (cos u, sin u), as the composed sequence does, the middle point
+    moves with its angle."""
 
     def corrupted(table, caustic, u0, n):
-        us = sequence(table, caustic, u0, n)
-        us[len(us) // 2] += 1e-6
-        return us
+        result = sequence(table, caustic, u0, n)
+        us = result[0] if isinstance(result, tuple) else result
+        k = len(us) // 2
+        us[k] += 1e-6
+        if isinstance(result, tuple):
+            result[1][k], result[2][k] = math.cos(us[k]), math.sin(us[k])
+        return result
 
     return corrupted
 
@@ -296,6 +313,63 @@ def test_composed_orbit_matches_the_scalar_loop(a, fraction):
     angles = iterate_orbit(table, caustic, 0.3, n).angles
     gap = angles - bd._advance_sequence(table, caustic, 0.3, n)
     assert np.max(np.abs((gap + math.pi) % bd._TAU - math.pi)) < 1e-9
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0, 20.0])
+def test_composed_points_are_the_cosines_and_sines_of_their_angles(a):
+    """The composed orbit hands out its points (cos u, sin u) with their
+    angles, so neither is taken again; each lies within 8.9e-16 of np.cos
+    and np.sin of its angle (measured: 3.3e-16), out to the guard."""
+    table = cg.BilliardTable(a, 1.0)
+    for fraction in (0.01, 0.3, 0.68, 0.95, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9):
+        angles, cos_u, sin_u = bd._composed_sequence(table, cg.CausticSpec(fraction), 0.3, 20_000)
+        assert len(angles) == len(cos_u) == len(sin_u) == 20_001
+        assert np.max(np.abs(cos_u - np.cos(angles))) <= 8.9e-16, fraction
+        assert np.max(np.abs(sin_u - np.sin(angles))) <= 8.9e-16, fraction
+
+
+def forty_digit_vertices(a, lam, u0, n):
+    """Vertices of the n-step orbit from u0 at 40 digits (b = 1), P2 at u0 and
+    then P1 at each tangency: each chord is the tangent line at
+    (a_c cos u, b_c sin u) cut by the boundary, and the next tangency is the
+    other tangent from its forward endpoint, phi + arccos(1/R)."""
+    with mp.workdps(40):
+        a, lam = mp.mpf(a), mp.mpf(lam)
+        ac, bc = mp.sqrt(a * a - lam), mp.sqrt(1 - lam)
+
+        def forward_and_backward(u):
+            tx, ty, dx, dy = ac * mp.cos(u), bc * mp.sin(u), -ac * mp.sin(u), bc * mp.cos(u)
+            qa, qb = dx * dx / (a * a) + dy * dy, tx * dx / (a * a) + ty * dy
+            qc = tx * tx / (a * a) + ty * ty - 1
+            root = mp.sqrt(qb * qb - qa * qc)
+            return [(tx + t * dx, ty + t * dy) for t in ((root - qb) / qa, (-root - qb) / qa)]
+
+        u = mp.mpf(u0)
+        vertices = [forward_and_backward(u)[1]]
+        for _ in range(n):
+            x, y = forward_and_backward(u)[0]
+            vertices.append((x, y))
+            u = mp.atan2(y / bc, x / ac) + mp.acos(1 / mp.sqrt((x / ac) ** 2 + (y / bc) ** 2))
+        return np.array(vertices, dtype=float)
+
+
+# (a, lambda/b^2, bound): composed vertices read at the rounded angles were
+# 5.48e-12 and 2.15e-9 off the 40-digit orbit at 500 bounces; the bounds
+# leave about 25% over that
+COMPOSED_ERRORS = ((5.0, 0.99, 7e-12), (20.0, 1.0 - 1e-6, 2.7e-9))
+
+
+@pytest.mark.parametrize("a, fraction, bound", COMPOSED_ERRORS)
+def test_composed_vertices_against_a_40_digit_orbit(a, fraction, bound):
+    """Vertices read at the composed points are no farther from a 40-digit
+    orbit than those read at the rounded angles were: the points move the
+    vertices by roundoff (up to 5.8e-12 near the guard), far inside the
+    orbit's own error."""
+    n = 500
+    assert n >= bd._COMPOSE_MIN
+    table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
+    vertices = iterate_orbit(table, caustic, 0.1, n).vertex_sequence
+    assert np.max(np.abs(vertices - forty_digit_vertices(a, fraction, 0.1, n))) <= bound
 
 
 # (a, lambda/b^2, u0, n) near the guard, where the lifted u's, each rounded at

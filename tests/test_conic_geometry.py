@@ -9,6 +9,7 @@ Proves:
    - endpoints from the tangent-line/ellipse quadratic match endpoint_coordinates
    - on-boundary and tangency residuals over random (table, lambda, u)
    - periodicity and branch consistency of the P1/P2 labels
+   - a degenerate chord (psi <= 0) raises naming its first index and angle
  Group 3 - Lengths, cosines, curvature
    - chord_length equals the Euclidean endpoint distance everywhere
    - joachimsthal equals sqrt(lambda)/(ab) and the chord inner products
@@ -194,6 +195,22 @@ def test_endpoints_match_tangent_line_oracle():
         direct = max(math.dist(p1, o1), math.dist(p2, o2))
         swapped = max(math.dist(p1, o2), math.dist(p2, o1))
         assert min(direct, swapped) < 1e-10
+
+
+def test_degenerate_chord_names_its_first_index():
+    """The psi guard names the first failing index and its angle, atan2 of
+    the sine and cosine it was given, not the whole input."""
+    caustic = cg.CausticSpec(0.5)
+    u = np.linspace(0.0, 6.0, 1000)
+    u[[417, 600]] = np.nan
+    with pytest.raises(NumericalError, match=r"psi <= 0 at index 417, u=nan$"):
+        cg.endpoint_coordinates(T2, caustic, u)
+    with pytest.raises(NumericalError, match=r"psi <= 0 at index 0, u=nan$"):
+        cg.endpoint_coordinates(T2, caustic, math.nan)
+    # (cos u, sin u) = (0, 0) is no point of the circle: psi = 0 there
+    cos_u, sin_u = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -0.0])
+    with pytest.raises(NumericalError, match=r"psi <= 0 at index 1, u=0\.0$"):
+        cg._endpoints(T2, caustic, cos_u, sin_u)
 
 
 def test_chord_periodicity():

@@ -11,6 +11,9 @@ Proves:
      a quadrature of its own [rho, g rho] pair on 40 cells (the circle and
      the near-guard cells included); a sample made discontinuous fails only
      its own average
+   - the shared grid's integrand, which takes cos u and sin u once, equals
+     bit for bit one built from the public functions of u on every node of
+     those 40 cells
    - the first integrand call evaluates 512 nodes and the levels up to 512
      are replayed from it: values, defects and raises are bit for bit those
      of the level-by-level loop (tests/oracles.py) on the test integrands and
@@ -212,6 +215,47 @@ def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
             assert got[quantity] == (float(raw / z), float(defect / z)), (a, fraction, quantity)
 
 
+def public_integrand(table, caustic):
+    """The shared grid's integrand, [rho, g rho] for each sample the grid
+    holds (all but log|outer cosine| where ca = 0), built from the public
+    functions of u alone."""
+    rows = len(TIME_AVERAGE_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
+
+    def weighted(u):
+        rho = cg.measure_density(table, caustic, u)
+        return np.stack([np.stack([rho, chord_sample(quantity, table, caustic, u) * rho])
+                         for quantity in TIME_AVERAGE_QUANTITIES[:rows]])
+
+    return weighted
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
+def test_shared_grid_integrand_is_the_public_functions_of_u(monkeypatch, a):
+    """The quadrature integrand takes cos u and sin u once and calls the
+    private forms; on every node of every cell it gives, bit for bit, what
+    the public functions of u give, so the averages, their estimates and
+    their raises are those of the public integrand."""
+    table, quadrature = cg.BilliardTable(a, 1.0), sa.periodic_quadrature
+    for fraction in CELLS:
+        caustic = cg.CausticSpec(fraction)
+        public, calls = public_integrand(table, caustic), []
+
+        def checked(f):
+            def both(u):
+                got = f(u)
+                assert got.tobytes() == public(u).tobytes(), (a, fraction)
+                return got
+
+            got = quadrature(both)
+            assert_same_quadrature(got, quadrature(public))
+            calls.append(f)
+            return got
+
+        monkeypatch.setattr(sa, "periodic_quadrature", checked)
+        shared_grid_averages(table, caustic)
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
 def test_shared_grid_on_the_first_grid_is_the_level_by_level_loop(monkeypatch, a):
     """Every caustic's grouped quadrature gives, bit for bit, the values and
@@ -239,9 +283,10 @@ def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
     intact = shared_grid_averages(table, caustic)
     samples = sa._chord_samples
 
-    def with_a_jump(table, caustic, u, p1, p2):
-        rows = samples(table, caustic, u, p1, p2)
-        rows[TIME_AVERAGE_QUANTITIES.index(broken)] = jump(u)
+    def with_a_jump(table, caustic, s, p1, p2):
+        # a step in s = sin^2 u jumps at the four u where sin^2 u = 0.3
+        rows = samples(table, caustic, s, p1, p2)
+        rows[TIME_AVERAGE_QUANTITIES.index(broken)] = np.where(s < 0.3, 0.0, 1.0)
         return rows
 
     monkeypatch.setattr(sa, "_chord_samples", with_a_jump)
@@ -256,14 +301,15 @@ def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts of endpoint_coordinates passes and of periodic_quadrature calls
-    and their integrand calls ("levels"), with the nodes of each call."""
+    """Counts of endpoint passes (conic_geometry._endpoints, which
+    endpoint_coordinates calls too) and of periodic_quadrature calls and
+    their integrand calls ("levels"), with the nodes of each call."""
     counts = {"endpoints": 0, "quadratures": 0, "levels": 0, "grids": []}
-    endpoints, quadrature = cg.endpoint_coordinates, sa.periodic_quadrature
+    endpoints, quadrature = cg._endpoints, sa.periodic_quadrature
 
-    def counting_endpoints(table, caustic, u):
+    def counting_endpoints(table, caustic, cos_u, sin_u):
         counts["endpoints"] += 1
-        return endpoints(table, caustic, u)
+        return endpoints(table, caustic, cos_u, sin_u)
 
     def counting_quadrature(f):
         def level(u):
@@ -274,7 +320,7 @@ def passes(monkeypatch):
         counts["quadratures"] += 1
         return quadrature(level)
 
-    monkeypatch.setattr(cg, "endpoint_coordinates", counting_endpoints)
+    monkeypatch.setattr(cg, "_endpoints", counting_endpoints)
     monkeypatch.setattr(sa, "periodic_quadrature", counting_quadrature)
     return counts
 
