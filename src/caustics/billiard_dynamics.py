@@ -301,11 +301,14 @@ def _orbit_means(table, caustic, u0, n):
     """(mean over the first n chords, mean over the first half of them) of
     each per-chord sample, in TIME_AVERAGE_QUANTITIES order, from one pass of
     _chord_samples over the certified orbit.  Chord k joins vertex k to
-    vertex k+1, which _orbit certified as P2 and P1 at point k, so the samples
-    read the vertices and the points' sin^2 u, and evaluate no endpoint and
-    no trigonometric function again."""
+    vertex k+1, which _orbit certified as P2 and P1 at point k, so each
+    vertex's inverse focal product and kappa^(2/3) are evaluated once and
+    read by both of its chords, with the points' sin^2 u: no endpoint, no
+    boundary check and no trigonometric function is evaluated again."""
     _, vertices, sin2 = _orbit(table, caustic, u0, n)
-    samples = _chord_samples(table, caustic, sin2[:n], vertices[1:], vertices[:-1])
+    x, y = vertices[:, 0], vertices[:, 1]
+    q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
+    samples = _chord_samples(table, caustic, sin2[:n], q[1:], q[:-1], k[1:], k[:-1])
     full = np.mean(samples, axis=-1).tolist()
     half = np.mean(samples[:, : max(1, n // 2)], axis=-1).tolist()
     return tuple(zip(full, half))

@@ -6,12 +6,14 @@ The outer ellipse x^2/a^2 + y^2/b^2 = 1 is the billiard boundary; the inner
 by the angular parameter u of its tangency point.  This module computes the
 chord endpoints, lengths, vertex cosines, outer-normal cosines, curvature and
 the invariant measure density, all as plain functions of (table, caustic, u).
-Each formula is written once, in the trigonometric values it needs: the
-endpoints in (cos u, sin u) (_endpoints), the chord length, outer cosine and
-density in s = sin^2 u (_chord_length_at, _outer_cosine_at,
-_measure_density_at).  The public functions of u wrap them; an orbit or a
-quadrature grid, which needs several of them at the same u, takes cos and sin
-once and calls the private forms.
+Each formula is written once, in the values it needs: the endpoints in
+(cos u, sin u) (_endpoints), the chord length, outer cosine and density in
+s = sin^2 u (_chord_length_at, _outer_cosine_at, _measure_density_at), and
+kappa^(2/3) and the inverse focal product 1/(d1 d2) at a boundary point
+(_curvature23_at, _inverse_focal_product).  The public functions wrap them;
+an orbit or a quadrature grid takes cos and sin once, evaluates each point
+once and calls the private forms, which check no point against the boundary:
+only curvature23 does (_boundary_residual, which evaluate_invariants reports).
 """
 from __future__ import annotations
 
@@ -176,14 +178,14 @@ def interior_cosine(table, caustic, u):
     identity sum(cos theta_i) = J L - N.  u may be an array.
     """
     _, y1, _, y2 = endpoint_coordinates(table, caustic, u)
-    val = _interior_cosine_at(table, caustic, y1, y2)
+    q1, q2 = _inverse_focal_product(table, y1), _inverse_focal_product(table, y2)
+    val = caustic.lam * (q1 + q2) - 1.0
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _interior_cosine_at(table, caustic, y1, y2):
-    """interior_cosine from the ordinates y1, y2 of the chord's endpoints."""
-    b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
-    return caustic.lam * (1.0 / (b2 + c2_b2 * y1 * y1) + 1.0 / (b2 + c2_b2 * y2 * y2)) - 1.0
+def _inverse_focal_product(table, y):
+    """1/(d1 d2) = 1/(b^2 + c^2 y^2/b^2) at the boundary points of ordinate y."""
+    return 1.0 / (table.b * table.b + table.c2 / table.b**2 * y * y)
 
 
 def _ca(table, caustic):
@@ -248,17 +250,28 @@ def curvature23(table, p):
     The linear identity kappa^(2/3) = (a b)^(-4/3) (1 + cos theta)/(2 J^2), with
     cos theta = 2 lam/(d1 d2) - 1 the vertex cosine, holds for every caustic
     (the 2 J^2 = 2 lam/(a^2 b^2) factor cancels the lam dependence).
-    p has shape (2,) or (..., 2); raises DomainError off the boundary.
+    p has shape (2,) or (..., 2); raises DomainError off the boundary
+    (_boundary_residual), which _curvature23_at does not check.
     """
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
+    _boundary_residual(table, x, y)
+    val = _curvature23_at(table, x, y)
+    return float(val) if p.ndim == 1 else val
+
+
+def _curvature23_at(table, x, y):
+    """curvature23 at the boundary points (x, y), which are not checked."""
     a, b = table.a, table.b
-    res = np.abs(x * x / a**2 + y * y / b**2 - 1.0)
+    return (a * b) ** (-4.0 / 3.0) / (x * x / a**4 + y * y / b**4)
+
+
+def _boundary_residual(table, x, y):
+    """The largest |x^2/a^2 + y^2/b^2 - 1| of the points (x, y); DomainError
+    if a point's exceeds 1e-8."""
+    res = np.abs(x * x / table.a**2 + y * y / table.b**2 - 1.0)
     if np.any(res > 1e-8):
         raise DomainError(
             f"point not on the billiard boundary (residual {float(np.max(res)):.3e} > 1e-8)"
         )
-    val = (a * b) ** (-4.0 / 3.0) / (x * x / a**4 + y * y / b**4)
-    if p.ndim == 1:
-        return float(val)
-    return val
+    return float(np.max(res))

@@ -12,11 +12,12 @@ are evaluated together, once per caustic (_closed_forms), and both routes are
 cross-checked.  The quadrature route integrates Z itself, so it evaluates no
 elliptic integral and no closed form.
 All four per-chord samples are evaluated together (_chord_samples), from one
-cos u and sin u per node, and one periodic_quadrature call per caustic
-integrates them all on one grid: each average pairs its sample with Z and
-converges, or fails, on its own.  That
-call evaluates its first six levels (16 to 512 nodes) in one integrand call,
-and most caustics converge within them.
+cos u and sin u per node and each endpoint's kappa^(2/3) and inverse focal
+product, and one periodic_quadrature call per caustic integrates them all on
+one grid: each average pairs its sample with Z and converges, or fails, on
+its own.  The samples are pi-periodic, so the grid holds the chords at u in
+[0, pi), each once.  Its first integrand call evaluates the first six levels
+(16 to 512 nodes), and 98% of bulk-sweep's caustics converge within them.
 """
 from __future__ import annotations
 
@@ -48,9 +49,10 @@ _QUAD_TOL = 1e-12
 _MAX_NODES = 2**20
 # periodic_quadrature's first integrand call evaluates this grid, which holds
 # levels 16 through 512.  Below about 1,000 nodes a call costs nearly the same
-# whatever its size (numpy dispatch, not nodes), and of bulk-sweep's caustics
-# 55% converge by 256 nodes, 34% at 512 and 11% beyond, so evaluating ahead
-# to 512 wastes little and saves the level-by-level calls.
+# whatever its size (numpy dispatch, not nodes), and of seed 3's 1,024
+# bulk-sweep caustics 90% converge by 256 nodes of the half period, 8% at 512
+# and 2% beyond (56/34/10 on the full period), so evaluating ahead to 512
+# wastes little and saves the level-by-level calls.
 _FIRST_GRID = 512
 
 
@@ -147,22 +149,23 @@ def normalization(table, caustic) -> float:
 _CHORD_QUANTITIES = ("sidelength", "interior_cosine", "curvature23", "log_abs_outer_cosine")
 
 
-def _chord_samples(table, caustic, s, p1, p2):
+def _chord_samples(table, caustic, s, q1, q2, k1, k2):
     """The per-chord g(u) of each average at the chords tangent at u, one row
     per _CHORD_QUANTITIES entry: chord length, interior cosine, the mean of
     kappa^(2/3) at the two endpoints and log|outer cosine| (-inf where ca = 0).
 
-    s = sin^2 u and the endpoints p1 = P1(u), p2 = P2(u), shape (len(s), 2),
-    are what the caller has at hand: a quadrature grid takes cos u and sin u
-    once for them, an orbit hands out its certified vertices and sin^2 of its
-    points.  Every conic_geometry function is looked up at call time, so a
-    wrapper bound there sees every call.
+    s = sin^2 u and the inverse focal products q1, q2 and kappa^(2/3) k1, k2
+    at P1(u) and P2(u) are what the caller has at hand: a quadrature grid
+    takes cos u and sin u once for them, an orbit evaluates each certified
+    vertex once and hands out sin^2 of its points.  Every conic_geometry
+    function is looked up at call time, so a wrapper bound there sees every
+    call.
     """
     rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(s))
     rows[0] = cg._chord_length_at(table, caustic, s)
-    rows[1] = cg._interior_cosine_at(table, caustic, p1[:, 1], p2[:, 1])
-    rows[2] = cg.curvature23(table, p1)
-    rows[2] += cg.curvature23(table, p2)
+    rows[1] = caustic.lam * (q1 + q2) - 1.0
+    rows[2] = k1
+    rows[2] += k2
     rows[2] *= 0.5
     with np.errstate(divide="ignore"):
         rows[3] = np.log(np.abs(cg._outer_cosine_at(table, caustic, s)))
@@ -176,21 +179,25 @@ def _quadrature_averages(table, caustic):
 
     Group i pairs rho with g_i rho, so average i is integral g_i rho over
     integral rho = Z on the same nodes, frozen at the first level where both
-    defects are below _QUAD_TOL; its error estimate is defect / Z.  Nothing
-    here evaluates an elliptic integral, so this route stays independent of
-    the closed forms.  At ca = 0, log|outer cosine| is -inf on every node: its
-    row is left out of the grid and reads (-inf, 0.0, 0.0, None).
+    defects are below _QUAD_TOL; its error estimate is defect / Z.  The chord
+    at u + pi is the chord at u turned by pi, so the grid integrates each
+    pi-periodic f as f(v/2) over v in [0, 2pi): n nodes, one per chord, give
+    the 2n-node trapezoid of f.  Nothing here evaluates an elliptic integral,
+    so this route stays independent of the closed forms.  At ca = 0,
+    log|outer cosine| is -inf on every node: its row is left out of the grid
+    and reads (-inf, 0.0, 0.0, None).
     """
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
-    def weighted(u):
+    def weighted(v):
+        u = 0.5 * v
         cos_u, sin_u = np.cos(u), np.sin(u)
         s = sin_u**2
         x1, y1, x2, y2 = cg._endpoints(table, caustic, cos_u, sin_u)
-        samples = _chord_samples(
-            table, caustic, s, np.stack([x1, y1], axis=-1), np.stack([x2, y2], axis=-1)
-        )
-        pairs = np.empty((rows, 2, len(u)))
+        q1, q2 = cg._inverse_focal_product(table, y1), cg._inverse_focal_product(table, y2)
+        k1, k2 = cg._curvature23_at(table, x1, y1), cg._curvature23_at(table, x2, y2)
+        samples = _chord_samples(table, caustic, s, q1, q2, k1, k2)
+        pairs = np.empty((rows, 2, len(v)))
         pairs[:, 0] = rho = cg._measure_density_at(table, caustic, s)
         np.multiply(samples[:rows], rho, out=pairs[:, 1])
         return pairs

@@ -59,6 +59,10 @@ Proves:
      spatial route to 1e-9 on a in {1.2, 2, 5}
    - error estimate and bookkeeping fields; at ca = 0 (circle lambda = 1/2,
      a = 2 lambda = 0.8) log|outer cosine| averages to -inf with estimate 0
+   - the four time averages, which evaluate each vertex once for both of its
+     chords, are bit for bit the means of samples built chord by chord from
+     the public curvature23 and the focal-identity cosine at both vertices,
+     on scalar and composed orbits, at ca = 0 and near the guard
 """
 from __future__ import annotations
 
@@ -586,6 +590,51 @@ def test_log_outer_time_average_where_ca_vanishes(table, lam):
     res = time_average(table, caustic, "log_abs_outer_cosine", 1000)
     assert (res.value, res.err_estimate) == (-math.inf, 0.0)
     assert sa.log_geomean_outer(table, caustic) == (-math.inf, 0)
+
+
+def samples_at_the_vertices(table, caustic, u0, n):
+    """The four per-chord samples of the certified orbit's n chords, each
+    chord's built from both of its vertices: the mean of the public
+    curvature23 at them, and interior_cosine's focal identity
+    lam (1/(d1 d2) + 1/(d1 d2)) - 1 with d1 d2 = b^2 + c^2 y^2/b^2 at them;
+    the chord length and outer cosine at the points' sin^2 u."""
+    _, vertices, sin2 = bd._orbit(table, caustic, u0, n)
+    p1, p2 = vertices[1:], vertices[:-1]
+    b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
+    rows = np.empty((len(TIME_AVERAGE_QUANTITIES), n))
+    rows[0] = cg._chord_length_at(table, caustic, sin2[:n])
+    rows[1] = caustic.lam * (
+        1.0 / (b2 + c2_b2 * p1[:, 1] * p1[:, 1]) + 1.0 / (b2 + c2_b2 * p2[:, 1] * p2[:, 1])
+    ) - 1.0
+    rows[2] = 0.5 * (cg.curvature23(table, p1) + cg.curvature23(table, p2))
+    with np.errstate(divide="ignore"):
+        rows[3] = np.log(np.abs(cg._outer_cosine_at(table, caustic, sin2[:n])))
+    return rows
+
+
+@pytest.mark.parametrize("table, lam", [(T5, 0.61), (T2, 0.8), (CIRCLE, 0.3),
+                                        (cg.BilliardTable(20.0, 1.0), 1.0 - 1e-6)])
+@pytest.mark.parametrize("n", [150, 2000], ids=["scalar", "composed"])
+def test_time_averages_evaluate_each_vertex_once(table, lam, n):
+    """The time averages evaluate each vertex once, for both chords that
+    share it, and give bit for bit the means of the samples built chord by
+    chord from both vertices (samples_at_the_vertices), on scalar and
+    composed orbits, at ca = 0 and near the guard.  On a scalar orbit the
+    chord length and outer cosine are those of the public functions of its
+    angles."""
+    caustic = cg.CausticSpec(lam)
+    rows = samples_at_the_vertices(table, caustic, 0.1, n)
+    half = rows[:, : n // 2]
+    want = tuple(zip(np.mean(rows, axis=-1).tolist(), np.mean(half, axis=-1).tolist()))
+    assert bd._orbit_means(table, caustic, 0.1, n) == want
+    for quantity, (value, _) in zip(TIME_AVERAGE_QUANTITIES, want):
+        assert time_average(table, caustic, quantity, n).value == value
+    if n < bd._COMPOSE_MIN:
+        angles = bd._orbit(table, caustic, 0.1, n)[0][:n]
+        assert rows[0].tobytes() == cg.chord_length(table, caustic, angles).tobytes()
+        with np.errstate(divide="ignore"):
+            outer = np.log(np.abs(cg.outer_cosine(table, caustic, angles)))
+        assert rows[3].tobytes() == outer.tobytes()
 
 
 def test_time_average_validation():

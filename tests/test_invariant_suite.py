@@ -16,9 +16,13 @@ Proves:
    - product sign equals sign(ca)^N
    - ten-seed relative spreads below 1e-8 for all reported invariants
    - residual bookkeeping: every defect recorded and small
+   - the vertices are checked against the boundary once: sum_kappa23 and
+     boundary_max are bit for bit the public curvature23's, and a vertex off
+     the boundary raises curvature23's DomainError
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -122,6 +126,26 @@ def test_ten_seed_invariance():
             values = np.array([getattr(r, field) for r in reports])
             spread = float(np.ptp(values)) / float(np.max(np.abs(values)))
             assert spread < 1e-8, (table.a, n, field)
+
+
+def test_boundary_is_checked_once_with_curvature23s_error():
+    """evaluate_invariants checks the vertices against the boundary once: its
+    kappa^(2/3) sum and boundary residual are bit for bit the public
+    curvature23's sum and the residual's maximum, and a vertex moved off the
+    boundary raises curvature23's DomainError, message included."""
+    orbit = build_periodic_orbit(T5, 7, seed_u=0.4)
+    v, table = orbit.vertices, orbit.table
+    report = evaluate_invariants(orbit)
+    assert report.sum_kappa23 == float(np.sum(cg.curvature23(table, v)))
+    residual = np.abs(v[:, 0] ** 2 / table.a**2 + v[:, 1] ** 2 / table.b**2 - 1.0)
+    assert report.identity_residuals["boundary_max"] == float(np.max(residual))
+    moved = v.copy()
+    moved[3] *= 1.0 + 1e-7
+    with pytest.raises(DomainError) as public:
+        cg.curvature23(table, moved)
+    with pytest.raises(DomainError, match="not on the billiard boundary") as raised:
+        evaluate_invariants(dataclasses.replace(orbit, vertices=moved))
+    assert str(raised.value) == str(public.value)
 
 
 def test_residuals_recorded():

@@ -7,13 +7,19 @@ Proves:
    - exact smooth integrals, spectral convergence, non-convergence error
    - groups on one grid: a group that does not converge is reported, not
      raised, and leaves the others as they are alone
-   - each of the four averages, read off one shared grid, equals bit for bit
-     a quadrature of its own [rho, g rho] pair on 40 cells (the circle and
-     the near-guard cells included); a sample made discontinuous fails only
-     its own average
+   - each of the four averages, read off one shared grid over the half period
+     u = v/2 in [0, pi), equals bit for bit a quadrature of its own
+     [rho, g rho] pair at v/2 on 40 cells (the circle and the near-guard
+     cells included); a sample made discontinuous fails only its own average
    - the shared grid's integrand, which takes cos u and sin u once, equals
-     bit for bit one built from the public functions of u on every node of
-     those 40 cells
+     bit for bit one built from the public functions of u = v/2 on every
+     node of those 40 cells
+   - property: rho and the four samples of the chord at the point
+     (-cos u, -sin u), at u + pi, are those at u to 4 ulps for a in [1, 20]
+     and lambda out to the guard, which the half period rests on; its
+     averages and Z match a full-period quadrature of the public integrand
+     to 1e-15 relative on 36 of the 40 cells, to 5e-14 on the four at
+     lambda = b^2 (1 - 1e-6)
    - the first integrand call evaluates 512 nodes and the levels up to 512
      are replayed from it: values, defects and raises are bit for bit those
      of the level-by-level loop (tests/oracles.py) on the test integrands and
@@ -57,6 +63,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
 import caustics.elliptic_integrals as ei
@@ -173,6 +181,12 @@ def chord_sample(quantity, table, caustic, u):
     return np.log(np.abs(cg.outer_cosine(table, caustic, u)))
 
 
+def on_the_half_period(f):
+    """f(v/2): the shared grid integrates its pi-periodic integrand as this
+    function of v in [0, 2pi), whose n-node trapezoid is f's 2n-node one."""
+    return lambda v: f(0.5 * v)
+
+
 def shared_grid_averages(table, caustic):
     """{quantity: value or NumericalError} of the four averages, read off a
     fresh shared grid that is not left in the cache for later callers."""
@@ -195,9 +209,9 @@ CELLS = (0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99, 1.0 - 1e-6)
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
 def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
     """Each average converges on its own [rho, g rho] pair: the shared grid
-    gives bit for bit what a quadrature of that pair alone gives, error
-    estimate and failures included.  lambda = b^2 (1 - 1e-6) is the cell of
-    the 40-digit references below."""
+    gives bit for bit what a quadrature of that pair alone, on the same half
+    period u = v/2, gives, error estimate and failures included.
+    lambda = b^2 (1 - 1e-6) is the cell of the 40-digit references below."""
     table = cg.BilliardTable(a, 1.0)
     for fraction in CELLS:
         caustic = cg.CausticSpec(fraction)
@@ -208,7 +222,7 @@ def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
                 return np.stack([rho, chord_sample(quantity, table, caustic, u) * rho])
 
             try:
-                (z, raw), defect = sa.periodic_quadrature(pair)
+                (z, raw), defect = sa.periodic_quadrature(on_the_half_period(pair))
             except NumericalError:
                 assert isinstance(got[quantity], NumericalError), (a, fraction, quantity)
                 continue
@@ -231,14 +245,15 @@ def public_integrand(table, caustic):
 
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
 def test_shared_grid_integrand_is_the_public_functions_of_u(monkeypatch, a):
-    """The quadrature integrand takes cos u and sin u once and calls the
-    private forms; on every node of every cell it gives, bit for bit, what
-    the public functions of u give, so the averages, their estimates and
-    their raises are those of the public integrand."""
+    """The quadrature integrand takes cos u and sin u once at u = v/2 and
+    calls the private forms; on every node of every cell it gives, bit for
+    bit, what the public functions of u give there, so the averages, their
+    estimates and their raises are those of the public integrand on the same
+    half period."""
     table, quadrature = cg.BilliardTable(a, 1.0), sa.periodic_quadrature
     for fraction in CELLS:
         caustic = cg.CausticSpec(fraction)
-        public, calls = public_integrand(table, caustic), []
+        public, calls = on_the_half_period(public_integrand(table, caustic)), []
 
         def checked(f):
             def both(u):
@@ -254,6 +269,76 @@ def test_shared_grid_integrand_is_the_public_functions_of_u(monkeypatch, a):
         monkeypatch.setattr(sa, "periodic_quadrature", checked)
         shared_grid_averages(table, caustic)
         assert len(calls) == 1
+
+
+def samples_at_the_points(table, caustic, cos_u, sin_u):
+    """rho and the four samples, in _CHORD_QUANTITIES order, of the chords
+    tangent at the points (cos u, sin u), built from the private forms as the
+    shared grid builds them."""
+    s = sin_u**2
+    x1, y1, x2, y2 = cg._endpoints(table, caustic, cos_u, sin_u)
+    ends = (cg._inverse_focal_product(table, y1), cg._inverse_focal_product(table, y2),
+            cg._curvature23_at(table, x1, y1), cg._curvature23_at(table, x2, y2))
+    rho = cg._measure_density_at(table, caustic, s)
+    return np.vstack([rho, sa._chord_samples(table, caustic, s, *ends)])
+
+
+def within_ulps(got, want, ulps=4):
+    """got equals want (-inf included) or lies within ulps of it."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf
+        return np.all((got == want) | (np.abs(got - want) <= ulps * np.spacing(np.abs(want))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(1.0, 20.0), st.floats(1e-9, sa._DEGENERACY_GUARD), st.floats(0.0, math.pi))
+def test_rho_and_the_samples_are_pi_periodic(a, fraction, u):
+    """The confocal pair is centrally symmetric: the point at u + pi is
+    (-cos u, -sin u), the chord tangent there is the chord at u turned by pi,
+    and rho and all four samples on it equal their values at u to within a
+    few ulps, for a in [1, 20] and lambda out to the guard.  The half-period
+    quadrature rests on this: _quadrature_averages integrates the samples over
+    u in [0, pi) only, and its n nodes give the 2n-node trapezoid of the full
+    period.  The point is negated exactly, so the rounding of the angle
+    u + pi, no property of the formulas, stays out (the public functions of
+    u + pi are checked in test_conic_geometry)."""
+    table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
+    angles = u + np.linspace(0.0, math.pi, 16, endpoint=False)
+    cos_u, sin_u = np.cos(angles), np.sin(angles)
+    for end, turned in zip(cg._endpoints(table, caustic, cos_u, sin_u),
+                           cg._endpoints(table, caustic, -cos_u, -sin_u)):
+        assert within_ulps(-turned, end)
+    here = samples_at_the_points(table, caustic, cos_u, sin_u)
+    turned = samples_at_the_points(table, caustic, -cos_u, -sin_u)
+    assert within_ulps(turned, here), (a, fraction, u)
+
+
+# Relative bound of the half-period averages against the full period's: on
+# the near-guard cell rho peaks at width b_c/c (2e-4 at a = 5), and the full
+# period's nodes in [pi, 2pi) round u + pi, so its two halves differ there by
+# up to 9e-14 on the same chords; elsewhere both agree to a few ulps.
+FULL_PERIOD_REL = {1.0 - 1e-6: 5e-14}
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
+def test_half_period_averages_are_the_full_period_quadrature(a):
+    """Each average and its Z on the shared grid, which integrates u in
+    [0, pi), converge where a quadrature of public_integrand over the full
+    period u in [0, 2pi) converges, and match it to 1e-15 relative on every
+    cell but the near-guard one (measured: 6.2e-16), where the bound is 5e-14
+    (measured: 2.3e-14, at a = 5; both routes lie within 2.2e-13 of the
+    40-digit references below)."""
+    table = cg.BilliardTable(a, 1.0)
+    for fraction in CELLS:
+        caustic = cg.CausticSpec(fraction)
+        bound = FULL_PERIOD_REL.get(fraction, 1e-15)
+        half = sa._quadrature_averages(table, caustic)
+        values, defects = sa.periodic_quadrature(public_integrand(table, caustic))
+        for quantity, (value, _, defect, z), (z_full, raw), defect_full in zip(
+            TIME_AVERAGE_QUANTITIES, half, values, defects
+        ):
+            assert (defect < sa._QUAD_TOL) == (defect_full < sa._QUAD_TOL), (a, fraction, quantity)
+            assert abs(z - z_full) <= bound * z_full, (a, fraction, quantity)
+            assert abs(value - raw / z_full) <= bound * abs(raw / z_full), (a, fraction, quantity)
 
 
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
@@ -283,9 +368,9 @@ def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
     intact = shared_grid_averages(table, caustic)
     samples = sa._chord_samples
 
-    def with_a_jump(table, caustic, s, p1, p2):
-        # a step in s = sin^2 u jumps at the four u where sin^2 u = 0.3
-        rows = samples(table, caustic, s, p1, p2)
+    def with_a_jump(table, caustic, s, *ends):
+        # a step in s = sin^2 u jumps at the two u in [0, pi) where sin^2 u = 0.3
+        rows = samples(table, caustic, s, *ends)
         rows[TIME_AVERAGE_QUANTITIES.index(broken)] = np.where(s < 0.3, 0.0, 1.0)
         return rows
 
@@ -326,7 +411,7 @@ def passes(monkeypatch):
 
 
 def test_one_pass_over_the_samples_per_set_of_chords(passes):
-    # (5, 0.95) converges at 2048 nodes: three integrand calls
+    # (5, 0.95) converges at 1024 nodes of the half period: two integrand calls
     table, caustic = T5, cg.CausticSpec(0.95)
     for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
         average(table, caustic, method="quadrature")
@@ -341,14 +426,18 @@ def test_one_pass_over_the_samples_per_set_of_chords(passes):
 
 def test_first_grid_is_one_integrand_call(passes):
     """A caustic that converges by 512 nodes costs one integrand call; one
-    that needs 4096 evaluates each node of the 4096-node grid exactly once."""
+    that needs 2048 evaluates each node of the 2048-node grid exactly once.
+    The grids are in v = 2u, so 2048 nodes are the chords at the 2048 u of
+    [0, pi) (the 4096-node u-grid's first half); the full-period grid took
+    four calls for (5, 0.99)."""
     sa.mean_sidelength(T5, cg.CausticSpec(0.61), method="quadrature")
     assert [len(u) for u in passes["grids"]] == [512]
     passes["grids"].clear()
     sa.mean_sidelength(T5, cg.CausticSpec(0.99), method="quadrature")
     nodes = np.sort(np.concatenate(passes["grids"]))
-    assert len(passes["grids"]) == 4
-    assert np.array_equal(nodes, np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+    assert len(passes["grids"]) == 3
+    assert np.array_equal(nodes, np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False))
+    assert np.array_equal(0.5 * nodes, np.linspace(0.0, math.pi, 2048, endpoint=False))
 
 
 @pytest.mark.parametrize("table, lam", [(CIRCLE, 0.5), (T2, 0.8)])
@@ -604,7 +693,8 @@ def forty_digit_average(a, lam, quantity):
 def test_quadrature_near_the_guard_against_40_digits(a):
     """In float the a_c^2 - c^2 cos^2 u forms cancel near cos^2 u = 1 as
     lam -> b^2; the integrands' b_c^2 + c^2 sin^2 u forms keep the quadrature
-    within 1e-12 of the 40-digit references (measured: 1.6e-13 at worst)."""
+    within 1e-12 of the 40-digit references (measured: 2.1e-13 at worst, and
+    1.6e-13 when the grid spanned the full period)."""
     table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(1.0 - 1e-6)
     sidelength = sa.mean_sidelength(table, caustic, method="quadrature").value
     log_mean, _ = sa.log_geomean_outer(table, caustic)
