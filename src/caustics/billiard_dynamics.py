@@ -43,6 +43,7 @@ __all__ = [
 
 _SHARE_TOL = 1e-8  # endpoint-sharing residual accepted from the closed-form step
 _TAU = 2.0 * math.pi
+_SECANT_STEPS = 6  # brentq's secant steps toward a bracket; the poncelet pool takes at most 5
 _COMPOSE_MIN = 200  # orbit length from which composing wins; the measured break-even is ~150
 
 
@@ -193,9 +194,11 @@ def _orbit(table, caustic, u0, n):
     del x1, y1
     steps = angles[1:] - angles[:-1]
     steps += _TAU * (steps < 0.0)  # both angles lie in one interval of length 2pi
-    bad = np.flatnonzero(~((gap <= _SHARE_TOL**2) & (steps > 0.0) & (steps < math.pi)))
-    if bad.size:
-        k = bad[0]
+    ok = gap <= _SHARE_TOL**2
+    ok &= steps > 0.0
+    ok &= steps < math.pi
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first failing step
         raise NumericalError(
             f"billiard step {k} failed at u={angles[k]}, lam={caustic.lam}: "
             f"endpoint-sharing residual {math.sqrt(gap[k]):.3e}, advance {float(steps[k])!r}"
@@ -240,28 +243,96 @@ def rotation_number(table, caustic) -> float:
     return rho
 
 
-def brentq(f, a, b, **kwargs):
-    """scipy.optimize.brentq, imported on the first root solve: only
-    find_caustic_for_period needs it, and the import would be a third of
-    `import caustics`."""
-    from scipy.optimize import brentq as solve
+def brentq(f, lo, hi, x0, anchor, tol, maxiter=100):
+    """The root of the increasing function f on [lo, hi], from a first
+    evaluation at x0 and a known point anchor = (x, f(x)).
 
-    return solve(f, a, b, **kwargs)
+    Secant steps, held in [lo, hi], run from the anchor through x0 until two
+    points bracket the root; after _SECANT_STEPS of them, or at one that
+    finds f not increasing, the end of [lo, hi] beyond the last point is
+    evaluated instead.  Every evaluation at an end is the bracket check:
+    ValueError unless f(lo) < 0 < f(hi), as scipy.optimize.brentq raises it.
+    Then Brent's safeguard, as scipy runs it: a secant step while it stays
+    inside the bracket and below half the step before last, bisection
+    otherwise, so it cannot stall.  It returns the bracket's end with the
+    smaller |f| once the bracket is narrower than tol(x) there, and raises
+    NumericalError after maxiter evaluations of f.
+    """
+    evals = 0
+
+    def evaluate(x):
+        nonlocal evals
+        if evals == maxiter:
+            raise NumericalError(f"root solve did not converge in {maxiter} evaluations")
+        evals += 1
+        fx = f(x)
+        if (x == lo and not fx < 0.0) or (x == hi and not fx > 0.0):
+            raise ValueError(f"f has no sign change on [{lo!r}, {hi!r}]")
+        return fx
+
+    xpre, fpre = anchor
+    xcur = min(max(x0, lo), hi)
+    fcur = evaluate(xcur)
+    bracketed = False
+    for _ in range(_SECANT_STEPS):
+        if fcur == 0.0 or bracketed:
+            break
+        slope = (fcur - fpre) / (xcur - xpre)
+        if not slope > 0.0:
+            break
+        step, delta = -fcur / slope, 0.5 * tol(xcur)
+        xpre, fpre = xcur, fcur
+        xcur = min(max(xcur + (step if abs(step) > delta else math.copysign(delta, step)), lo), hi)
+        fcur = evaluate(xcur)
+        bracketed = (fcur > 0.0) != (fpre > 0.0)
+    if fcur != 0.0 and not bracketed:
+        xpre = lo if fcur > 0.0 else hi
+        fpre = evaluate(xpre)
+    # xblk is the bracket's other end; spre and scur, the steps before last and last
+    xblk, fblk = xpre, fpre
+    spre = scur = xcur - xpre
+    while True:
+        if (fpre > 0.0) != (fcur > 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * tol(xcur)
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            bisect = not 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (sbis, sbis) if bisect else (scur, stry)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = evaluate(xcur)
 
 
 def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     """Caustic parameter lam_n of the non-self-intersecting n-periodic family.
 
-    Solves rotation_number(lam) = 1/n by bracketed root-finding on
-    (b^2 1e-9, b^2 (1 - 1e-9)).  rho increases strictly with lam from 0; it
-    tends to 1/2 as lam -> b^2, but for a > b only logarithmically, so at the
-    upper guard it is below 1/2 (0.414 at a = 5) and periods n with 1/n above
-    it are not bracketed.  The root is certified independently of the solve:
-    the n-step orbit from u_0 = 0 must close after one turn, |u_n - u_0 - 2 pi|
-    <= 1e-10, read off its angles and their count of wraps (by Poncelet it
-    then closes from every seed).  On the circle lam_n = b^2 sin^2(pi/n) exactly.
-    The last two (table, n) solved are kept, so a caller that builds several
-    seeds of one period solves it once.
+    Solves rotation_number(lam) = 1/n on (b^2 1e-9, b^2 (1 - 1e-9)), the
+    degeneracy guard, in phi = atan2(sqrt(lam), b_c), so lam = b^2 sin^2 phi.
+    rho is phi/pi on the circle and nearly linear in phi elsewhere, and
+    since F(phi | m)/phi increases with phi, rho <= phi/pi: the root lies at
+    or above pi/n, the circle's root.  brentq starts there, takes its first
+    secant step from the exact rho(0) = 0 and stops within the tolerance of
+    a solve in lam, 1e-15 b^2 + 8.9e-16 lam; on the poncelet benchmark's
+    tables (a in [1, 5], n in [3, 40]) it evaluates rho 5.6 times per
+    period on average and at most 15 times.  rho increases strictly with
+    lam from 0; it tends to 1/2 as lam -> b^2, but for a > b only
+    logarithmically, so at the upper guard it is below 1/2 (0.414 at a = 5)
+    and periods n with 1/n above it are not bracketed: NumericalError, as
+    where a solve does not converge.  The root is certified independently
+    of the solve: the n-step orbit from u_0 = 0 must close after one turn,
+    |u_n - u_0 - 2 pi| <= 1e-10, read off its angles and their count of
+    wraps (by Poncelet it then closes from every seed).  On the circle
+    lam_n = b^2 sin^2(pi/n) exactly.  The last two (table, n) solved are
+    kept, so a caller that builds several seeds of one period solves it once.
     """
     if n < 3:
         raise DomainError(f"period must be >= 3; got n={n}")
@@ -273,22 +344,35 @@ def _caustic_for_period(table, n):
     """find_caustic_for_period's bracket, root solve and closure certificate."""
     b2 = table.b * table.b
     lo, hi = 1e-9 * b2, _DEGENERACY_GUARD * b2
+    phi_lo, phi_hi = (math.atan2(math.sqrt(lam), math.sqrt(b2 - lam)) for lam in (lo, hi))
 
-    def excess(lam):
-        return rotation_number(table, cg.CausticSpec(lam)) - 1.0 / n
+    def lam_at(phi):  # lo and hi at the ends of the bracket, where b^2 sin^2 may round off them
+        if phi <= phi_lo or phi >= phi_hi:
+            return lo if phi <= phi_lo else hi
+        return min(max(b2 * math.sin(phi) ** 2, lo), hi)
 
-    if not excess(lo) < 0.0 < excess(hi):
+    def tol(phi):
+        # 8.9e-16 phi, or where that is finer than lam resolves, the phi-width of
+        # 2.2e-16 lam (d lam/d phi = b^2 sin 2 phi): each keeps lam within the
+        # tolerance of a solve in lam, 1e-15 b^2 + 8.9e-16 lam
+        return max(8.9e-16 * phi, 1.1e-16 * math.tan(phi))
+
+    def excess(phi):
+        return rotation_number(table, cg.CausticSpec(lam_at(phi))) - 1.0 / n
+
+    try:
+        phi_n = brentq(excess, phi_lo, phi_hi, math.pi / n, (0.0, -1.0 / n), tol)
+    except ValueError:
         raise NumericalError(
             f"failed to bracket the {n}-periodic caustic in (0, b^2) for a={table.a}, b={table.b}"
-        )
-    lam_n = brentq(excess, lo, hi, xtol=1e-15 * b2, rtol=8.9e-16)
-    caustic = cg.CausticSpec(lam_n)
+        ) from None
+    caustic = cg.CausticSpec(lam_at(phi_n))
     angles = _orbit(table, caustic, 0.0, n)[0]
     wraps = int(np.count_nonzero(angles[1:] < angles[:-1]))  # a Python int: numpy scalar math is slow
     residual = abs(angles[-1] - angles[0] + _TAU * (wraps - 1))
     if residual > 1e-10:
         raise NumericalError(
-            f"{n}-periodic closure defect {residual:.3e} at lam={lam_n}"
+            f"{n}-periodic closure defect {residual:.3e} at lam={caustic.lam}"
         )
     return caustic
 

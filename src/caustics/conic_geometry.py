@@ -270,8 +270,8 @@ def _boundary_residual(table, x, y):
     """The largest |x^2/a^2 + y^2/b^2 - 1| of the points (x, y); DomainError
     if a point's exceeds 1e-8."""
     res = np.abs(x * x / table.a**2 + y * y / table.b**2 - 1.0)
-    if np.any(res > 1e-8):
-        raise DomainError(
-            f"point not on the billiard boundary (residual {float(np.max(res)):.3e} > 1e-8)"
-        )
-    return float(np.max(res))
+    worst = float(res.max())
+    # a NaN residual is the largest; it raises only beside a finite one above 1e-8
+    if worst > 1e-8 or (worst != worst and (res > 1e-8).any()):
+        raise DomainError(f"point not on the billiard boundary (residual {worst:.3e} > 1e-8)")
+    return worst

@@ -67,36 +67,40 @@ def evaluate_invariants(orbit: PeriodicOrbit) -> InvariantReport:
     consecutive vertex pairs and keeps its sign.
     """
     table = orbit.table
-    v = orbit.vertices
     n = orbit.n
-    nxt = np.concatenate((v[1:], v[:1]))
-    prv = np.concatenate((v[-1:], v[:-1]))
-    edges = nxt - v
-    edge_len = np.hypot(edges[:, 0], edges[:, 1])
-    perimeter = float(np.sum(edge_len))
+    # the polygon closed once on each side, as rows x and y: column k + 1 is
+    # vertex k, column 0 vertex n - 1 and column n + 1 vertex 0
+    v = np.concatenate((orbit.vertices[-1:], orbit.vertices, orbit.vertices[:1])).T
+    edges = v[:, 1:] - v[:, :-1]  # edges[:, k + 1] runs from vertex k to vertex k + 1
+    edge_len = np.hypot(edges[0], edges[1])
+    perimeter = float(edge_len[1:].sum())
     j = cg.joachimsthal(table, cg.CausticSpec(orbit.lam))
 
-    to_next = edges / edge_len[:, None]
-    to_prev = (prv - v) / edge_len[np.arange(-1, n - 1) % n, None]
-    sum_cos = float(np.sum(np.sum(to_next * to_prev, axis=1)))
+    # at vertex k the unit direction to vertex k - 1 is exactly minus the one
+    # from vertex k - 1 to vertex k
+    to_next = edges / edge_len
+    sum_cos = -float(_dots(to_next[:, 1:], to_next[:, :-1]).sum())
 
-    normals = np.column_stack([v[:, 0] / table.a**2, v[:, 1] / table.b**2])
-    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    nxt_normals = np.concatenate((normals[1:], normals[:1]))
-    product_outer = float(np.prod(np.sum(normals * nxt_normals, axis=1)))
+    gradients = v[:, 1:] / np.array([[table.a**2], [table.b**2]])
+    normals = gradients / np.hypot(gradients[0], gradients[1])
+    product_outer = float(_dots(normals[:, :-1], normals[:, 1:]).prod())
 
-    boundary_max = cg._boundary_residual(table, v[:, 0], v[:, 1])
-    sum_kappa23 = float(np.sum(cg._curvature23_at(table, v[:, 0], v[:, 1])))
+    x, y = v[0, 1:-1], v[1, 1:-1]
+    boundary_max = cg._boundary_residual(table, x, y)
+    sum_kappa23 = float(cg._curvature23_at(table, x, y).sum())
 
     # <A P, v> with v the unit incoming direction equals +J at every vertex
-    arrivals = np.sum(
-        np.column_stack([nxt[:, 0] / table.a**2, nxt[:, 1] / table.b**2]) * to_next,
-        axis=1,
-    )
+    arrivals = _dots(gradients[:, 1:], to_next[:, 1:])
     residuals = {
         "sum_cos_identity": abs(sum_cos - (j * perimeter - n)),
-        "joachimsthal_spread": float(np.max(np.abs(arrivals - j))),
+        "joachimsthal_spread": float(np.abs(arrivals - j).max()),
         "boundary_max": boundary_max,
         "closure_defect": orbit.closure_defect,
     }
     return InvariantReport(perimeter, j, sum_cos, product_outer, sum_kappa23, residuals)
+
+
+def _dots(p, q):
+    """The dot products of the columns of two arrays of rows x and y."""
+    pq = p * q
+    return pq[0] + pq[1]

@@ -13,11 +13,11 @@ Proves:
    - the cached orbit shared by every caller, its sin^2 u included, is
      read-only, scalar or composed
    - lambda_N is solved once while seeded periodic orbits of period N are
-     built; `import caustics` leaves scipy.optimize unloaded until the first
-     solve (fresh interpreter)
+     built; a solve, a periodic orbit, its invariants and the periodic command
+     leave scipy.optimize unloaded (fresh interpreter)
    - a corrupted step is rejected by the orbit certificate in every caller,
-     through the composed path of a long orbit too; a composed orbit with a
-     corrupted point raises as well
+     through the composed path of a long orbit too, naming the first failing
+     step; a composed orbit with a corrupted point raises as well
  Group 2 - Orbit iteration
    - n+1 angles and lifted parameters, strictly increasing lift
    - every chord tangent to the caustic, Joachimsthal constant at every
@@ -46,12 +46,20 @@ Proves:
    - rho within 1e-11 of 40-digit references for a from 1.0001 to 1e8 and
      lambda up to b^2 (1 - 1e-6), within 5e-9 beyond, out to the guard
      (measured: 4.0e-12 and 1.1e-9); NumericalError where a^2 overflows
-   - find_caustic_for_period: circle lambda_N = sin^2(pi/N) b^2 to 1e-12,
-     the exact N=4 value a^2 b^2/(a^2+b^2), frozen regression values for
+   - find_caustic_for_period: circle lambda_N = sin^2(pi/N) b^2 to 5 ulp
+     for N in 3..40, the exact N=4 value a^2 b^2/(a^2+b^2) to 4 ulp for a
+     from 1.0001 to 1e4, frozen regression values for
      a in {1.2, 2, 5}, 10-seed closure certificates, periods 2000 and
      5000 on a in {1.1, 1.2}, and far-from-circular tables: N = 3 at a = 100,
      N in {5, 20, 40} at a in {1e4, 1e5}
-   - unbracketable period raises a numerical error
+   - the solve in phi is within twice the tolerance of a solve in lam of
+     scipy.optimize.brentq in lam, on a in {1, 1.2, 2, 5, 100, 1e4} x N in
+     3..40, 2000, 5000
+   - a solve evaluates rho 5.79 times on average and at most 14 times on
+     tables like the poncelet benchmark's, and 4 times at (3.14, 55)
+   - a period bracketed at neither end, and a solve that does not converge,
+     raise NumericalError; where secant steps approach the root from one
+     side, the solve evaluates the far end and finishes in that bracket
  Group 4 - Time averages
    - constant quantity on the circle averages exactly
    - 1e6-bounce averages match spatial quadrature to 1e-3 (a=2, lambda=0.37)
@@ -66,10 +74,13 @@ Proves:
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
 import sys
+import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -90,7 +101,7 @@ from caustics.billiard_dynamics import (
 )
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit
-from oracles import next_tangency
+from oracles import lam_space_period_solve, next_tangency
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -197,13 +208,23 @@ def test_period_is_solved_once_for_its_seeds(monkeypatch):
     assert len(solves) == 1
 
 
-def test_root_solver_is_imported_by_the_first_solve():
-    code = (
-        "import sys; import caustics; from caustics.conic_geometry import BilliardTable; "
-        "assert 'scipy.optimize' not in sys.modules; "
-        "lam = caustics.find_caustic_for_period(BilliardTable(2.0, 1.0), 4).lam; "
-        "assert abs(lam - 0.8) < 1e-12, lam; assert 'scipy.optimize' in sys.modules"
-    )
+def test_no_solve_or_periodic_run_imports_the_scipy_solver():
+    """The root solve is the module's own brentq: in a fresh interpreter,
+    a solve, a periodic orbit, its invariants and the periodic command leave
+    scipy.optimize unloaded."""
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import caustics
+        from caustics.cli import main
+        table = caustics.BilliardTable(2.0, 1.0)
+        lam = caustics.find_caustic_for_period(table, 4).lam
+        assert abs(lam - 0.8) < 1e-12, lam
+        caustics.evaluate_invariants(caustics.build_periodic_orbit(table, 7, seed_u=0.3))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["periodic", "--a", "2", "--n", "3,4,5,6,7,8,9,10,11,12"]) == 0
+        assert out.getvalue().count(",OK\\n") == 10, out.getvalue()
+        assert "scipy.optimize" not in sys.modules
+    """)
     src = str(Path(bd.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": src})
@@ -232,7 +253,9 @@ def test_certificate_rejects_a_corrupted_step(monkeypatch):
     composed orbit raises too, with no other path to fall back on."""
     monkeypatch.setattr(bd, "_advance_sequence", corrupt(bd._advance_sequence))
     caustic = cg.CausticSpec(0.5)
-    with pytest.raises(NumericalError, match="endpoint-sharing"):
+    # point 50 moved, so step 49, into it, is the first to fail
+    first_failure = r"^billiard step 49 failed at u=5\.55975387686\d*, lam=0\.5: endpoint-sharing"
+    with pytest.raises(NumericalError, match=first_failure):
         iterate_orbit(T2, caustic, 0.3, 100)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
         iterate_orbit(T2, caustic, 0.3, 20_000)  # composed from corrupted runs
@@ -495,18 +518,25 @@ def test_find_caustic_far_from_the_circle(a, n):
 
 
 def test_find_caustic_circle_exact():
-    for n in range(3, 8):
-        lam = find_caustic_for_period(CIRCLE, n).lam
-        assert lam == pytest.approx(math.sin(math.pi / n) ** 2, abs=1e-12)
+    """lam_n = b^2 sin^2(pi/n) to 5 ulp for n in 3..40: the rounding of rho
+    itself moves the root by an ulp or two of phi, which is 5 ulp of lam at
+    n = 24 and 30 (the solve in lam was up to 62 ulp off, at n = 18)."""
+    for b in (0.5, 1.0, 3.0):
+        circle = cg.BilliardTable(b, b)
+        for n in range(3, 41):
+            exact = b * b * math.sin(math.pi / n) ** 2
+            lam = find_caustic_for_period(circle, n).lam
+            assert abs(lam - exact) <= 5 * math.ulp(exact), (b, n)
 
 
 def test_find_caustic_four_periodic_closed_form():
-    # lambda_4 = a^2 b^2 / (a^2 + b^2) makes the caustic inscribed in the
-    # rectangle family; exact for every table
-    for table in (T12, T2, T5):
-        lam = find_caustic_for_period(table, 4).lam
-        exact = table.a**2 * table.b**2 / (table.a**2 + table.b**2)
-        assert lam == pytest.approx(exact, rel=1e-12)
+    """lambda_4 = a^2 b^2 / (a^2 + b^2) makes the caustic inscribed in the
+    rectangle family, exact for every table; found to 4 ulp of its value at
+    the float a (measured: 3, at a = 1.2)."""
+    for a in (1.0001, 1.2, 1.5, 2.0, 2.5, 3.14, 5.0, 100.0, 1e4):
+        exact = float(Fraction(a) ** 2 / (Fraction(a) ** 2 + 1))
+        lam = find_caustic_for_period(cg.BilliardTable(a, 1.0), 4).lam
+        assert abs(lam - exact) <= 4 * math.ulp(exact), a
 
 
 def test_find_caustic_frozen_values():
@@ -542,10 +572,82 @@ def test_find_caustic_large_periods(a, n):
 
 
 def test_find_caustic_validation_and_bracket_failure():
+    """A root below the lower end (pi/n itself is below it) or above the
+    upper end is not bracketed, and the solve raises at the end it reaches."""
     with pytest.raises(DomainError):
         find_caustic_for_period(T2, 2)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="failed to bracket the 1000000-periodic"):
         find_caustic_for_period(T2, 1_000_000)
+    with pytest.raises(NumericalError, match="failed to bracket the 3-periodic"):
+        find_caustic_for_period(cg.BilliardTable(1e4, 1.0), 3)
+
+
+def test_a_solve_that_does_not_converge_raises(monkeypatch):
+    """brentq gives up after maxiter evaluations, here 3, with NumericalError."""
+    monkeypatch.setattr(bd, "brentq", functools.partial(bd.brentq, maxiter=3))
+    with pytest.raises(NumericalError, match="did not converge in 3 evaluations"):
+        find_caustic_for_period(T2, 7)
+
+
+def test_brentq_brackets_a_root_its_secant_steps_creep_up_to():
+    """On a concave f the secant steps from the anchor approach the root
+    from below without crossing it; after _SECANT_STEPS of them the upper
+    end is evaluated, and Brent's steps finish inside that bracket.  A range
+    with no sign change raises ValueError, as scipy's brentq does."""
+    points = []
+
+    def f(x):
+        points.append(x)
+        return math.sqrt(x) - 1.0
+
+    root = bd.brentq(f, 0.01, 4.0, 0.01, (0.0, -1.0), lambda x: 1e-15)
+    assert abs(root - 1.0) <= 1e-15
+    steps = bd._SECANT_STEPS
+    assert all(x < 1.0 for x in points[: steps + 1]) and points[steps + 1] == 4.0
+    with pytest.raises(ValueError, match="no sign change"):
+        bd.brentq(lambda x: x + 1.0, 0.0, 1.0, 0.5, (-2.0, -1.0), lambda x: 1e-15)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0, 100.0, 1e4])
+def test_find_caustic_matches_a_solve_in_lam(a):
+    """The solve in phi lands within 2 (1e-15 b^2 + 8.9e-16 lam_n) of
+    scipy.optimize.brentq run in lam with the tolerances the package used to
+    give it, 1e-15 b^2 + 8.9e-16 lam_n, twice that because both solves carry
+    it (measured: 0.18 of the bound on this grid), and where one does not
+    bracket a period, neither does the other."""
+    table = cg.BilliardTable(a, 1.0)
+    for n in [*range(3, 41), 2000, 5000]:
+        expected = lam_space_period_solve(table, n)
+        if expected is None:
+            with pytest.raises(NumericalError, match="failed to bracket"):
+                find_caustic_for_period(table, n)
+            continue
+        lam = find_caustic_for_period(table, n).lam
+        assert abs(lam - expected) <= 2.0 * (1e-15 + 8.9e-16 * lam), (n, lam, expected)
+
+
+def test_find_caustic_evaluates_rho_a_few_times(monkeypatch):
+    """On tables like the poncelet benchmark's (a in [1, 5], every 16th the
+    circle, n in 3..40) a solve evaluates rho 5.79 times on average and 14 at
+    most (scipy's brentq in lam: 11.25 with its two bracket checks), and 4
+    at (3.14, 55)."""
+    calls = []
+
+    def counted(table, caustic):
+        calls[-1] += 1
+        return rotation_number(table, caustic)
+
+    monkeypatch.setattr(bd, "rotation_number", counted)
+    rng = np.random.default_rng(2024)
+    a = rng.uniform(1.0, 5.0, 256)
+    a[::16] = 1.0
+    for table_a, n in zip(a, rng.integers(3, 41, 256)):
+        calls.append(0)
+        bd._caustic_for_period(cg.BilliardTable(float(table_a), 1.0), int(n))
+    assert np.mean(calls) <= 6.0 and max(calls) <= 16, (np.mean(calls), max(calls))
+    calls.append(0)
+    bd._caustic_for_period(cg.BilliardTable(3.14, 1.0), 55)
+    assert calls[-1] <= 5
 
 
 # ----------------------------------------------------------------- group 4

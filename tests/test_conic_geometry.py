@@ -20,6 +20,8 @@ Proves:
    - outer_cosine: factored form vs tangent-direction oracle vs gradient form
    - curvature23 against the parametric curvature formula and the linear
      identity in the interior cosine
+   - the boundary residual is one reduction: NaN is returned, and raised
+     only beside a residual above 1e-8, with the same message as before
  Group 4 - Measure density and symmetry
    - explicit density values, circle constancy, u -> -u and u -> u+pi symmetry
    - ranges: cosines in [-1, 1], lengths and density positive
@@ -438,6 +440,21 @@ def test_curvature23_reference_points():
     assert cg.curvature23(T2, (0.0, 1.0)) == pytest.approx(4.0 ** (-2.0 / 3.0), abs=1e-13)
     with pytest.raises(DomainError):
         cg.curvature23(T2, (0.5, 0.5))
+
+
+def test_boundary_residual_is_one_reduction_with_the_old_nan_behaviour():
+    """_boundary_residual reduces once: a NaN residual is returned rather
+    than raised, unless a finite residual beside it exceeds 1e-8, and then
+    the message carries nan, the maximum, as it did with a separate check."""
+    zeros = np.zeros(2)
+    assert cg._boundary_residual(T2, np.array([2.0, -2.0]), zeros) == 0.0
+    assert math.isnan(cg._boundary_residual(T2, np.array([2.0, np.nan]), zeros))
+    with pytest.raises(DomainError, match=r"\(residual nan > 1e-8\)"):
+        cg._boundary_residual(T2, np.array([2.1, np.nan]), zeros)
+    with pytest.raises(DomainError, match=r"\(residual 1\.025e-01 > 1e-8\)"):
+        cg._boundary_residual(T2, np.array([2.1, 2.0]), zeros)
+    with pytest.raises(DomainError, match=r"\(residual 1\.025e-01 > 1e-8\)"):
+        cg.curvature23(T2, (2.1, 0.0))
 
 
 def test_curvature23_parametric_oracle():

@@ -19,6 +19,9 @@ Proves:
    - the vertices are checked against the boundary once: sum_kappa23 and
      boundary_max are bit for bit the public curvature23's, and a vertex off
      the boundary raises curvature23's DomainError
+   - every field of the report, read off the polygon's x and y columns, is
+     bit for bit the row-wise evaluation kept in tests/oracles.py, on
+     a in {1, 1.2, 2, 5} x N in 3..40 x 4 seeds
 """
 from __future__ import annotations
 
@@ -31,7 +34,8 @@ import pytest
 import caustics.conic_geometry as cg
 from caustics.billiard_dynamics import find_caustic_for_period
 from caustics.errors import DomainError
-from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
+from caustics.invariant_suite import InvariantReport, build_periodic_orbit, evaluate_invariants
+from oracles import row_wise_invariants
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -146,6 +150,22 @@ def test_boundary_is_checked_once_with_curvature23s_error():
     with pytest.raises(DomainError, match="not on the billiard boundary") as raised:
         evaluate_invariants(dataclasses.replace(orbit, vertices=moved))
     assert str(raised.value) == str(public.value)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
+def test_report_is_bit_for_bit_the_row_wise_evaluation(a):
+    """The columns' evaluation takes the direction to the previous vertex as
+    minus the previous edge's unit direction, which is exact, so every
+    field, the identity residuals included, is the row-wise one's."""
+    table = cg.BilliardTable(a, 1.0)
+    rng = np.random.default_rng(17)
+    for n in range(3, 41):
+        for seed in rng.uniform(0.0, 2.0 * math.pi, 4):
+            orbit = build_periodic_orbit(table, n, seed_u=float(seed))
+            got, expected = evaluate_invariants(orbit), row_wise_invariants(orbit)
+            for field in dataclasses.fields(InvariantReport):
+                name = field.name
+                assert getattr(got, name) == getattr(expected, name), (n, seed, name)
 
 
 def test_residuals_recorded():
