@@ -208,6 +208,14 @@ def _orbit(table, caustic, u0, n):
     return angles, vertices, sin2
 
 
+def _whole(n, least, what):
+    """n as an int; DomainError unless n is a whole number >= least (4.0 is
+    one; 3.5, nan and inf are not)."""
+    if not n >= least or n % 1:
+        raise DomainError(f"{what} must be an integer >= {least}; got n={n}")
+    return int(n)
+
+
 def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
     """Iterate the billiard map n times from tangency parameter u0.
 
@@ -215,9 +223,7 @@ def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
     backward endpoint P2(u0), vertex i+1 the forward endpoint P1(u_i), so the
     sample describes n chords.  The arrays are read-only.
     """
-    if n < 1:
-        raise DomainError(f"orbit length must be >= 1; got n={n}")
-    angles, verts, _ = _orbit(table, caustic, float(u0), int(n))
+    angles, verts, _ = _orbit(table, caustic, float(u0), _whole(n, 1, "orbit length"))
     return OrbitSample(float(u0), angles, verts)
 
 
@@ -334,9 +340,7 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     lam_n = b^2 sin^2(pi/n) exactly.  The last two (table, n) solved are
     kept, so a caller that builds several seeds of one period solves it once.
     """
-    if n < 3:
-        raise DomainError(f"period must be >= 3; got n={n}")
-    return _caustic_for_period(table, int(n))
+    return _caustic_for_period(table, _whole(n, 3, "period"))
 
 
 @functools.lru_cache(maxsize=2)
@@ -411,9 +415,7 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         raise DomainError(
             f"unknown quantity {quantity!r}; expected one of {TIME_AVERAGE_QUANTITIES}"
         )
-    if n < 1:
-        raise DomainError(f"orbit length must be >= 1; got n={n}")
-    means = _orbit_means(table, caustic, float(u0), int(n))
+    means = _orbit_means(table, caustic, float(u0), _whole(n, 1, "orbit length"))
     value, half = means[TIME_AVERAGE_QUANTITIES.index(quantity)]
     # equal means drift by 0, also where both are -inf (log|outer cosine| at ca = 0)
     err = abs(value - half) if value != half else 0.0

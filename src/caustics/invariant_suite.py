@@ -45,7 +45,8 @@ class InvariantReport:
 
 def build_periodic_orbit(table, n: int, seed_u: float = 0.0) -> PeriodicOrbit:
     """Locate lam_n and iterate n steps from seed_u; certifies closure < 1e-6."""
-    caustic = find_caustic_for_period(table, n)
+    caustic = find_caustic_for_period(table, n)  # DomainError unless n is a whole number >= 3
+    n = int(n)
     sample = iterate_orbit(table, caustic, seed_u, n)
     verts = sample.vertex_sequence
     defect = float(np.hypot(*(verts[n] - verts[0])))

@@ -17,7 +17,9 @@ product, and one periodic_quadrature call per caustic integrates them all on
 one grid: each average pairs its sample with Z and converges, or fails, on
 its own.  The samples are pi-periodic, so the grid holds the chords at u in
 [0, pi), each once.  Its first integrand call evaluates the first six levels
-(16 to 512 nodes), and 98% of bulk-sweep's caustics converge within them.
+(16 to 512 nodes) on nodes and trigonometry taken once at import, all six
+are read from it in one pass, and 98% of bulk-sweep's caustics converge
+within them.
 """
 from __future__ import annotations
 
@@ -52,8 +54,19 @@ _MAX_NODES = 2**20
 # whatever its size (numpy dispatch, not nodes), and of seed 3's 1,024
 # bulk-sweep caustics 90% converge by 256 nodes of the half period, 8% at 512
 # and 2% beyond (56/34/10 on the full period), so evaluating ahead to 512
-# wastes little and saves the level-by-level calls.
+# wastes little and saves the level-by-level calls.  Its nodes, and cos u,
+# sin u and sin^2 u at u = v/2 for _quadrature_averages, are taken once,
+# read-only; _LEVEL_ORDER lists the nodes level by level, level 16's and then
+# the midpoints of each next level, whose places are _LEVEL_SPANS.
 _FIRST_GRID = 512
+_FIRST_NODES = np.linspace(0.0, 2.0 * math.pi, _FIRST_GRID, endpoint=False)
+_FIRST_TRIG = np.array([np.cos(0.5 * _FIRST_NODES), np.sin(0.5 * _FIRST_NODES)])
+_FIRST_TRIG = np.vstack([_FIRST_TRIG, _FIRST_TRIG[1:] ** 2])  # cos u, sin u, sin^2 u
+_FIRST_NODES.flags.writeable = _FIRST_TRIG.flags.writeable = False
+_LEVEL_ORDER = np.concatenate([np.arange(0, _FIRST_GRID, 32)]
+                               + [np.arange(s // 2, _FIRST_GRID, s) for s in (32, 16, 8, 4, 2)])
+_LEVEL_SPANS = ((0, 16), (16, 32), (32, 64), (64, 128), (128, 256), (256, 512))
+_NEW_NODES = np.array([hi - lo for lo, hi in _LEVEL_SPANS], dtype=float)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -85,11 +98,11 @@ def periodic_quadrature(f):
     converges spectrally for smooth periodic integrands, so doubling is the
     whole refinement strategy).  Returns (value, last defect).
 
-    The first call of f evaluates the _FIRST_GRID = 512 nodes, which hold
-    every level from 16 to 512; the doubling reads those levels off strided
-    slices of it, each summed as a contiguous copy, so every estimate is bit
-    for bit what one call per level would give.  Past 512 nodes each level
-    calls f on its midpoints only.
+    f is first called on _FIRST_NODES itself, the 512 nodes of levels 16 to
+    512, which are read in one pass: each level's new nodes are summed with
+    np.add.reduce (np.mean times the count, bit for bit) as one run of a copy
+    in level order, so every estimate is what one call per level would give.
+    Past 512 nodes each level calls f on its midpoints, while a group is open.
 
     f : vectorized callable on arrays of u in [0, 2pi).  It returns shape
         (len(u),) for one integral, (m, len(u)) for m integrals that converge
@@ -97,36 +110,49 @@ def periodic_quadrature(f):
         k such groups on one grid.  Each group keeps the values and defect of
         the first level at which all its defects are below _QUAD_TOL, so it
         gets what it would get alone; doubling stops once every group has.
-        value has f's leading shape, the defect one entry per group.  A lone
-        group that has not converged at 2^20 nodes raises NumericalError; one
-        of k groups is returned with its last defect, for the caller to reject.
+        A NaN defect (a NaN or infinite estimate) cannot shrink, so it closes
+        its group at the level where it appears.  value has f's leading shape,
+        the defect one entry per group.  A lone group that has not converged
+        at 2^20 nodes, or has turned NaN, raises NumericalError; one of k
+        groups is returned with its last defect, for the caller to reject.
     """
-    grid = f(np.linspace(0.0, 2.0 * math.pi, _FIRST_GRID, endpoint=False))
-    n = 16
-    # each level is summed as a fresh contiguous array: numpy may add the
-    # elements of a strided view in another order
-    value = np.mean(np.ascontiguousarray(grid[..., :: _FIRST_GRID // n]), axis=-1) * 2.0 * math.pi
-    shape = value.shape
-    value = value.reshape(-1, shape[-1] if shape else 1)  # groups x integrals
-    result, defect = value.copy(), np.full(len(value), np.inf)
-    while n < _MAX_NODES and not np.all(defect < _QUAD_TOL):
-        if 2 * n <= _FIRST_GRID:
-            stride = _FIRST_GRID // n
-            at_midpoints = np.ascontiguousarray(grid[..., stride // 2 :: stride])
-        else:
-            at_midpoints = f(np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2])
-        refined = 0.5 * value + np.mean(at_midpoints, axis=-1).reshape(value.shape) * math.pi
-        still_open = ~(defect < _QUAD_TOL)  # a NaN defect never converges
-        result[still_open] = refined[still_open]
-        defect[still_open] = np.max(np.abs(refined - value), axis=-1)[still_open]
-        value, n = refined, 2 * n
+    grid = f(_FIRST_NODES)
+    shape = grid.shape[:-1]
+    # groups x integrals x nodes in level order
+    by_level = grid.reshape(-1, shape[-1] if shape else 1, _FIRST_GRID).take(_LEVEL_ORDER, axis=-1)
+    estimates = np.empty((len(_LEVEL_SPANS),) + by_level.shape[:-1])
+    for i, (lo, hi) in enumerate(_LEVEL_SPANS):
+        np.add.reduce(by_level[..., lo:hi], axis=-1, out=estimates[i])
+    estimates /= _NEW_NODES  # the means of the new nodes, as np.mean takes them
+    estimates[0] *= 2.0
+    estimates *= math.pi
+    for i in range(1, len(estimates)):
+        estimates[i] += 0.5 * estimates[i - 1]
+    defects = np.abs(estimates[1:] - estimates[:-1]).max(axis=-1)  # levels 32..512 x groups
+    closed = ~(defects >= _QUAD_TOL)  # converged, or NaN
+    level = closed.argmax(axis=0)  # each group's first closed level, 0 if none
+    groups = np.arange(len(level))
+    result, defect = estimates[level + 1, groups], defects[level, groups]
+    todo = groups[~closed.any(axis=0)]
+    # n ends at the level where a lone group stopped
+    value, n = estimates[-1, todo], _FIRST_GRID if len(todo) else 32 << int(level[0])
+    while len(todo) and n < _MAX_NODES:
+        at_midpoints = f(np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2])
+        means = np.mean(at_midpoints, axis=-1).reshape(len(groups), -1)
+        refined = 0.5 * value + means[todo] * math.pi
+        result[todo], defect[todo] = refined, np.max(np.abs(refined - value), axis=-1)
+        still_open = defect[todo] >= _QUAD_TOL
+        todo, value, n = todo[still_open], refined[still_open], 2 * n
     result, defect = result.reshape(shape)[()], defect.reshape(shape[:-1])[()]
     if np.ndim(defect) == 0 and not defect < _QUAD_TOL:
-        raise _not_converged(defect)
+        raise _not_converged(defect, n)
     return result, defect
 
 
-def _not_converged(defect):
+def _not_converged(defect, nodes=None):
+    if np.isnan(defect):  # nodes: the level where it turned NaN, where known
+        at = f" at {nodes} nodes" if nodes else ""
+        return NumericalError(f"periodic quadrature estimate is NaN{at}; refinement cannot converge")
     return NumericalError(
         f"periodic quadrature did not converge at {_MAX_NODES} nodes "
         f"(last defect {defect:.3e} > tol {_QUAD_TOL:.3e})"
@@ -190,9 +216,12 @@ def _quadrature_averages(table, caustic):
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
     def weighted(v):
-        u = 0.5 * v
-        cos_u, sin_u = np.cos(u), np.sin(u)
-        s = sin_u**2
+        if v is _FIRST_NODES:
+            cos_u, sin_u, s = _FIRST_TRIG
+        else:
+            u = 0.5 * v
+            cos_u, sin_u = np.cos(u), np.sin(u)
+            s = sin_u**2
         x1, y1, x2, y2 = cg._endpoints(table, caustic, cos_u, sin_u)
         q1, q2 = cg._inverse_focal_product(table, y1), cg._inverse_focal_product(table, y2)
         k1, k2 = cg._curvature23_at(table, x1, y1), cg._curvature23_at(table, x2, y2)

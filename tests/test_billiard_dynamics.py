@@ -24,6 +24,10 @@ Proves:
      vertex, all vertices on the boundary (self-validating 1e5-step run)
    - circle square orbit closes exactly after 4 steps
    - n = 1 gives two parameters, one chord
+   - property: an orbit length or period (iterate_orbit, time_average,
+     find_caustic_for_period, build_periodic_orbit) that is a whole number,
+     int or float, gives what the int gives; 3.5, 250.7, nan or inf raise
+     DomainError
    - seeds at u0 = 1e8 and 1e9 keep full precision: the orbit is the one from
      u0 mod 2 pi, shifted by the seed's whole turns, with u_sequence[0] = u0
    - 2e4-bounce composed orbits agree with the scalar loop to 1e-9 in the
@@ -748,3 +752,35 @@ def test_time_average_validation():
     }
     with pytest.raises(DomainError):
         time_average(T2, cg.CausticSpec(0.5), "perimeter", 100)
+
+
+# each counted input's least admitted value, and the calls that take it
+COUNTED = {
+    1: (lambda n: iterate_orbit(T2, cg.CausticSpec(0.37), 0.3, n).angles,
+        lambda n: time_average(T2, cg.CausticSpec(0.37), "sidelength", n).value),
+    3: (lambda n: find_caustic_for_period(T2, n).lam,
+        lambda n: build_periodic_orbit(T2, n).vertices),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(st.integers(-2, 9), st.floats(-2.0, 9.0), st.sampled_from([math.nan, math.inf])))
+@example(3.5)
+@example(4.9)
+@example(2.5)
+@example(250.7)
+@example(4.0)
+def test_orbit_lengths_and_periods_are_whole_numbers(n):
+    """An orbit length or a period that is a whole number at or above its
+    least value, as an int or a float, gives what the int gives; any other
+    raises DomainError.  A non-integral one was truncated (3.5 gave lambda_3,
+    250.7 bounces averaged 250 chords), or raised IndexError in
+    build_periodic_orbit."""
+    whole = not isinstance(n, float) or n.is_integer()
+    for least, calls in COUNTED.items():
+        for call in calls:
+            if whole and n >= least:
+                assert np.array_equal(call(n), call(int(n)))
+            else:
+                with pytest.raises(DomainError, match="must be an integer"):
+                    call(n)

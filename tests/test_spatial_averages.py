@@ -21,11 +21,19 @@ Proves:
      to 1e-15 relative on 36 of the 40 cells, to 5e-14 on the four at
      lambda = b^2 (1 - 1e-6)
    - the first integrand call evaluates 512 nodes and the levels up to 512
-     are replayed from it: values, defects and raises are bit for bit those
-     of the level-by-level loop (tests/oracles.py) on the test integrands and
-     on 44 caustics (the circle and the near-guard cells included); a caustic
-     that converges by 512 nodes costs one integrand call, and past 512 no
-     node is evaluated twice
+     are read from it in one pass: values, defects and raises are bit for bit
+     those of the level-by-level loop (tests/oracles.py) on the test
+     integrands, on groups that settle at every level from 16 to 1024 (one
+     call per level past 512), with a NaN group among them, in the (n,),
+     (m, n) and (k, m, n) shapes, and on 44 caustics (the circle and the
+     near-guard cells included); a caustic that converges by 512 nodes costs
+     one integrand call, and past 512 no node is evaluated twice
+   - a NaN estimate stops its group: alone it raises at the level where its
+     defect turns NaN after one 512-node call; among groups it is returned
+     with its NaN defect
+   - the first grid's nodes and cos u, sin u, sin^2 u at u = v/2 are
+     read-only module constants, bit for bit np.linspace, np.cos and np.sin,
+     and the first integrand call receives the nodes array itself
    - one quadrature per caustic for all four averages, one endpoint pass per
      integrand call, and one per orbit (its certificate) for all four time
      averages
@@ -166,6 +174,106 @@ def test_first_grid_replays_the_level_by_level_loop(f):
     """The levels read off the first 512-node call are those of one call per
     level, bit for bit: values, defects, and the lone group's raise."""
     assert_same_quadrature(raised(sa.periodic_quadrature, f), raised(level_by_level_quadrature, f))
+
+
+def settling_at(level):
+    """1 plus cos(k u) for k = 8, 16, ..., level/2: on n nodes the trapezoid
+    adds 2 pi for each k that n divides, so its estimate changes at every
+    level up to `level` and is 2 pi from there on: a group of it closes at
+    2 level nodes."""
+    ks = [k for k in (8, 16, 32, 64, 128, 256, 512) if k < level]
+    return lambda u: 1.0 + sum(np.cos(k * u) for k in ks)
+
+
+def counting(f):
+    """f, with the lengths of the node arrays it is called on in f.nodes."""
+    def counted(u):
+        counted.nodes.append(len(u))
+        return f(u)
+
+    counted.nodes = []
+    return counted
+
+
+def nan_everywhere(u):
+    return np.full_like(u, np.nan)
+
+
+LEVELS = (16, 32, 64, 128, 256, 512, 1024)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_each_settling_level_is_read_as_the_level_by_level_loop(level):
+    """A lone group settles at each level of the first grid and past it: the
+    one-pass readout gives the loop's value and defect, bit for bit, and
+    calls f once on the first grid, then once per level past 512."""
+    quadrature, oracle = counting(settling_at(level)), counting(settling_at(level))
+    got, want = sa.periodic_quadrature(quadrature), level_by_level_quadrature(oracle)
+    assert_same_quadrature(got, want)
+    assert got[0] == pytest.approx(2.0 * math.pi, rel=1e-15) and got[1] < sa._QUAD_TOL
+    assert oracle.nodes[-1] == level  # its last call: the midpoints of 2 level nodes
+    assert quadrature.nodes == [512] + [n // 2 for n in (1024, 2048) if n <= 2 * level]
+
+
+def groups(*fs):
+    """The (k, m, n) integrand of k groups of [1, f(u)] pairs."""
+    return lambda u: np.stack([np.stack([np.ones_like(u), f(u)]) for f in fs])
+
+
+@pytest.mark.parametrize("f", [
+    groups(*map(settling_at, LEVELS), lambda u: np.exp(np.cos(u))),
+    groups(settling_at(64), nan_everywhere, settling_at(1024)),
+    groups(nan_everywhere, settling_at(32)),
+    lambda u: np.stack([settling_at(level)(u) for level in LEVELS]),
+    settling_at(512),
+    nan_everywhere,
+    lambda v: np.stack([np.stack([
+        cg.measure_density(T2, cg.CausticSpec(1.0 - 1e-6), 0.5 * v), np.full_like(v, 2.0)])]),
+], ids=["groups_at_every_level", "nan_among_groups", "nan_first", "one_group_of_m", "one",
+        "lone_nan", "near_guard_past_512"])
+def test_one_pass_readout_is_the_level_by_level_loop(f):
+    """The one-pass readout of the first grid equals the loop, bit for bit,
+    on k groups that close at every level from 32 to 2048 nodes, with a NaN
+    group among them (its defect stays NaN while the others refine), and on
+    the (n,) and (m, n) shapes: values, defects and the lone group's raise;
+    groups_one_open above has a group that never converges."""
+    assert_same_quadrature(raised(sa.periodic_quadrature, f), raised(level_by_level_quadrature, f))
+
+
+def test_a_nan_estimate_stops_its_group():
+    """A NaN estimate cannot converge: a lone NaN group raises at the level
+    where its defect turns NaN, after the first grid's 512 nodes alone (it
+    took 12 calls over 1,048,576 nodes), and among k groups it is returned
+    with its NaN defect while the others converge as they would alone."""
+    f = counting(nan_everywhere)
+    with pytest.raises(NumericalError, match=r"estimate is NaN at 32 nodes"):
+        sa.periodic_quadrature(f)
+    assert f.nodes == [512]
+    f = counting(groups(nan_everywhere, settling_at(256)))
+    values, defects = sa.periodic_quadrature(f)
+    assert f.nodes == [512] and np.isnan(defects[0]) and defects[1] < sa._QUAD_TOL
+    assert values[1] == pytest.approx([2.0 * math.pi] * 2, rel=1e-15)
+    late = counting(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES else np.nan))
+    with pytest.raises(NumericalError, match=r"estimate is NaN at 1024 nodes"):
+        sa.periodic_quadrature(late)
+    assert late.nodes == [512, 512]
+
+
+def test_first_grid_constants():
+    """The first grid and its trigonometry at u = v/2 are read-only and are
+    what np.linspace, np.cos and np.sin give, bit for bit; the quadrature
+    hands the nodes array itself to its first call."""
+    nodes = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    u = 0.5 * nodes
+    for constant, want in ((sa._FIRST_NODES, nodes), (sa._FIRST_TRIG[0], np.cos(u)),
+                           (sa._FIRST_TRIG[1], np.sin(u)), (sa._FIRST_TRIG[2], np.sin(u) ** 2)):
+        assert not constant.flags.writeable
+        assert constant.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            constant[0] = 0.0
+    seen = []
+    sa.periodic_quadrature(lambda v: seen.append(v) or np.ones_like(v))
+    assert seen[0] is sa._FIRST_NODES
 
 
 def chord_sample(quantity, table, caustic, u):
