@@ -30,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conic_geometry as cg
-from .elliptic_integrals import complete_k, complete_pi, complete_pi_minus_k
+# complete_pi is not called here (_closed_forms builds Pi from the K it holds);
+# it stays bound, with the other two, for callers that swap out all three
+from .elliptic_integrals import complete_k, complete_pi, complete_pi_minus_k  # noqa: F401
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -213,6 +215,7 @@ def _quadrature_averages(table, caustic):
     log|outer cosine| is -inf on every node: its row is left out of the grid
     and reads (-inf, 0.0, 0.0, None).
     """
+    _check_caustic(table, caustic)
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
     def weighted(v):
@@ -242,7 +245,8 @@ def _quadrature_averages(table, caustic):
 def _closed_forms(table, caustic):
     """The closed form of each average in _CHORD_QUANTITIES order (None for
     log|outer cosine|, which has none yet), with s3 = c^2/(a^2 - lam) and
-    K(s3) taken once for all three.  Sidelength and kappa^(2/3) are as in
+    K(s3) taken once for all three: Pi(s5, s3) is K + s5 H(s5, s3), so a
+    caustic makes three elliptic calls.  Sidelength and kappa^(2/3) are as in
     mean_sidelength and mean_curvature23; the mean cosine is
 
         Cbar = r1/r3 + (r2 r3 - r1 r4)/r3^2 * H(s2, s3) / K(s3),  s2 = -r4/r3,
@@ -256,11 +260,10 @@ def _closed_forms(table, caustic):
     ac, _ = _check_caustic(table, caustic)
     a, b, lam, c2 = table.a, table.b, caustic.lam, table.c2
     s3 = c2 / (ac * ac)
+    s5 = lam * s3 / (b * b)
     k = complete_k(s3)
-    sidelength = (
-        2.0 * a * (b * b * k + (lam - b * b) * complete_pi(lam * s3 / (b * b), s3))
-        / (b * math.sqrt(lam) * k)
-    )
+    pi5 = k + s5 * complete_pi_minus_k(s5, s3)
+    sidelength = 2.0 * a * (b * b * k + (lam - b * b) * pi5) / (b * math.sqrt(lam) * k)
     ca = cg._ca(table, caustic)
     r1 = -ca * (a**4 * (b * b - lam) + lam * lam * c2)
     r2 = ca * c2 * (ca + 2.0 * lam * lam)
@@ -275,8 +278,9 @@ def _closed_forms(table, caustic):
 def _average(table, caustic, method, quantity):
     """Route dispatch of the averages: the entry for quantity of the caustic's
     _closed_forms ("closed_form") or _quadrature_averages ("quadrature")
-    record; NumericalError if its quadrature pair did not converge."""
-    _check_caustic(table, caustic)
+    record; NumericalError if its quadrature pair did not converge.  Each
+    record checks its caustic as it is built; lru_cache keeps no exception,
+    so a rejected caustic is checked, and rejected, on every call."""
     i = _CHORD_QUANTITIES.index(quantity)
     if method == "closed_form":
         return AverageResult(_closed_forms(table, caustic)[i], method, 0.0, caustic.lam)
@@ -331,4 +335,4 @@ def log_geomean_outer(table, caustic) -> tuple[float, int]:
     """
     value = _average(table, caustic, "quadrature", "log_abs_outer_cosine").value
     ca = cg._ca(table, caustic)
-    return value, (ca < 0.0) - (ca > 0.0)
+    return value, int(ca < 0.0) - int(ca > 0.0)  # ca may be a numpy float, whose bools do not subtract

@@ -13,8 +13,9 @@ Proves:
    - the cached orbit shared by every caller, its sin^2 u included, is
      read-only, scalar or composed
    - lambda_N is solved once while seeded periodic orbits of period N are
-     built; a solve, a periodic orbit, its invariants and the periodic command
-     leave scipy.optimize unloaded (fresh interpreter)
+     built; the import, a solve, a periodic orbit, its invariants and the
+     sweep, periodic and orbit commands load no scipy module (fresh
+     interpreter)
    - a corrupted step is rejected by the orbit certificate in every caller,
      through the composed path of a long orbit too, naming the first failing
      step; a composed orbit with a corrupted point raises as well
@@ -47,9 +48,9 @@ Proves:
    - the exact rho matches the winding (u_n - u_0)/(2 pi n) of a 1e5-step
      orbit within 1/n on four tables, the circle included
    - strict monotonicity of rho in lambda on a 200-point grid
-   - rho within 1e-11 of 40-digit references for a from 1.0001 to 1e8 and
-     lambda up to b^2 (1 - 1e-6), within 5e-9 beyond, out to the guard
-     (measured: 4.0e-12 and 1.1e-9); NumericalError where a^2 overflows
+   - rho within 1e-15 of 40-digit references for a from 1.0001 to 1e8 and
+     lambda out to the guard (measured: 6.4e-16), and of 340-digit ones at
+     a = 1e150 and 1.3e154; NumericalError where a^2 overflows
    - find_caustic_for_period: circle lambda_N = sin^2(pi/N) b^2 to 5 ulp
      for N in 3..40, the exact N=4 value a^2 b^2/(a^2+b^2) to 4 ulp for a
      from 1.0001 to 1e4, frozen regression values for
@@ -59,8 +60,8 @@ Proves:
    - the solve in phi is within twice the tolerance of a solve in lam of
      scipy.optimize.brentq in lam, on a in {1, 1.2, 2, 5, 100, 1e4} x N in
      3..40, 2000, 5000
-   - a solve evaluates rho 5.79 times on average and at most 14 times on
-     tables like the poncelet benchmark's, and 4 times at (3.14, 55)
+   - a solve evaluates rho 5.71 times on average and at most 14 times on
+     tables like the poncelet benchmark's, and 5 times at (3.14, 55)
    - a period bracketed at neither end, and a solve that does not converge,
      raise NumericalError; where secant steps approach the root from one
      side, the solve evaluates the far end and finishes in that bracket
@@ -213,13 +214,14 @@ def test_period_is_solved_once_for_its_seeds(monkeypatch):
 
 
 def test_no_solve_or_periodic_run_imports_the_scipy_solver():
-    """The root solve is the module's own brentq: in a fresh interpreter,
-    a solve, a periodic orbit, its invariants and the periodic command leave
-    scipy.optimize unloaded."""
+    """The package imports no part of scipy: in a fresh interpreter, the
+    import, a solve, a periodic orbit, its invariants and the sweep (both
+    routes), periodic and orbit commands leave no scipy module loaded."""
     code = textwrap.dedent("""
         import contextlib, io, sys
         import caustics
         from caustics.cli import main
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
         table = caustics.BilliardTable(2.0, 1.0)
         lam = caustics.find_caustic_for_period(table, 4).lam
         assert abs(lam - 0.8) < 1e-12, lam
@@ -227,7 +229,11 @@ def test_no_solve_or_periodic_run_imports_the_scipy_solver():
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["periodic", "--a", "2", "--n", "3,4,5,6,7,8,9,10,11,12"]) == 0
         assert out.getvalue().count(",OK\\n") == 10, out.getvalue()
-        assert "scipy.optimize" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--a", "2", "--steps", "5", "--method", "both"]) == 0
+            assert main(["orbit", "--a", "2", "--lambda", "0.4", "--n", "300"]) == 0
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded
     """)
     src = str(Path(bd.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
@@ -491,16 +497,30 @@ def forty_digit_rotation_number(a, lam):
 
 @pytest.mark.parametrize("a", [1.0001, 1.01, 1.2, 2.0, 20.0, 1e3, 1e5, 1e6, 1e8])
 def test_rotation_number_against_40_digits(a):
-    """s3 = c^2/(a^2 - lam) rounds toward 1 as a grows or lam -> b^2; K from
-    the complementary parameter and phi from atan2 keep rho within 1e-11 up to
-    lam = b^2 (1 - 1e-6) and 5e-9 beyond (measured: 4.0e-12 and 1.1e-9 over
-    a in [1.0001, 1e8]).  K(s3) and arcsin gave 2.1e-2 at (1e5, 1 - 1e-6)
-    and exactly 0 from a = 1e6."""
+    """s3 = c^2/(a^2 - lam) rounds toward 1 as a grows or lam -> b^2; the
+    mean fed k' = b_c/a_c and the amplitude kept as the direction
+    (b_c, sqrt(lam)) keep rho within 1e-15 out to the guard (measured:
+    6.4e-16 over a in [1.0001, 1e8]).  scipy's ellipkinc(phi, s3) over
+    ellipkm1 was 4.0e-12 and 1.1e-9 off; K(s3) and arcsin gave 2.1e-2 at
+    (1e5, 1 - 1e-6) and exactly 0 from a = 1e6."""
     table = cg.BilliardTable(a, 1.0)
     for lam in (0.01, 0.2, 0.5, 0.8) + tuple(1.0 - 10.0**-k for k in range(1, 10)):
         ref = forty_digit_rotation_number(a, lam)
         rel = float(abs(rotation_number(table, cg.CausticSpec(lam)) - ref) / ref)
-        assert rel <= (1e-11 if lam <= 1.0 - 1e-6 else 5e-9), (a, lam, rel)
+        assert rel <= 1e-15, (a, lam, rel)
+
+
+@pytest.mark.parametrize("a", [1e150, 1.3e154])
+def test_rotation_number_up_to_the_largest_table(a):
+    """Where a_c^2 nears the largest float the mean takes 12 steps from
+    k' ~ 1e-154: rho is within 1e-15 of a 340-digit value (measured: 2.0e-16
+    and 1.7e-16)."""
+    with mp.workdps(340):
+        a_mp, lam = mp.mpf(a), mp.mpf(0.5)
+        m = (a_mp * a_mp - 1) / (a_mp * a_mp - lam)
+        ref = mp.ellipf(mp.asin(mp.sqrt(lam)), m) / (2 * mp.ellipk(m))
+        rel = abs(rotation_number(cg.BilliardTable(a, 1.0), cg.CausticSpec(0.5)) - ref) / ref
+    assert float(rel) <= 1e-15
 
 
 @pytest.mark.parametrize("a", [1e200, math.inf])
@@ -632,9 +652,9 @@ def test_find_caustic_matches_a_solve_in_lam(a):
 
 def test_find_caustic_evaluates_rho_a_few_times(monkeypatch):
     """On tables like the poncelet benchmark's (a in [1, 5], every 16th the
-    circle, n in 3..40) a solve evaluates rho 5.79 times on average and 14 at
-    most (scipy's brentq in lam: 11.25 with its two bracket checks), and 4
-    at (3.14, 55)."""
+    circle, n in 3..40) a solve evaluates rho 5.71 times on average and 14 at
+    most (5.79 and 14 with scipy's F and K; scipy's brentq in lam: 11.25 with
+    its two bracket checks), and 5 at (3.14, 55)."""
     calls = []
 
     def counted(table, caustic):

@@ -152,7 +152,7 @@ def test_sweep_row_evaluates_its_closed_forms_once(capsys, monkeypatch):
         monkeypatch.setattr(sa, name, counting)
     code, _, _ = run_cli(capsys, "sweep", "--a", "2", "--steps", "3", "--method", "both")
     assert code == 0
-    assert len(calls) == 3 * 4  # per row: K, Pi (which takes its own K) and Pi - K
+    assert len(calls) == 3 * 3  # per row: K, and (Pi - K)/n at s5 and at s2
     assert sa._closed_forms.cache_info().misses == 3
 
 

@@ -53,12 +53,14 @@ Proves:
    - kappa^(2/3): circle exactness, linear-identity route, discrete matching
  Group 5 - Log-geometric mean of outer cosines
    - circle families log(1/2) and the (-inf, 0) degenerate point
-   - sign convention -sign(ca) across the sweep range
+   - sign convention -sign(ca) across the sweep range, a Python int also
+     on a table of numpy floats
    - discrete product matching at lambda_5 (a = 5)
    - near the guard, lambda = b^2 (1 - 1e-6) on a in {2, 5}, the quadrature
      sidelength and log-geometric mean match 40-digit references to 1e-12
  Group 6 - Structure
-   - monotonicity in lambda, range bounds, degeneracy guard, result fields
+   - monotonicity in lambda, range bounds, degeneracy guard (each route,
+     on every call), result fields
    - the quadrature and orbit routes run with every K/Pi evaluation and the
      closed forms' record disabled
 """
@@ -753,6 +755,14 @@ def test_log_geomean_sign_convention():
         assert before == -1 and after == 1
 
 
+def test_log_geomean_sign_of_a_numpy_table():
+    """A table built from numpy floats makes ca a numpy float, whose
+    comparisons give numpy bools; the sign is still a Python int."""
+    log_mean, sign = sa.log_geomean_outer(cg.BilliardTable(np.float64(2.0), 1.0), cg.CausticSpec(0.3))
+    assert type(sign) is int and sign == -1
+    assert log_mean == sa.log_geomean_outer(T2, cg.CausticSpec(0.3))[0]
+
+
 def test_log_geomean_matches_five_periodic_product():
     caustic = find_caustic_for_period(T5, 5)
     report = evaluate_invariants(build_periodic_orbit(T5, 5))
@@ -836,6 +846,19 @@ def test_degeneracy_guard():
         sa.mean_sidelength(T2, cg.CausticSpec(1.0 - 1e-10))
     with pytest.raises(DomainError):
         sa.normalization(T2, cg.CausticSpec(1.0))
+
+
+def test_each_record_rejects_a_caustic_past_the_guard_on_every_call():
+    """The caustic is checked inside each cached record; lru_cache keeps no
+    exception, so the quadrature route and the closed forms reject a caustic
+    past the guard on every call, not only on the first."""
+    caustic = cg.CausticSpec(1.0 - 1e-10)
+    for _ in range(2):
+        for method in ("quadrature", "closed_form"):
+            with pytest.raises(DomainError, match="exceeds b"):
+                sa.mean_cosine(T2, caustic, method=method)
+        with pytest.raises(DomainError, match="exceeds b"):
+            sa.log_geomean_outer(T2, caustic)
 
 
 def test_average_result_fields():
