@@ -6,14 +6,17 @@ The outer ellipse x^2/a^2 + y^2/b^2 = 1 is the billiard boundary; the inner
 by the angular parameter u of its tangency point.  This module computes the
 chord endpoints, lengths, vertex cosines, outer-normal cosines, curvature and
 the invariant measure density, all as plain functions of (table, caustic, u).
-Each formula is written once, in the values it needs: the endpoints in
-(cos u, sin u) (_endpoints), the chord length, outer cosine and density in
-s = sin^2 u (_chord_length_at, _outer_cosine_at, _measure_density_at), and
-kappa^(2/3) and the inverse focal product 1/(d1 d2) at a boundary point
-(_curvature23_at, _inverse_focal_product).  The public functions wrap them;
-an orbit or a quadrature grid takes cos and sin once, evaluates each point
-once and calls the private forms, which check no point against the boundary:
-only curvature23 does (_boundary_residual, which evaluate_invariants reports).
+Each formula is written once, in the values it needs: both endpoints in one
+pass over (cos u, sin u), from the chord factors w = b_c^2 cos^2 u +
+a_c^2 sin^2 u and D = a^2 b_c^2 cos^2 u + b^2 a_c^2 sin^2 u (_endpoints), the
+chord length, outer cosine and density in s = sin^2 u, where w = b_c^2 + c^2 s
+(_chord_length_at, _outer_cosine_at, _measure_density_at), and kappa^(2/3)
+and the inverse focal product 1/(d1 d2) at boundary points, both endpoints'
+rows at once (_curvature23_at, _inverse_focal_product).  The public functions
+wrap them; an orbit or a quadrature grid takes cos and sin once, evaluates
+each point once and calls the private forms, which check no point against
+the boundary: only curvature23 does (_boundary_residual, which
+evaluate_invariants reports).
 """
 from __future__ import annotations
 
@@ -98,49 +101,68 @@ def endpoint_coordinates(table, caustic, u):
     direction, P2 the one behind, so consecutive chords share P1(u) = P2(u+).
     """
     u = np.asarray(u, dtype=float)
-    return _endpoints(table, caustic, np.cos(u), np.sin(u))
+    (x1, x2), (y1, y2) = _endpoints(table, caustic, np.cos(u), np.sin(u))
+    return x1, y1, x2, y2
 
 
 def _endpoints(table, caustic, cos_u, sin_u):
-    """endpoint_coordinates of the chords tangent at the angles u with the
-    given cos u and sin u, which the caller has at hand: an orbit or a
-    quadrature grid takes them once for every sample it needs.
+    """Both endpoints of the chords tangent at the angles u with the given
+    cos u and sin u (arrays), which the caller has at hand: an orbit or a
+    quadrature grid takes them once for every sample it needs.  They come
+    stacked as [x, y] = [[x1, x2], [y1, y2]], so that a formula of a boundary
+    point evaluates both endpoints together.
 
-    After the psi check each array is overwritten once it is read for the
-    last time, so a call holds six arrays of the input's size at most.
+    Both read the chord factors, homogeneous in (C, S) = (cos u, sin u),
+
+        w = b_c^2 C^2 + a_c^2 S^2,    D = a^2 b_c^2 C^2 + b^2 a_c^2 S^2,
+
+    as x = a a_c (a b_c^2 C -/+ sqrt(lam) b sqrt(w) S)/D and
+    y = b b_c (b a_c^2 S +/- sqrt(lam) a sqrt(w) C)/D, upper signs at P1.
+    They are the billiard step's z^2/lam and d; the chord length is
+    2 a b sqrt(lam) w/D and rho is (a_c b_c)^(2/3)/sqrt(w), each written in
+    s = sin^2 u below.  psi = a_c^2 b_c^2 D is the chord's denominator:
+    NumericalError where D is not positive, as at a NaN angle or at
+    (C, S) = (0, 0), which is no point of the circle.  A call holds seven
+    arrays of u's size, its result included.
     """
     a, b = table.a, table.b
     ac, bc = caustic_axes(table, caustic)
     ac2, bc2 = ac * ac, bc * bc
-    xc, yc = ac * cos_u, bc * sin_u
-    # zeta >= 0 fixes which endpoint is labeled P1 for every u
-    zeta = np.sqrt(caustic.lam * (bc2 * bc2 * xc * xc + ac2 * ac2 * yc * yc))
-    psi = a * a * bc2 * bc2 * xc * xc + b * b * ac2 * ac2 * yc * yc
-    positive = psi > 0.0
-    if not np.all(positive):
-        k = int(np.argmin(positive))  # the first failing index
-        u = math.atan2(np.ravel(sin_u)[k], np.ravel(cos_u)[k])
+    shape = cos_u.shape
+    c, s = cos_u.reshape(-1), sin_u.reshape(-1)  # so that every row below is an array
+    f = np.empty((2, len(c)))  # b_c^2 C^2 and a_c^2 S^2, then D and 1/D in row 0
+    f0, f1 = f[0], f[1]
+    np.multiply(c, c, out=f0)
+    np.multiply(s, s, out=f1)
+    f0 *= bc2
+    f1 *= ac2
+    w = f0 + f1
+    f0 *= a * a
+    f1 *= b * b
+    d = np.add(f0, f1, out=f0)
+    if not d.min(initial=math.inf) > 0.0:  # NaN fails too
+        k = int(np.argmin(d > 0.0))  # the first failing index
+        u = math.atan2(s[k], c[k])
         raise NumericalError(f"degenerate chord denominator psi <= 0 at index {k}, u={u!r}")
-    bz = zeta * b * yc
-    az = zeta
-    az *= a
-    az *= xc
-    ax = xc
-    ax *= a * bc2 * bc2
-    by = yc
-    by *= b * ac2 * ac2
-    x1 = ac2 * a * (ax - bz) / psi
-    x2 = ax
-    x2 += bz
-    x2 *= ac2 * a
-    x2 /= psi
-    del bz
-    y1 = bc2 * b * (by + az) / psi
-    y2 = by
-    y2 -= az
-    y2 *= bc2 * b
-    y2 /= psi
-    return x1, y1, x2, y2
+    inv_d = np.reciprocal(d, out=d)
+    root_w = np.sqrt(w, out=w)
+    rl = math.sqrt(caustic.lam)
+    ends = np.empty((2, 2, len(c)))  # x (P1, P2), y (P1, P2)
+    # P2 first holds C/D and S/D, then the terms common to both endpoints;
+    # f, whose D is spent, the ones that P1 adds and P2 subtracts
+    x2, y2 = ends[0, 1], ends[1, 1]
+    np.multiply(c, inv_d, out=x2)
+    np.multiply(s, inv_d, out=y2)
+    np.multiply(y2, root_w, out=f0)
+    np.multiply(x2, root_w, out=f1)
+    x2 *= a * ac * a * bc2
+    y2 *= b * bc * b * ac2
+    f0 *= -(a * ac * rl * b)
+    f1 *= b * bc * rl * a
+    mid = ends[:, 1]
+    np.add(mid, f, out=ends[:, 0])
+    mid -= f
+    return ends.reshape((2, 2) + shape)
 
 
 def _pointwise(formula, table, caustic, u):
@@ -155,16 +177,18 @@ def chord_length(table, caustic, u):
 
 
 def _chord_length_at(table, caustic, s):
-    """chord_length at s = sin^2 u:
+    """chord_length at s = sin^2 u: 2 a b sqrt(lam) w/D, with the chord
+    factors of _endpoints at cos^2 u = 1 - s, w = b_c^2 + c^2 s and
+    D = a_c^2 b_c^2 + lam w, as
 
-        2 a b sqrt(lam) (b_c^2 + c^2 s)/(a^2 b_c^2 + lam c^2 s);
+        2 a b sqrt(lam)/(lam + a_c^2 b_c^2/w);
 
     its terms are all non-negative, so nothing cancels as lam -> b^2.
     """
-    a, b = table.a, table.b
-    _, bc = caustic_axes(table, caustic)
-    bc2, c2, lam = bc * bc, table.c2, caustic.lam
-    return 2.0 * a * b * math.sqrt(lam) * (bc2 + c2 * s) / (a * a * bc2 + lam * c2 * s)
+    ac, bc = caustic_axes(table, caustic)
+    lam = caustic.lam
+    w = bc * bc + table.c2 * s
+    return 2.0 * table.a * table.b * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
 
 
 def interior_cosine(table, caustic, u):
@@ -207,21 +231,21 @@ def outer_cosine(table, caustic, u):
 def _outer_cosine_at(table, caustic, s):
     """outer_cosine at s = sin^2 u, in the factored form
 
-        ca sqrt(b_c^2 + c^2 s)/sqrt(r3 + r4 - r4 s)
+        ca/sqrt(ca^2 + E/w),  w = b_c^2 + c^2 s,  E = 4 lam a^2 b^2 a_c^2 b_c^2,
 
     of the normalized dot product of the gradients A P1, A P2
-    (A = diag(1/a^2, 1/b^2)), with ca = a^2 b^2 - lam (a^2 + b^2) and r3, r4
-    the denominator coefficients of the interior cosine's rational form
-    (spatial_averages._closed_forms): r4 = -c^2 ca^2 and
-    r3 + r4 = b_c^2 (a^2 b^2 + lam c^2)^2, so nothing cancels as lam -> b^2.
+    (A = diag(1/a^2, 1/b^2)), with ca = a^2 b^2 - lam (a^2 + b^2).  It is
+    ca sqrt(w)/sqrt(r3 + r4 - r4 s) with r3, r4 the denominator coefficients
+    of the interior cosine's rational form (spatial_averages._closed_forms),
+    since r3 + r4 - r4 s = E + ca^2 w; every term is non-negative, so nothing
+    cancels as lam -> b^2.
     """
-    a, b, lam = table.a, table.b, caustic.lam
-    _, bc = caustic_axes(table, caustic)
-    bc2, c2 = bc * bc, table.c2
+    a, b = table.a, table.b
+    ac, bc = caustic_axes(table, caustic)
     ca = _ca(table, caustic)
-    r4 = -c2 * ca * ca
-    r34 = bc2 * (a * a * b * b + lam * c2) ** 2
-    return ca * np.sqrt((bc2 + c2 * s) / (r34 - r4 * s))
+    e = 4.0 * caustic.lam * (a * a) * (b * b) * (ac * ac) * (bc * bc)
+    w = bc * bc + table.c2 * s
+    return ca / np.sqrt(ca * ca + e / w)
 
 
 def measure_density(table, caustic, u):
@@ -235,7 +259,7 @@ def measure_density(table, caustic, u):
 
 
 def _measure_density_at(table, caustic, s):
-    """measure_density at s = sin^2 u."""
+    """measure_density at s = sin^2 u: (a_c b_c)^(2/3)/sqrt(w), w = b_c^2 + c^2 s."""
     ac, bc = caustic_axes(table, caustic)
     return (ac * bc) ** (2.0 / 3.0) / np.sqrt(bc * bc + table.c2 * s)
 

@@ -30,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conic_geometry as cg
-# complete_pi is not called here (_closed_forms builds Pi from the K it holds);
-# it stays bound, with the other two, for callers that swap out all three
-from .elliptic_integrals import complete_k, complete_pi, complete_pi_minus_k  # noqa: F401
+from .elliptic_integrals import complete_k, complete_pi_minus_k
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -191,12 +189,14 @@ def _chord_samples(table, caustic, s, q1, q2, k1, k2):
     """
     rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(s))
     rows[0] = cg._chord_length_at(table, caustic, s)
-    rows[1] = caustic.lam * (q1 + q2) - 1.0
-    rows[2] = k1
-    rows[2] += k2
-    rows[2] *= 0.5
+    cosine = np.add(q1, q2, out=rows[1])
+    cosine *= caustic.lam
+    cosine -= 1.0
+    kappa = np.add(k1, k2, out=rows[2])
+    kappa *= 0.5
+    outer = np.abs(cg._outer_cosine_at(table, caustic, s))
     with np.errstate(divide="ignore"):
-        rows[3] = np.log(np.abs(cg._outer_cosine_at(table, caustic, s)))
+        np.log(outer, out=rows[3])
     return rows
 
 
@@ -225,10 +225,10 @@ def _quadrature_averages(table, caustic):
             u = 0.5 * v
             cos_u, sin_u = np.cos(u), np.sin(u)
             s = sin_u**2
-        x1, y1, x2, y2 = cg._endpoints(table, caustic, cos_u, sin_u)
-        q1, q2 = cg._inverse_focal_product(table, y1), cg._inverse_focal_product(table, y2)
-        k1, k2 = cg._curvature23_at(table, x1, y1), cg._curvature23_at(table, x2, y2)
-        samples = _chord_samples(table, caustic, s, q1, q2, k1, k2)
+        ends = cg._endpoints(table, caustic, cos_u, sin_u)
+        x, y = ends[0], ends[1]  # rows P1, P2
+        q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
+        samples = _chord_samples(table, caustic, s, q[0], q[1], k[0], k[1])
         pairs = np.empty((rows, 2, len(v)))
         pairs[:, 0] = rho = cg._measure_density_at(table, caustic, s)
         np.multiply(samples[:rows], rho, out=pairs[:, 1])

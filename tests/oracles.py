@@ -7,7 +7,8 @@ the coefficients of the interior cosine's rational form, which the cosine's
 closed form is built on; level_by_level_quadrature is periodic_quadrature
 with one integrand call per doubling level; lam_space_period_solve is
 find_caustic_for_period's root as scipy.optimize.brentq found it in lam;
-row_wise_invariants is evaluate_invariants on the rows of the vertex array.
+row_wise_invariants is evaluate_invariants on the rows of the vertex array;
+patch_complete_integrals swaps out every complete elliptic integral.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 import caustics.conic_geometry as cg
+import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
 from caustics.billiard_dynamics import iterate_orbit, rotation_number
 from caustics.invariant_suite import InvariantReport
@@ -137,3 +139,18 @@ def row_wise_invariants(orbit):
         "closure_defect": orbit.closure_defect,
     }
     return InvariantReport(perimeter, j, sum_cos, product_outer, sum_kappa23, residuals)
+
+
+def patch_complete_integrals(monkeypatch, replacement):
+    """Set every complete_* function of elliptic_integrals to
+    replacement(original), and in spatial_averages each name of them that it
+    binds; asserts that spatial_averages binds them under their own names and
+    under no other, so that no call there escapes the patch."""
+    originals = {getattr(ei, name): name for name in vars(ei) if name.startswith("complete_")}
+    bound = {name: originals[obj] for name, obj in vars(sa).items() if callable(obj) and obj in originals}
+    assert all(name == own for name, own in bound.items()), bound
+    for fn, name in originals.items():
+        monkeypatch.setattr(ei, name, replacement(fn))
+        if name in bound:
+            monkeypatch.setattr(sa, name, getattr(ei, name))
+    return sorted(bound)

@@ -39,10 +39,10 @@ import math
 import numpy as np
 import pytest
 
-import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
 from caustics import cli
 from caustics.cli import Check, main
+from oracles import patch_complete_integrals
 
 
 def run_cli(capsys, *argv):
@@ -143,13 +143,15 @@ def test_sweep_deterministic(capsys):
 
 def test_sweep_row_evaluates_its_closed_forms_once(capsys, monkeypatch):
     calls = []
-    for name in ("complete_k", "complete_pi", "complete_pi_minus_k"):
-        def counting(*args, _fn=getattr(ei, name)):
-            calls.append(args)
-            return _fn(*args)
 
-        monkeypatch.setattr(ei, name, counting)
-        monkeypatch.setattr(sa, name, counting)
+    def counted(fn):
+        def counting(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return counting
+
+    assert patch_complete_integrals(monkeypatch, counted) == ["complete_k", "complete_pi_minus_k"]
     code, _, _ = run_cli(capsys, "sweep", "--a", "2", "--steps", "3", "--method", "both")
     assert code == 0
     assert len(calls) == 3 * 3  # per row: K, and (Pi - K)/n at s5 and at s2

@@ -10,6 +10,11 @@ Proves:
    - on-boundary and tangency residuals over random (table, lambda, u)
    - periodicity and branch consistency of the P1/P2 labels
    - a degenerate chord (psi <= 0) raises naming its first index and angle
+   - property: both endpoints of the shared pass lie on the boundary and on
+     the tangent line at u, and chord_length is their distance, for a in
+     [1, 20], lambda out to the guard and any u (bounds set from measurement)
+   - both endpoints within 1.5e-14 of 40-digit values at a in {1, 1.2, 2, 5,
+     20} and lambda from 1e-9 to b^2 (1 - 1e-9)
  Group 3 - Lengths, cosines, curvature
    - chord_length equals the Euclidean endpoint distance everywhere
    - joachimsthal equals sqrt(lambda)/(ab) and the chord inner products
@@ -112,22 +117,29 @@ def oracle_endpoints(table, caustic, u):
     return (xc + t1 * tx, yc + t1 * ty), (xc + t2 * tx, yc + t2 * ty)
 
 
+def endpoints_mp(a, b, lam, u):
+    """The endpoints (P1, P2) of the chord tangent at u, as 40-digit points
+    (call it within mp.workdps(40)), from the tangent-line/ellipse quadratic;
+    P1 is the root ahead along the counterclockwise tangent."""
+    a, b, lam, u = mp.mpf(a), mp.mpf(b), mp.mpf(lam), mp.mpf(u)
+    ac, bc = mp.sqrt(a * a - lam), mp.sqrt(b * b - lam)
+    xc, yc = ac * mp.cos(u), bc * mp.sin(u)
+    tx, ty = -ac * mp.sin(u), bc * mp.cos(u)
+    qa = tx * tx / (a * a) + ty * ty / (b * b)
+    qb = 2 * (xc * tx / (a * a) + yc * ty / (b * b))
+    qc = xc * xc / (a * a) + yc * yc / (b * b) - 1
+    root = mp.sqrt(qb * qb - 4 * qa * qc)
+    return tuple((xc + t * tx, yc + t * ty) for t in ((-qb + root) / (2 * qa), (-qb - root) / (2 * qa)))
+
+
 def interior_cosine_mp(a, b, lam, u):
     """interior_cosine at 40 digits, geometrically: the endpoints from the
     tangent-line/ellipse quadratic, and at each the cosine of the angle between
     the rays toward its two tangency points on the caustic."""
     with mp.workdps(40):
-        a, b, lam, u = mp.mpf(a), mp.mpf(b), mp.mpf(lam), mp.mpf(u)
-        ac, bc = mp.sqrt(a * a - lam), mp.sqrt(b * b - lam)
-        xc, yc = ac * mp.cos(u), bc * mp.sin(u)
-        tx, ty = -ac * mp.sin(u), bc * mp.cos(u)
-        qa = tx * tx / (a * a) + ty * ty / (b * b)
-        qb = 2 * (xc * tx / (a * a) + yc * ty / (b * b))
-        qc = xc * xc / (a * a) + yc * yc / (b * b) - 1
-        root = mp.sqrt(qb * qb - 4 * qa * qc)
+        ac, bc = mp.sqrt(mp.mpf(a) ** 2 - lam), mp.sqrt(mp.mpf(b) ** 2 - lam)
         total = 0
-        for t in ((-qb + root) / (2 * qa), (-qb - root) / (2 * qa)):
-            px, py = xc + t * tx, yc + t * ty
+        for px, py in endpoints_mp(a, b, lam, u):
             # tangency parameters w from (px/a_c) cos w + (py/b_c) sin w = 1
             phi = mp.atan2(py / bc, px / ac)
             delta = mp.acos(1 / mp.hypot(px / ac, py / bc))
@@ -256,6 +268,58 @@ def test_endpoint_labels_are_consistent(table, frac, u):
     t = np.array([-ac * math.sin(u), bc * math.cos(u)])
     assert (p1 - c) @ t > 0.0
     assert (p2 - c) @ t < 0.0
+
+
+# Bounds on the endpoints of the shared pass, from the worst cases measured
+# over a in [1, 20] and lambda/b^2 from 1e-9 to the guard: 2.3e-14 for the
+# gap between chord_length and the distance of the two points, 1.3e-15 for
+# their boundary residuals and 7.3e-15 for their distances from the tangent
+# line (4,000 random cases); 9.5e-15 for the coordinates against 40-digit
+# endpoints on test_endpoints_against_40_digits' grid (a = 20, lambda = 0.9999).
+CHORD_GAP = 6e-14
+ON_BOUNDARY = 4e-15
+ON_TANGENT = 2e-14
+ENDPOINTS_40_DIGITS = 1.5e-14
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.floats(1.0, 20.0), st.floats(0.05, 9.0), st.booleans(), st.floats(-1e6, 1e6))
+def test_shared_chord_factors(a, k, toward_guard, u):
+    """One pass gives both endpoints from the chord factors w and D: each lies
+    on the boundary and on the caustic's tangent line at u, and their distance
+    is chord_length(u), for a in [1, 20] and lambda/b^2 = 10^-k or
+    1 - 10^-k out to the guard 1 - 1e-9 (residuals taken at 40 digits).  A
+    slipped sign or factor in w or D moves a point off one of them."""
+    lam = min(1.0 - 10.0**-k if toward_guard else 10.0**-k, 1.0 - 1e-9)
+    table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(lam)
+    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, u)
+    length = cg.chord_length(table, caustic, u)
+    with mp.workdps(40):
+        a_, lam_, u_ = mp.mpf(a), mp.mpf(lam), mp.mpf(u)
+        ac, bc = mp.sqrt(a_ * a_ - lam_), mp.sqrt(1 - lam_)
+        # the tangent line b_c cos u x + a_c sin u y = a_c b_c, and its normal's length
+        nx, ny = bc * mp.cos(u_), ac * mp.sin(u_)
+        for x, y in ((mp.mpf(x1), mp.mpf(y1)), (mp.mpf(x2), mp.mpf(y2))):
+            assert abs(x * x / (a_ * a_) + y * y - 1) <= ON_BOUNDARY, (a, lam, u)
+            assert abs(nx * x + ny * y - ac * bc) <= ON_TANGENT * mp.hypot(nx, ny), (a, lam, u)
+        gap = mp.hypot(mp.mpf(x1) - mp.mpf(x2), mp.mpf(y1) - mp.mpf(y2)) - length
+        assert abs(gap) <= CHORD_GAP, (a, lam, u)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0, 20.0])
+def test_endpoints_against_40_digits(a):
+    """Both endpoints within ENDPOINTS_40_DIGITS of the 40-digit
+    tangent-line/ellipse quadratic (endpoints_mp), absolute, at 35 angles
+    for lambda = b^2 (1 - 10^-k), k = 1..9, and lambda in {1e-9, 0.3, 0.7}."""
+    table = cg.BilliardTable(a, 1.0)
+    us = np.r_[np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False), 1e-3, math.pi / 2 - 1e-7, 3.0]
+    for lam in [1.0 - 10.0**-k for k in range(1, 10)] + [1e-9, 0.3, 0.7]:
+        got = cg.endpoint_coordinates(table, cg.CausticSpec(lam), us)
+        with mp.workdps(40):
+            for i, u in enumerate(us):
+                (x1, y1), (x2, y2) = endpoints_mp(a, 1.0, lam, u)
+                for value, want in zip((g[i] for g in got), (x1, y1, x2, y2)):
+                    assert abs(value - want) <= ENDPOINTS_40_DIGITS, (a, lam, u)
 
 
 # ----------------------------------------------------------------- group 3

@@ -77,7 +77,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
-import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
 from caustics.billiard_dynamics import (
     TIME_AVERAGE_QUANTITIES,
@@ -87,7 +86,12 @@ from caustics.billiard_dynamics import (
 from caustics.elliptic_integrals import complete_k, complete_pi
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
-from oracles import level_by_level_quadrature, outer_cosine_gradient, rational_coefficients
+from oracles import (
+    level_by_level_quadrature,
+    outer_cosine_gradient,
+    patch_complete_integrals,
+    rational_coefficients,
+)
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -386,7 +390,7 @@ def samples_at_the_points(table, caustic, cos_u, sin_u):
     tangent at the points (cos u, sin u), built from the private forms as the
     shared grid builds them."""
     s = sin_u**2
-    x1, y1, x2, y2 = cg._endpoints(table, caustic, cos_u, sin_u)
+    (x1, x2), (y1, y2) = cg._endpoints(table, caustic, cos_u, sin_u)
     ends = (cg._inverse_focal_product(table, y1), cg._inverse_focal_product(table, y2),
             cg._curvature23_at(table, x1, y1), cg._curvature23_at(table, x2, y2))
     rho = cg._measure_density_at(table, caustic, s)
@@ -876,9 +880,8 @@ def test_routes_independent_of_elliptic_integrals(monkeypatch):
     def forbidden(*args):
         raise RuntimeError("complete elliptic integral evaluated")
 
-    for name in ("complete_k", "complete_pi", "complete_pi_minus_k"):
-        monkeypatch.setattr(ei, name, forbidden)
-        monkeypatch.setattr(sa, name, forbidden)
+    bound = patch_complete_integrals(monkeypatch, lambda fn: forbidden)
+    assert bound == ["complete_k", "complete_pi_minus_k"]
     caustic = cg.CausticSpec(0.37)
     with pytest.raises(RuntimeError, match="elliptic"):
         sa.mean_sidelength(T2, caustic, method="closed_form")
