@@ -13,11 +13,11 @@ Counterclockwise orientation makes the step u -> u + 2 delta, with delta
 evaluated at the forward endpoint P1(u).  _advance_sequence is the one
 implementation of that step.  The map is conjugate to a rigid rotation
 t -> t + Delta, so rotation_number is exact, and an orbit of _COMPOSE_MIN or
-more bounces is composed from two ~sqrt(n)-bounce runs of the step by the
-addition theorem of sn, cn, dn (_composed_sequence).  Every orbit, composed or
-scalar, is certified step by step by _orbit on its points (cos u, sin u) and
-angles mod 2pi, whose cosines and sines are taken once; the monotone lift
-u_sequence is derived from the angles where it is read.
+more bounces is composed in three levels from two ~cbrt(n)-bounce runs of the
+step by the addition theorem of sn, cn, dn (_composed_sequence).  Every
+orbit, composed or scalar, is certified step by step by _orbit on its points
+(cos u, sin u) and angles mod 2pi, whose cosines and sines are taken once;
+the monotone lift u_sequence is derived from the angles where it is read.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ __all__ = [
 _SHARE_TOL = 1e-8  # endpoint-sharing residual accepted from the closed-form step
 _TAU = 2.0 * math.pi
 _SECANT_STEPS = 6  # brentq's secant steps toward a bracket; the poncelet pool takes at most 5
-_COMPOSE_MIN = 200  # orbit length from which composing wins; the measured break-even is ~150
+_COMPOSE_MIN = 120  # orbit length from which composing wins; the measured break-even is ~100
 _AGM_TOL = 2.0**-30  # c/a at which rotation_number's mean stops; the steps left move rho < 2^-60
 _AGM_STEPS = 30  # the least k', 5e-324, takes 12 steps; more means a runaway mean
 
@@ -57,8 +57,8 @@ class OrbitSample:
     i-1 and i, so chord i joins vertex i to vertex i+1.  Vertex i+1 is P1 at
     the orbit's point i, whose angle is its rounded read: on a composed orbit
     (_COMPOSE_MIN bounces or more) the vertex read at the angle instead moves
-    by up to 5.8e-12 at a = 20, lam = b^2 (1 - 1e-6), against the orbit's own
-    error of 9e-9 there (1,500 bounces, 40-digit reference).  Both arrays have
+    by up to 5.0e-12 at a = 20, lam = b^2 (1 - 1e-6), against the orbit's own
+    error of 2.5e-9 there (1,500 bounces, 40-digit reference).  Both arrays have
     length n+1 for an n-step orbit and are read-only.  u_sequence, built on
     first access, is their monotone lift from u0: u0 + (angles - angles[0])
     + 2pi (whole turns so far), a turn being a step that lowers the angle.
@@ -106,48 +106,77 @@ def _advance_sequence(table, caustic, u0, n):
     return us
 
 
-def _composed_sequence(table, caustic, u0, n):
-    """(angles, cos u, sin u) of the n+1 tangency points from u0, composed
-    from two short runs; the angles lie in [-pi, pi].
-
-    In t = F(u - pi/2 | s3), s3 = c^2/a_c^2, the map is the rotation
-    t -> t + Delta, and the chord at u has (sn t, cn t, dn t) =
-    (-cos u, sin u, sqrt(b_c^2 + c^2 sin^2 u)/a_c).  Two runs of the scalar
-    loop, B ~ sqrt(n) bounces each, give the base u_0 ... u_{B-1} and, from
-    u = pi/2 (t = 0), the jump state at t = B Delta.  The shifts S_j at
-    t = j B Delta are j jumps chained by the addition theorem (DLMF 22.8.1-2),
-    each link renormalized to sn^2 + cn^2 = 1 with dn^2 = b_c^2/a_c^2 + s3 cn^2,
-    and point jB+i is base_i + S_j.  The theorem's common denominator
-    1 - s3 sn^2 sn^2 is positive, so it drops out: point k is (-sn, cn) of
-    the sum divided by its norm, and u_k is its rounded atan2 read.  The
-    points are handed out with the angles, so their cosines and sines are
-    never taken again.
-    """
-    ac, bc = cg.caustic_axes(table, caustic)
-    c2 = table.c2
-    s3, kp2 = c2 / (ac * ac), (bc * bc) / (ac * ac)
-    runs = math.isqrt(n) + 1  # runs^2 > n, so runs * blocks >= n + 1
-    blocks = -(-(n + 1) // runs)
-    base = _advance_sequence(table, caustic, u0, runs - 1)
-    sb, cb = -np.cos(base), np.sin(base)
-    db = np.sqrt(bc * bc + c2 * cb * cb) / ac
-    v = float(_advance_sequence(table, caustic, 0.5 * math.pi, runs)[-1])
-    sj, cj = -math.cos(v), math.sin(v)
-    dj = math.sqrt(bc * bc + c2 * cj * cj) / ac
+def _addition_chain(jump, links, s3, kp2):
+    """(sn, cn, dn) at t = 0, h, 2h, ..., links h, as three arrays, from
+    jump = (sn, cn, dn) at h: links steps of the addition theorem (DLMF
+    22.8.1-2), each renormalized to sn^2 + cn^2 = 1 with dn^2 = kp2 + s3 cn^2,
+    kp2 = b_c^2/a_c^2.  The theorem's common denominator 1 - s3 sn^2 sn^2 is
+    positive, so the renormalization drops it."""
+    sj, cj, dj = jump
     cjdj, sjdj = cj * dj, sj * dj
-    shifts = []
     s, c, d = 0.0, 1.0, 1.0
+    states = [(s, c, d)]
     sqrt, hypot = math.sqrt, math.hypot
-    for _ in range(blocks):
-        shifts.append((s, c, d))
+    for _ in range(links):
         s, c = s * cjdj + sj * c * d, c * cj - s * sjdj * d
         h = hypot(s, c)
         s, c = s / h, c / h
         d = sqrt(kp2 + s3 * c * c)
-    ss, cs, ds = np.array(shifts).T
-    sn = np.multiply.outer(cs * ds, sb) + np.multiply.outer(ss, cb * db)
-    cn = np.multiply.outer(cs, cb) - np.multiply.outer(ss * ds, sb * db)
-    cos_u, sin_u = np.negative(sn, out=sn).ravel()[: n + 1], cn.ravel()[: n + 1]
+        states.append((s, c, d))
+    return np.array(states).T
+
+
+def _sums(shifts, points):
+    """(sn, cn) at every sum of a shift (rows) and a point (columns), each
+    given as (sn, cn, dn), by the addition theorem without its common
+    denominator: each pair is off by that positive factor until normalized."""
+    ss, cs, ds = shifts
+    sp, cp, dp = points
+    sn = np.multiply.outer(cs * ds, sp) + np.multiply.outer(ss, cp * dp)
+    cn = np.multiply.outer(cs, cp) - np.multiply.outer(ss * ds, sp * dp)
+    return sn, cn
+
+
+def _composed_sequence(table, caustic, u0, n):
+    """(angles, cos u, sin u) of the n+1 tangency points from u0, composed
+    in three levels from two short runs; the angles lie in [-pi, pi].
+
+    In t = F(u - pi/2 | s3), s3 = c^2/a_c^2, the map is the rotation
+    t -> t + Delta, and the chord at u has (sn t, cn t, dn t) =
+    (-cos u, sin u, sqrt(b_c^2 + c^2 sin^2 u)/a_c).  With r the whole part
+    of the cube root of n+1 plus one, so r^3 >= n+1, two runs of the scalar
+    loop give the base u_0 ... u_{r-1} and, from u = pi/2 (t = 0), the jump
+    state at t = r Delta.  A chain of r addition-theorem links from it
+    (_addition_chain) gives the shifts at t = j r Delta, j < r, which put on
+    the base give the r^2 points j r + i (_sums), each normalized and given
+    its dn, and with its last link the jump at r^2 Delta.  A chain of
+    T - 1 <= r - 1 such jumps, T = ceil((n+1)/r^2), gives the top shifts,
+    and point J r^2 + k is point k of the r^2 plus top shift J.  Each
+    (-sn, cn) is divided by its norm, and u_k is its rounded atan2 read:
+    the points are handed out with the angles, so their cosines and sines
+    are never taken again.  In all, 2r - 1 scalar steps and r + T - 1 links,
+    at most 4r - 2 Python steps against about 3 sqrt(n) for two levels.
+    """
+    ac, bc = cg.caustic_axes(table, caustic)
+    s3, kp2 = table.c2 / (ac * ac), (bc * bc) / (ac * ac)
+    r = int((n + 1) ** (1.0 / 3.0)) + 1  # r^3 >= n + 1, so the top chain takes at most r states
+    base = _advance_sequence(table, caustic, u0, r - 1)
+    sb, cb = -np.cos(base), np.sin(base)
+    v = float(_advance_sequence(table, caustic, 0.5 * math.pi, r)[-1])
+    cj = math.sin(v)
+    ss, cs, ds = _addition_chain((-math.cos(v), cj, math.sqrt(kp2 + s3 * cj * cj)), r, s3, kp2)
+    sm, cm = _sums((ss[:-1], cs[:-1], ds[:-1]), (sb, cb, np.sqrt(kp2 + s3 * cb * cb)))
+    sm, cm = sm.ravel(), cm.ravel()
+    h = np.hypot(sm, cm)
+    sm /= h
+    cm /= h
+    tops = _addition_chain((ss[-1], cs[-1], ds[-1]), -(-(n + 1) // (r * r)) - 1, s3, kp2)
+    sn, cn = _sums(tops, (sm, cm, np.sqrt(kp2 + s3 * cm * cm)))
+    # shrunk in place to the n+1 points, so that the orbit's long arrays are all
+    # one size: verify peaks at 176.8 MB, against 177.0 with the spare points kept
+    sn.resize(n + 1, refcheck=False)
+    cn.resize(n + 1, refcheck=False)
+    cos_u, sin_u = np.negative(sn, out=sn), cn
     angles = np.arctan2(sin_u, cos_u)
     norm = np.sqrt(cos_u * cos_u + sin_u * sin_u)
     cos_u /= norm
@@ -158,7 +187,8 @@ def _composed_sequence(table, caustic, u0, n):
 @functools.lru_cache(maxsize=2)
 def _orbit(table, caustic, u0, n):
     """The certified n-step orbit from u0 mod 2pi: read-only (angles,
-    vertices, sin^2 u) of its n+1 tangency points.
+    vertices, w) of its n+1 tangency points, w the endpoint pass's chord
+    factor b_c^2 cos^2 u + a_c^2 sin^2 u.
 
     From _COMPOSE_MIN bounces the points are composed (_composed_sequence),
     each with its angle, its rounded atan2 read; below it the scalar loop runs
@@ -168,9 +198,9 @@ def _orbit(table, caustic, u0, n):
     ends, P2 = P1 to _SHARE_TOL (compared squared), and u_{k+1} - u_k mod 2pi
     must lie in (0, pi); otherwise NumericalError.  Vertex 0 is P2 at point 0,
     vertex k+1 is P1 at point k (OrbitSample says how far a vertex read at the
-    rounded angle moves).  sin^2 u of the points is kept for the samples that
-    need it, so no caller takes a sine again.  Callers share the cached
-    arrays, so they are handed out read-only.
+    rounded angle moves).  w of the points is kept for the samples that read
+    it, so no caller forms it or takes a sine again.  Callers share the
+    cached arrays, so they are handed out read-only.
     """
     r0 = u0 % _TAU % _TAU  # the second % maps 2 pi, rounded from a tiny negative u0, to 0
     if n >= _COMPOSE_MIN:
@@ -178,12 +208,11 @@ def _orbit(table, caustic, u0, n):
     else:
         angles = _advance_sequence(table, caustic, r0, n)
         cos_u, sin_u = np.cos(angles), np.sin(angles)
-    (x1, x2), (y1, y2) = cg._endpoints(table, caustic, cos_u, sin_u)
-    del cos_u
+    ((x1, x2), (y1, y2)), w = cg._endpoints(table, caustic, cos_u, sin_u)
+    del cos_u, sin_u
     # allocated once the endpoint pass has freed its temporaries: verify then
     # peaks at 177 MB, against 184 MB with it allocated before the pass
     vertices = np.empty((n + 1, 2))
-    sin2 = np.square(sin_u, out=sin_u)
     vertices[0] = x2[0], y2[0]
     vertices[1:, 0], vertices[1:, 1] = x1[:-1], y1[:-1]
     # the squared gap from P2 at point k+1 to P1 at point k, formed in x2, y2
@@ -204,9 +233,9 @@ def _orbit(table, caustic, u0, n):
             f"billiard step {k} failed at u={angles[k]}, lam={caustic.lam}: "
             f"endpoint-sharing residual {math.sqrt(gap[k]):.3e}, advance {float(steps[k])!r}"
         )
-    for array in (angles, vertices, sin2):
+    for array in (angles, vertices, w):
         array.flags.writeable = False
-    return angles, vertices, sin2
+    return angles, vertices, w
 
 
 def _whole(n, least, what):
@@ -432,12 +461,12 @@ def _orbit_means(table, caustic, u0, n):
     _chord_samples over the certified orbit.  Chord k joins vertex k to
     vertex k+1, which _orbit certified as P2 and P1 at point k, so each
     vertex's inverse focal product and kappa^(2/3) are evaluated once and
-    read by both of its chords, with the points' sin^2 u: no endpoint, no
+    read by both of its chords, with the points' w: no endpoint, no
     boundary check and no trigonometric function is evaluated again."""
-    _, vertices, sin2 = _orbit(table, caustic, u0, n)
+    _, vertices, w = _orbit(table, caustic, u0, n)
     x, y = vertices[:, 0], vertices[:, 1]
     q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
-    samples = _chord_samples(table, caustic, sin2[:n], q[1:], q[:-1], k[1:], k[:-1])
+    samples = _chord_samples(table, caustic, w[:n], q[1:], q[:-1], k[1:], k[:-1])
     full = np.mean(samples, axis=-1).tolist()
     half = np.mean(samples[:, : max(1, n // 2)], axis=-1).tolist()
     return tuple(zip(full, half))

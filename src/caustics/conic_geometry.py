@@ -8,9 +8,9 @@ chord endpoints, lengths, vertex cosines, outer-normal cosines, curvature and
 the invariant measure density, all as plain functions of (table, caustic, u).
 Each formula is written once, in the values it needs: both endpoints in one
 pass over (cos u, sin u), from the chord factors w = b_c^2 cos^2 u +
-a_c^2 sin^2 u and D = a^2 b_c^2 cos^2 u + b^2 a_c^2 sin^2 u (_endpoints), the
-chord length, outer cosine and density in s = sin^2 u, where w = b_c^2 + c^2 s
-(_chord_length_at, _outer_cosine_at, _measure_density_at), and kappa^(2/3)
+a_c^2 sin^2 u and D = a^2 b_c^2 cos^2 u + b^2 a_c^2 sin^2 u (_endpoints),
+which hands out w; the chord length, outer cosine and density in that w
+(_chord_length_at, _outer_cosine_at, _measure_density_at); and kappa^(2/3)
 and the inverse focal product 1/(d1 d2) at boundary points, both endpoints'
 rows at once (_curvature23_at, _inverse_focal_product).  The public functions
 wrap them; an orbit or a quadrature grid takes cos and sin once, evaluates
@@ -101,7 +101,7 @@ def endpoint_coordinates(table, caustic, u):
     direction, P2 the one behind, so consecutive chords share P1(u) = P2(u+).
     """
     u = np.asarray(u, dtype=float)
-    (x1, x2), (y1, y2) = _endpoints(table, caustic, np.cos(u), np.sin(u))
+    ((x1, x2), (y1, y2)), _ = _endpoints(table, caustic, np.cos(u), np.sin(u))
     return x1, y1, x2, y2
 
 
@@ -110,7 +110,8 @@ def _endpoints(table, caustic, cos_u, sin_u):
     cos u and sin u (arrays), which the caller has at hand: an orbit or a
     quadrature grid takes them once for every sample it needs.  They come
     stacked as [x, y] = [[x1, x2], [y1, y2]], so that a formula of a boundary
-    point evaluates both endpoints together.
+    point evaluates both endpoints together, and with the chord factor w,
+    which the per-chord forms below read: (ends, w).
 
     Both read the chord factors, homogeneous in (C, S) = (cos u, sin u),
 
@@ -120,17 +121,18 @@ def _endpoints(table, caustic, cos_u, sin_u):
     y = b b_c (b a_c^2 S +/- sqrt(lam) a sqrt(w) C)/D, upper signs at P1.
     They are the billiard step's z^2/lam and d; the chord length is
     2 a b sqrt(lam) w/D and rho is (a_c b_c)^(2/3)/sqrt(w), each written in
-    s = sin^2 u below.  psi = a_c^2 b_c^2 D is the chord's denominator:
+    w below.  psi = a_c^2 b_c^2 D is the chord's denominator:
     NumericalError where D is not positive, as at a NaN angle or at
     (C, S) = (0, 0), which is no point of the circle.  A call holds seven
-    arrays of u's size, its result included.
+    arrays of u's size, its result included: sqrt(w) is taken into the row
+    of D's terms, so w survives for the caller.
     """
     a, b = table.a, table.b
     ac, bc = caustic_axes(table, caustic)
     ac2, bc2 = ac * ac, bc * bc
     shape = cos_u.shape
     c, s = cos_u.reshape(-1), sin_u.reshape(-1)  # so that every row below is an array
-    f = np.empty((2, len(c)))  # b_c^2 C^2 and a_c^2 S^2, then D and 1/D in row 0
+    f = np.empty((2, len(c)))  # b_c^2 C^2 and a_c^2 S^2, then D and 1/D in row 0, sqrt(w) in row 1
     f0, f1 = f[0], f[1]
     np.multiply(c, c, out=f0)
     np.multiply(s, s, out=f1)
@@ -145,11 +147,12 @@ def _endpoints(table, caustic, cos_u, sin_u):
         u = math.atan2(s[k], c[k])
         raise NumericalError(f"degenerate chord denominator psi <= 0 at index {k}, u={u!r}")
     inv_d = np.reciprocal(d, out=d)
-    root_w = np.sqrt(w, out=w)
+    root_w = np.sqrt(w, out=f1)
     rl = math.sqrt(caustic.lam)
     ends = np.empty((2, 2, len(c)))  # x (P1, P2), y (P1, P2)
     # P2 first holds C/D and S/D, then the terms common to both endpoints;
-    # f, whose D is spent, the ones that P1 adds and P2 subtracts
+    # f, whose 1/D and then sqrt(w) are spent, the ones that P1 adds and P2
+    # subtracts
     x2, y2 = ends[0, 1], ends[1, 1]
     np.multiply(c, inv_d, out=x2)
     np.multiply(s, inv_d, out=y2)
@@ -162,12 +165,17 @@ def _endpoints(table, caustic, cos_u, sin_u):
     mid = ends[:, 1]
     np.add(mid, f, out=ends[:, 0])
     mid -= f
-    return ends.reshape((2, 2) + shape)
+    return ends.reshape((2, 2) + shape), w.reshape(shape)
 
 
 def _pointwise(formula, table, caustic, u):
-    """formula(table, caustic, sin^2 u) at u, a float where u is a scalar."""
-    val = formula(table, caustic, np.sin(np.asarray(u, dtype=float)) ** 2)
+    """formula(table, caustic, w) at u, a float where u is a scalar, with the
+    chord factor w formed as _endpoints forms it, so that a public function
+    of u is bit for bit its private form on an endpoint pass's w."""
+    ac, bc = caustic_axes(table, caustic)
+    u = np.asarray(u, dtype=float)
+    c, s = np.cos(u), np.sin(u)
+    val = formula(table, caustic, c * c * (bc * bc) + s * s * (ac * ac))
     return float(val) if val.ndim == 0 else val
 
 
@@ -176,10 +184,9 @@ def chord_length(table, caustic, u):
     return _pointwise(_chord_length_at, table, caustic, u)
 
 
-def _chord_length_at(table, caustic, s):
-    """chord_length at s = sin^2 u: 2 a b sqrt(lam) w/D, with the chord
-    factors of _endpoints at cos^2 u = 1 - s, w = b_c^2 + c^2 s and
-    D = a_c^2 b_c^2 + lam w, as
+def _chord_length_at(table, caustic, w):
+    """chord_length at the chord factor w of _endpoints: 2 a b sqrt(lam) w/D,
+    with D = a_c^2 b_c^2 + lam w on the circle C^2 + S^2 = 1, as
 
         2 a b sqrt(lam)/(lam + a_c^2 b_c^2/w);
 
@@ -187,7 +194,6 @@ def _chord_length_at(table, caustic, s):
     """
     ac, bc = caustic_axes(table, caustic)
     lam = caustic.lam
-    w = bc * bc + table.c2 * s
     return 2.0 * table.a * table.b * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
 
 
@@ -228,23 +234,22 @@ def outer_cosine(table, caustic, u):
     return _pointwise(_outer_cosine_at, table, caustic, u)
 
 
-def _outer_cosine_at(table, caustic, s):
-    """outer_cosine at s = sin^2 u, in the factored form
+def _outer_cosine_at(table, caustic, w):
+    """outer_cosine at the chord factor w of _endpoints, in the factored form
 
-        ca/sqrt(ca^2 + E/w),  w = b_c^2 + c^2 s,  E = 4 lam a^2 b^2 a_c^2 b_c^2,
+        ca/sqrt(ca^2 + E/w),  E = 4 lam a^2 b^2 a_c^2 b_c^2,
 
     of the normalized dot product of the gradients A P1, A P2
     (A = diag(1/a^2, 1/b^2)), with ca = a^2 b^2 - lam (a^2 + b^2).  It is
     ca sqrt(w)/sqrt(r3 + r4 - r4 s) with r3, r4 the denominator coefficients
     of the interior cosine's rational form (spatial_averages._closed_forms),
-    since r3 + r4 - r4 s = E + ca^2 w; every term is non-negative, so nothing
-    cancels as lam -> b^2.
+    since r3 + r4 - r4 s = E + ca^2 w at s = sin^2 u, where w = b_c^2 + c^2 s;
+    every term is non-negative, so nothing cancels as lam -> b^2.
     """
     a, b = table.a, table.b
     ac, bc = caustic_axes(table, caustic)
     ca = _ca(table, caustic)
     e = 4.0 * caustic.lam * (a * a) * (b * b) * (ac * ac) * (bc * bc)
-    w = bc * bc + table.c2 * s
     return ca / np.sqrt(ca * ca + e / w)
 
 
@@ -258,10 +263,10 @@ def measure_density(table, caustic, u):
     return _pointwise(_measure_density_at, table, caustic, u)
 
 
-def _measure_density_at(table, caustic, s):
-    """measure_density at s = sin^2 u: (a_c b_c)^(2/3)/sqrt(w), w = b_c^2 + c^2 s."""
+def _measure_density_at(table, caustic, w):
+    """measure_density at the chord factor w of _endpoints: (a_c b_c)^(2/3)/sqrt(w)."""
     ac, bc = caustic_axes(table, caustic)
-    return (ac * bc) ** (2.0 / 3.0) / np.sqrt(bc * bc + table.c2 * s)
+    return (ac * bc) ** (2.0 / 3.0) / np.sqrt(w)
 
 
 def curvature23(table, p):

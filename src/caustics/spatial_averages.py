@@ -12,9 +12,10 @@ are evaluated together, once per caustic (_closed_forms), and both routes are
 cross-checked.  The quadrature route integrates Z itself, so it evaluates no
 elliptic integral and no closed form.
 All four per-chord samples are evaluated together (_chord_samples), from one
-cos u and sin u per node and each endpoint's kappa^(2/3) and inverse focal
-product, and one periodic_quadrature call per caustic integrates them all on
-one grid: each average pairs its sample with Z and converges, or fails, on
+cos u and sin u per node: the endpoint pass's chord factor w and each
+endpoint's kappa^(2/3) and inverse focal product, and one
+periodic_quadrature call per caustic integrates them all on one grid: each
+average pairs its sample with Z and converges, or fails, on
 its own.  The samples are pi-periodic, so the grid holds the chords at u in
 [0, pi), each once.  Its first integrand call evaluates the first six levels
 (16 to 512 nodes) on nodes and trigonometry taken once at import, all six
@@ -54,14 +55,13 @@ _MAX_NODES = 2**20
 # whatever its size (numpy dispatch, not nodes), and of seed 3's 1,024
 # bulk-sweep caustics 90% converge by 256 nodes of the half period, 8% at 512
 # and 2% beyond (56/34/10 on the full period), so evaluating ahead to 512
-# wastes little and saves the level-by-level calls.  Its nodes, and cos u,
-# sin u and sin^2 u at u = v/2 for _quadrature_averages, are taken once,
-# read-only; _LEVEL_ORDER lists the nodes level by level, level 16's and then
-# the midpoints of each next level, whose places are _LEVEL_SPANS.
+# wastes little and saves the level-by-level calls.  Its nodes, and cos u
+# and sin u at u = v/2 for _quadrature_averages, are taken once, read-only;
+# _LEVEL_ORDER lists the nodes level by level, level 16's and then the
+# midpoints of each next level, whose places are _LEVEL_SPANS.
 _FIRST_GRID = 512
 _FIRST_NODES = np.linspace(0.0, 2.0 * math.pi, _FIRST_GRID, endpoint=False)
-_FIRST_TRIG = np.array([np.cos(0.5 * _FIRST_NODES), np.sin(0.5 * _FIRST_NODES)])
-_FIRST_TRIG = np.vstack([_FIRST_TRIG, _FIRST_TRIG[1:] ** 2])  # cos u, sin u, sin^2 u
+_FIRST_TRIG = np.array([np.cos(0.5 * _FIRST_NODES), np.sin(0.5 * _FIRST_NODES)])  # cos u, sin u
 _FIRST_NODES.flags.writeable = _FIRST_TRIG.flags.writeable = False
 _LEVEL_ORDER = np.concatenate([np.arange(0, _FIRST_GRID, 32)]
                                + [np.arange(s // 2, _FIRST_GRID, s) for s in (32, 16, 8, 4, 2)])
@@ -175,28 +175,31 @@ def normalization(table, caustic) -> float:
 _CHORD_QUANTITIES = ("sidelength", "interior_cosine", "curvature23", "log_abs_outer_cosine")
 
 
-def _chord_samples(table, caustic, s, q1, q2, k1, k2):
+def _chord_samples(table, caustic, w, q1, q2, k1, k2):
     """The per-chord g(u) of each average at the chords tangent at u, one row
     per _CHORD_QUANTITIES entry: chord length, interior cosine, the mean of
-    kappa^(2/3) at the two endpoints and log|outer cosine| (-inf where ca = 0).
+    kappa^(2/3) at the two endpoints and log|outer cosine| (-inf where ca = 0,
+    at which the outer cosine vanishes identically).
 
-    s = sin^2 u and the inverse focal products q1, q2 and kappa^(2/3) k1, k2
-    at P1(u) and P2(u) are what the caller has at hand: a quadrature grid
-    takes cos u and sin u once for them, an orbit evaluates each certified
-    vertex once and hands out sin^2 of its points.  Every conic_geometry
-    function is looked up at call time, so a wrapper bound there sees every
-    call.
+    The chord factor w of the endpoint pass, the inverse focal products
+    q1, q2 and kappa^(2/3) k1, k2 at P1(u) and P2(u) are what the caller has
+    at hand: a quadrature grid takes cos u and sin u once for them, an orbit
+    evaluates each certified vertex once and hands out w of its points.
+    Every conic_geometry function is looked up at call time, so a wrapper
+    bound there sees every call.
     """
-    rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(s))
-    rows[0] = cg._chord_length_at(table, caustic, s)
+    rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(w))
+    rows[0] = cg._chord_length_at(table, caustic, w)
     cosine = np.add(q1, q2, out=rows[1])
     cosine *= caustic.lam
     cosine -= 1.0
     kappa = np.add(k1, k2, out=rows[2])
     kappa *= 0.5
-    outer = np.abs(cg._outer_cosine_at(table, caustic, s))
-    with np.errstate(divide="ignore"):
-        np.log(outer, out=rows[3])
+    if cg._ca(table, caustic) == 0.0:
+        rows[3] = -math.inf
+    else:
+        outer = np.abs(cg._outer_cosine_at(table, caustic, w), out=rows[3])
+        np.log(outer, out=outer)
     return rows
 
 
@@ -220,17 +223,15 @@ def _quadrature_averages(table, caustic):
 
     def weighted(v):
         if v is _FIRST_NODES:
-            cos_u, sin_u, s = _FIRST_TRIG
+            cos_u, sin_u = _FIRST_TRIG[0], _FIRST_TRIG[1]
         else:
             u = 0.5 * v
             cos_u, sin_u = np.cos(u), np.sin(u)
-            s = sin_u**2
-        ends = cg._endpoints(table, caustic, cos_u, sin_u)
-        x, y = ends[0], ends[1]  # rows P1, P2
+        (x, y), w = cg._endpoints(table, caustic, cos_u, sin_u)  # x, y: rows P1, P2
         q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
-        samples = _chord_samples(table, caustic, s, q[0], q[1], k[0], k[1])
+        samples = _chord_samples(table, caustic, w, q[0], q[1], k[0], k[1])
         pairs = np.empty((rows, 2, len(v)))
-        pairs[:, 0] = rho = cg._measure_density_at(table, caustic, s)
+        pairs[:, 0] = rho = cg._measure_density_at(table, caustic, w)
         np.multiply(samples[:rows], rho, out=pairs[:, 1])
         return pairs
 

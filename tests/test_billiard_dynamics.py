@@ -181,7 +181,7 @@ def test_cached_orbit_is_read_only():
     # iterate_orbit, time_average and the periodic certificate share one
     # cached orbit per (table, caustic, u0, n)
     for n in (100, 1000):  # the scalar loop and a composed orbit
-        angles, verts, sin2 = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, n)
+        angles, verts, w = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, n)
         sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.1, n)
         assert sample.angles is angles and sample.vertex_sequence is verts
         with pytest.raises(ValueError, match="read-only"):
@@ -191,9 +191,9 @@ def test_cached_orbit_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             verts[3, 1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            sin2[5] = 0.0
+            w[5] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            sin2[:10] *= 2.0
+            w[:10] *= 2.0
 
 
 def test_period_is_solved_once_for_its_seeds(monkeypatch):
@@ -363,6 +363,41 @@ def test_composed_points_are_the_cosines_and_sines_of_their_angles(a):
         assert len(angles) == len(cos_u) == len(sin_u) == 20_001
         assert np.max(np.abs(cos_u - np.cos(angles))) <= 8.9e-16, fraction
         assert np.max(np.abs(sin_u - np.sin(angles))) <= 8.9e-16, fraction
+
+
+@pytest.mark.parametrize("n", [bd._COMPOSE_MIN, 200, 500, 999, 2_000, 20_000, 1_000_000])
+def test_a_composed_orbit_takes_about_four_cube_roots_of_python_steps(monkeypatch, n):
+    """The scalar steps (_advance_sequence) and addition-theorem links
+    (_addition_chain) of a composed orbit, counted.  With r the whole part
+    of cbrt(n+1) plus one, so (r-1)^3 <= n+1 <= r^3, they are r - 1 base
+    steps, r steps to the jump, r links of the middle chain and T - 1 of the
+    top one, T = ceil((n+1)/r^2) <= r: 3r + T - 2 <= 4r - 2 in all, and
+    since r <= ceil(cbrt(n+1)) + 1 (equal where n+1 is a cube, as at
+    n = 999), at most 4 ceil(cbrt(n+1)) + 2: the constant is 2.  Both
+    chains take links at every length from _COMPOSE_MIN on, 500 (the
+    40-digit tests' orbits) included, so all three levels run; two levels
+    took about 3 sqrt(n) steps (424 at 20,000)."""
+    steps, links = [], []
+    advance, chain = bd._advance_sequence, bd._addition_chain
+
+    def counted_steps(table, caustic, u0, k):
+        steps.append(k)
+        return advance(table, caustic, u0, k)
+
+    def counted_links(jump, k, s3, kp2):
+        links.append(k)
+        return chain(jump, k, s3, kp2)
+
+    monkeypatch.setattr(bd, "_advance_sequence", counted_steps)
+    monkeypatch.setattr(bd, "_addition_chain", counted_links)
+    angles, cos_u, sin_u = bd._composed_sequence(T2, cg.CausticSpec(0.37), 0.3, n)
+    assert len(angles) == len(cos_u) == len(sin_u) == n + 1
+    r = steps[1]
+    assert (r - 1) ** 3 <= n + 1 <= r**3
+    assert steps == [r - 1, r] and links == [r, -(-(n + 1) // (r * r)) - 1] and links[1] >= 1
+    cube = round((n + 1) ** (1.0 / 3.0))
+    cube += cube**3 < n + 1  # ceil(cbrt(n+1)), exact
+    assert sum(steps) + sum(links) <= 4 * cube + 2, (steps, links)
 
 
 def forty_digit_vertices(a, lam, u0, n):
@@ -723,24 +758,24 @@ def samples_at_the_vertices(table, caustic, u0, n):
     chord's built from both of its vertices: the mean of the public
     curvature23 at them, and interior_cosine's focal identity
     lam (1/(d1 d2) + 1/(d1 d2)) - 1 with d1 d2 = b^2 + c^2 y^2/b^2 at them;
-    the chord length and outer cosine at the points' sin^2 u."""
-    _, vertices, sin2 = bd._orbit(table, caustic, u0, n)
+    the chord length and outer cosine at the points' chord factor w."""
+    _, vertices, w = bd._orbit(table, caustic, u0, n)
     p1, p2 = vertices[1:], vertices[:-1]
     b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
     rows = np.empty((len(TIME_AVERAGE_QUANTITIES), n))
-    rows[0] = cg._chord_length_at(table, caustic, sin2[:n])
+    rows[0] = cg._chord_length_at(table, caustic, w[:n])
     rows[1] = caustic.lam * (
         1.0 / (b2 + c2_b2 * p1[:, 1] * p1[:, 1]) + 1.0 / (b2 + c2_b2 * p2[:, 1] * p2[:, 1])
     ) - 1.0
     rows[2] = 0.5 * (cg.curvature23(table, p1) + cg.curvature23(table, p2))
     with np.errstate(divide="ignore"):
-        rows[3] = np.log(np.abs(cg._outer_cosine_at(table, caustic, sin2[:n])))
+        rows[3] = np.log(np.abs(cg._outer_cosine_at(table, caustic, w[:n])))
     return rows
 
 
 @pytest.mark.parametrize("table, lam", [(T5, 0.61), (T2, 0.8), (CIRCLE, 0.3),
                                         (cg.BilliardTable(20.0, 1.0), 1.0 - 1e-6)])
-@pytest.mark.parametrize("n", [150, 2000], ids=["scalar", "composed"])
+@pytest.mark.parametrize("n", [100, 2000], ids=["scalar", "composed"])
 def test_time_averages_evaluate_each_vertex_once(table, lam, n):
     """The time averages evaluate each vertex once, for both chords that
     share it, and give bit for bit the means of the samples built chord by

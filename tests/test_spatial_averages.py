@@ -271,8 +271,9 @@ def test_first_grid_constants():
     hands the nodes array itself to its first call."""
     nodes = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     u = 0.5 * nodes
+    assert sa._FIRST_TRIG.shape == (2, 512)
     for constant, want in ((sa._FIRST_NODES, nodes), (sa._FIRST_TRIG[0], np.cos(u)),
-                           (sa._FIRST_TRIG[1], np.sin(u)), (sa._FIRST_TRIG[2], np.sin(u) ** 2)):
+                           (sa._FIRST_TRIG[1], np.sin(u))):
         assert not constant.flags.writeable
         assert constant.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
@@ -389,12 +390,11 @@ def samples_at_the_points(table, caustic, cos_u, sin_u):
     """rho and the four samples, in _CHORD_QUANTITIES order, of the chords
     tangent at the points (cos u, sin u), built from the private forms as the
     shared grid builds them."""
-    s = sin_u**2
-    (x1, x2), (y1, y2) = cg._endpoints(table, caustic, cos_u, sin_u)
+    ((x1, x2), (y1, y2)), w = cg._endpoints(table, caustic, cos_u, sin_u)
     ends = (cg._inverse_focal_product(table, y1), cg._inverse_focal_product(table, y2),
             cg._curvature23_at(table, x1, y1), cg._curvature23_at(table, x2, y2))
-    rho = cg._measure_density_at(table, caustic, s)
-    return np.vstack([rho, sa._chord_samples(table, caustic, s, *ends)])
+    rho = cg._measure_density_at(table, caustic, w)
+    return np.vstack([rho, sa._chord_samples(table, caustic, w, *ends)])
 
 
 def within_ulps(got, want, ulps=4):
@@ -418,8 +418,8 @@ def test_rho_and_the_samples_are_pi_periodic(a, fraction, u):
     table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
     angles = u + np.linspace(0.0, math.pi, 16, endpoint=False)
     cos_u, sin_u = np.cos(angles), np.sin(angles)
-    for end, turned in zip(cg._endpoints(table, caustic, cos_u, sin_u),
-                           cg._endpoints(table, caustic, -cos_u, -sin_u)):
+    for end, turned in zip(cg._endpoints(table, caustic, cos_u, sin_u)[0],
+                           cg._endpoints(table, caustic, -cos_u, -sin_u)[0]):
         assert within_ulps(-turned, end)
     here = samples_at_the_points(table, caustic, cos_u, sin_u)
     turned = samples_at_the_points(table, caustic, -cos_u, -sin_u)
@@ -481,11 +481,14 @@ def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
     table, caustic = T2, cg.CausticSpec(0.37)
     intact = shared_grid_averages(table, caustic)
     samples = sa._chord_samples
+    # w = b_c^2 + c^2 sin^2 u runs over [b_c^2, a_c^2]; a step at its midpoint
+    # jumps at the two u in [0, pi) where sin^2 u = 1/2
+    ac, bc = cg.caustic_axes(table, caustic)
+    middle = 0.5 * (ac * ac + bc * bc)
 
-    def with_a_jump(table, caustic, s, *ends):
-        # a step in s = sin^2 u jumps at the two u in [0, pi) where sin^2 u = 0.3
-        rows = samples(table, caustic, s, *ends)
-        rows[TIME_AVERAGE_QUANTITIES.index(broken)] = np.where(s < 0.3, 0.0, 1.0)
+    def with_a_jump(table, caustic, w, *ends):
+        rows = samples(table, caustic, w, *ends)
+        rows[TIME_AVERAGE_QUANTITIES.index(broken)] = np.where(w < middle, 0.0, 1.0)
         return rows
 
     monkeypatch.setattr(sa, "_chord_samples", with_a_jump)
