@@ -43,7 +43,7 @@ __all__ = [
 _SHARE_TOL = 1e-8  # endpoint-sharing residual accepted from the closed-form step
 _TAU = 2.0 * math.pi
 _SECANT_STEPS = 6  # brentq's secant steps toward a bracket; the poncelet pool takes at most 5
-_COMPOSE_MIN = 120  # orbit length from which composing wins; the measured break-even is ~100
+_COMPOSE_MIN = 120  # orbit length from which composing wins; measured break-even 110-120
 _AGM_TOL = 2.0**-30  # c/a at which rotation_number's mean stops; the steps left move rho < 2^-60
 _AGM_STEPS = 30  # the least k', 5e-324, takes 12 steps; more means a runaway mean
 
@@ -129,11 +129,31 @@ def _addition_chain(jump, links, s3, kp2):
 def _sums(shifts, points):
     """(sn, cn) at every sum of a shift (rows) and a point (columns), each
     given as (sn, cn, dn), by the addition theorem without its common
-    denominator: each pair is off by that positive factor until normalized."""
+    denominator: each pair is off by that positive factor until normalized.
+
+    Each is one two-term contraction of a (shifts, 2) and a (2, points)
+    operand, written into two small arrays:
+
+        sn = [cs ds, ss] . [sp; cp dp],    cn = [cs, -ss ds] . [cp; sp dp],
+
+    so the two results are the only arrays of the orbit's size.  Plain
+    einsum sums p0 + p1 of the two rounded products, as the outer products
+    did, bit for bit; with optimize it would call BLAS, whose first GEMM
+    maps OpenBLAS's buffer."""
     ss, cs, ds = shifts
     sp, cp, dp = points
-    sn = np.multiply.outer(cs * ds, sp) + np.multiply.outer(ss, cp * dp)
-    cn = np.multiply.outer(cs, cp) - np.multiply.outer(ss * ds, sp * dp)
+    lhs, rhs = np.empty((len(ss), 2)), np.empty((2, len(sp)))
+    np.multiply(cs, ds, out=lhs[:, 0])
+    lhs[:, 1] = ss
+    rhs[0] = sp
+    np.multiply(cp, dp, out=rhs[1])
+    sn = np.einsum("ik,kj->ij", lhs, rhs)
+    lhs[:, 0] = cs
+    np.multiply(ss, ds, out=lhs[:, 1])
+    np.negative(lhs[:, 1], out=lhs[:, 1])
+    rhs[0] = cp
+    np.multiply(sp, dp, out=rhs[1])
+    cn = np.einsum("ik,kj->ij", lhs, rhs)
     return sn, cn
 
 
@@ -177,8 +197,11 @@ def _composed_sequence(table, caustic, u0, n):
     sn.resize(n + 1, refcheck=False)
     cn.resize(n + 1, refcheck=False)
     cos_u, sin_u = np.negative(sn, out=sn), cn
-    angles = np.arctan2(sin_u, cos_u)
-    norm = np.sqrt(cos_u * cos_u + sin_u * sin_u)
+    norm = np.multiply(cos_u, cos_u)
+    angles = np.multiply(sin_u, sin_u)  # sin^2 u until the angles are read
+    norm += angles
+    np.sqrt(norm, out=norm)
+    np.arctan2(sin_u, cos_u, out=angles)
     cos_u /= norm
     sin_u /= norm
     return angles, cos_u, sin_u
@@ -223,10 +246,11 @@ def _orbit(table, caustic, u0, n):
     dy *= dy
     gap += dy
     steps = angles[1:] - angles[:-1]
-    steps += _TAU * (steps < 0.0)  # both angles lie in one interval of length 2pi
+    test = steps < 0.0
+    np.add(steps, _TAU, out=steps, where=test)  # both angles lie in one interval of length 2pi
     ok = gap <= _SHARE_TOL**2
-    ok &= steps > 0.0
-    ok &= steps < math.pi
+    ok &= np.greater(steps, 0.0, out=test)
+    ok &= np.less(steps, math.pi, out=test)
     if not ok.all():
         k = int(np.argmin(ok))  # the first failing step
         raise NumericalError(

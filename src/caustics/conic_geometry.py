@@ -12,11 +12,15 @@ a_c^2 sin^2 u and D = a^2 b_c^2 cos^2 u + b^2 a_c^2 sin^2 u (_endpoints),
 which hands out w; the chord length, outer cosine and density in that w
 (_chord_length_at, _outer_cosine_at, _measure_density_at); and kappa^(2/3)
 and the inverse focal product 1/(d1 d2) at boundary points, both endpoints'
-rows at once (_curvature23_at, _inverse_focal_product).  The public functions
-wrap them; an orbit or a quadrature grid takes cos and sin once, evaluates
-each point once and calls the private forms, which check no point against
-the boundary: only curvature23 does (_boundary_residual, which
-evaluate_invariants reports).
+rows at once (_curvature23_at, _inverse_focal_product).  The four forms an
+orbit's samples read allocate their result by their formula's first
+operation and finish in place in the formula's order of operations (_into),
+since an orbit's arrays are too small for numpy to reuse an expression's
+temporaries; _curvature23_at holds one more array, its second term.  The
+public functions wrap them; an orbit or a quadrature grid takes cos and sin
+once, evaluates each point once and calls the private forms, which check no
+point against the boundary: only curvature23 does (_boundary_residual,
+which evaluate_invariants reports).
 """
 from __future__ import annotations
 
@@ -194,7 +198,9 @@ def _chord_length_at(table, caustic, w):
     """
     ac, bc = caustic_axes(table, caustic)
     lam = caustic.lam
-    return 2.0 * table.a * table.b * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
+    length = (ac * ac) * (bc * bc) / w
+    length += lam
+    return _into(np.divide, 2.0 * table.a * table.b * math.sqrt(lam), length)
 
 
 def interior_cosine(table, caustic, u):
@@ -215,7 +221,10 @@ def interior_cosine(table, caustic, u):
 
 def _inverse_focal_product(table, y):
     """1/(d1 d2) = 1/(b^2 + c^2 y^2/b^2) at the boundary points of ordinate y."""
-    return 1.0 / (table.b * table.b + table.c2 / table.b**2 * y * y)
+    q = table.c2 / table.b**2 * y
+    q *= y
+    q += table.b * table.b
+    return _into(np.divide, 1.0, q)
 
 
 def _ca(table, caustic):
@@ -250,7 +259,9 @@ def _outer_cosine_at(table, caustic, w):
     ac, bc = caustic_axes(table, caustic)
     ca = _ca(table, caustic)
     e = 4.0 * caustic.lam * (a * a) * (b * b) * (ac * ac) * (bc * bc)
-    return ca / np.sqrt(ca * ca + e / w)
+    cosine = e / w
+    cosine += ca * ca
+    return _into(np.divide, ca, _into(np.sqrt, cosine))
 
 
 def measure_density(table, caustic, u):
@@ -292,7 +303,20 @@ def curvature23(table, p):
 def _curvature23_at(table, x, y):
     """curvature23 at the boundary points (x, y), which are not checked."""
     a, b = table.a, table.b
-    return (a * b) ** (-4.0 / 3.0) / (x * x / a**4 + y * y / b**4)
+    k = x * x
+    k /= a**4
+    term = y * y
+    term /= b**4
+    k += term
+    return _into(np.divide, (a * b) ** (-4.0 / 3.0), k)
+
+
+def _into(ufunc, *operands):
+    """ufunc(*operands) written into the last operand, an array that a
+    per-point form has allocated for its result; at a 0-d input that is a
+    numpy scalar, which cannot be written, and a new one is returned."""
+    last = operands[-1]
+    return ufunc(*operands, last) if last.ndim else ufunc(*operands)
 
 
 def _boundary_residual(table, x, y):

@@ -8,7 +8,10 @@ closed form is built on; level_by_level_quadrature is periodic_quadrature
 with one integrand call per doubling level; lam_space_period_solve is
 find_caustic_for_period's root as scipy.optimize.brentq found it in lam;
 row_wise_invariants is evaluate_invariants on the rows of the vertex array;
-patch_complete_integrals swaps out every complete elliptic integral.
+patch_complete_integrals swaps out every complete elliptic integral;
+outer_product_sums and EXPRESSION_FORMS are billiard_dynamics._sums and
+the four conic_geometry per-point forms that an orbit reads as they were
+written before they worked in place, one numpy expression each.
 """
 from __future__ import annotations
 
@@ -154,3 +157,45 @@ def patch_complete_integrals(monkeypatch, replacement):
         if name in bound:
             monkeypatch.setattr(sa, name, getattr(ei, name))
     return sorted(bound)
+
+
+def outer_product_sums(shifts, points):
+    """billiard_dynamics._sums as four outer products and two array sums."""
+    ss, cs, ds = shifts
+    sp, cp, dp = points
+    sn = np.multiply.outer(cs * ds, sp) + np.multiply.outer(ss, cp * dp)
+    cn = np.multiply.outer(cs, cp) - np.multiply.outer(ss * ds, sp * dp)
+    return sn, cn
+
+
+def _chord_length_expression(table, caustic, w):
+    ac, bc = cg.caustic_axes(table, caustic)
+    lam = caustic.lam
+    return 2.0 * table.a * table.b * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
+
+
+def _outer_cosine_expression(table, caustic, w):
+    a, b = table.a, table.b
+    ac, bc = cg.caustic_axes(table, caustic)
+    ca = cg._ca(table, caustic)
+    e = 4.0 * caustic.lam * (a * a) * (b * b) * (ac * ac) * (bc * bc)
+    return ca / np.sqrt(ca * ca + e / w)
+
+
+def _inverse_focal_product_expression(table, y):
+    return 1.0 / (table.b * table.b + table.c2 / table.b**2 * y * y)
+
+
+def _curvature23_expression(table, x, y):
+    a, b = table.a, table.b
+    return (a * b) ** (-4.0 / 3.0) / (x * x / a**4 + y * y / b**4)
+
+
+# name of the conic_geometry form -> (expression form, its arguments after
+# table: "cw" for (caustic, w), "y" for y, "xy" for (x, y))
+EXPRESSION_FORMS = {
+    "_chord_length_at": (_chord_length_expression, "cw"),
+    "_outer_cosine_at": (_outer_cosine_expression, "cw"),
+    "_inverse_focal_product": (_inverse_focal_product_expression, "y"),
+    "_curvature23_at": (_curvature23_expression, "xy"),
+}

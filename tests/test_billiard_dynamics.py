@@ -33,15 +33,23 @@ Proves:
      u0 mod 2 pi, shifted by the seed's whole turns, with u_sequence[0] = u0
    - 2e4-bounce composed orbits agree with the scalar loop to 1e-9 in the
      angles on a in {1, 1.2, 2, 5} x lambda/b^2 in {0.05, 0.3, 0.68, 0.95}
+   - the composition's sums, one plain einsum contraction each, are bit
+     for bit the outer products they replace (tests/oracles.py) on random
+     shapes from 1 x 1 to 30 x 1,000, and no einsum call passes optimize
+     (which would call BLAS)
    - the composed points (cos u, sin u) lie within 8.9e-16 of np.cos and
      np.sin of their angles on a in {1, 1.2, 2, 5, 20}, lambda out to the
      guard; 500-bounce composed vertices at (5, 0.99) and (20, 1 - 1e-6) are
      within 7e-12 and 2.7e-9 of a 40-digit orbit, bounds set from the error
      of the vertices read at the rounded angles
-   - property: on any admitted (a, lambda, u0) and n up to 3e4, iterate_orbit
-     returns angles whose every step re-checks against endpoint_coordinates
-     and a lift that differs from them by whole turns, or raises
-     NumericalError; three near-guard orbits of up to 1e6 bounces certify
+   - property: on any admitted (a, lambda, u0), a from 1 to 1e4 log-spaced
+     and lambda out to the guard, and n up to 3e4, iterate_orbit returns
+     an orbit whose points, re-read, share every endpoint to 1e-8 (up to
+     a = 5 the angles re-check through endpoint_coordinates too) and a lift
+     that differs from the angles by whole turns, or raises NumericalError;
+     three near-guard orbits of up to 1e6 bounces certify, and eccentric
+     orbits where composition has failed the certificate (a up to 1e4)
+     certify on their points or raise
  Group 3 - Rotation numbers and periodic caustics
    - circle pentagon rotation number exactly 1/5 (to 1e-15)
    - rho -> 0+ in the grazing limit; rho in (0, 1/2) always
@@ -106,7 +114,7 @@ from caustics.billiard_dynamics import (
 )
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit
-from oracles import lam_space_period_solve, next_tangency
+from oracles import lam_space_period_solve, next_tangency, outer_product_sums
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -400,6 +408,33 @@ def test_a_composed_orbit_takes_about_four_cube_roots_of_python_steps(monkeypatc
     assert sum(steps) + sum(links) <= 4 * cube + 2, (steps, links)
 
 
+def test_sums_are_the_outer_products_bit_for_bit():
+    rng = np.random.default_rng(22)
+    shapes = [(1, 1), (30, 1_000), (1, 1_000), (30, 1)]
+    shapes += [(int(t), int(r)) for t, r in zip(rng.integers(1, 31, 40), rng.integers(1, 1_001, 40))]
+    for t, r in shapes:
+        shifts, points = (rng.uniform(-1.0, 1.0, (3, k)) for k in (t, r))
+        shifts[2], points[2] = np.abs(shifts[2]), np.abs(points[2])  # dn > 0
+        got, want = bd._sums(shifts, points), outer_product_sums(shifts, points)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (t, r) and g.tobytes() == w.tobytes()
+
+
+def test_the_composition_calls_einsum_without_optimize(monkeypatch):
+    """With optimize, einsum hands a contraction to BLAS, whose first GEMM
+    in a process maps OpenBLAS's buffer."""
+    einsum, subscripts = np.einsum, []
+
+    def plain(*operands, **kwargs):
+        assert "optimize" not in kwargs
+        subscripts.append(operands[0])
+        return einsum(*operands, **kwargs)
+
+    monkeypatch.setattr(bd.np, "einsum", plain)
+    iterate_orbit(T2, cg.CausticSpec(0.37), 0.3, 20_000)
+    assert subscripts == ["ik,kj->ij"] * 4
+
+
 def forty_digit_vertices(a, lam, u0, n):
     """Vertices of the n-step orbit from u0 at 40 digits (b = 1), P2 at u0 and
     then P1 at each tangency: each chord is the tangent line at
@@ -453,9 +488,22 @@ NEAR_THE_GUARD = (
 )
 
 
+# (a, lambda/b^2, u0, n) on eccentric tables: the first three composed
+# orbits have failed the certificate that the scalar loop passed; the
+# fourth certifies where two levels failed; the fifth certifies on its
+# points, while its rounded angles re-check at 1.005 times _SHARE_TOL
+ECCENTRIC = (
+    (1e3, 1.0 - 1e-4, 0.1, 120),
+    (1e4, 1.0 - 1e-4, 0.1, 120),
+    (1e4, 0.5, 1e9, 250),
+    (30.0, 1.0 - 1e-9, 0.1, 5_000),
+    (194.1137319418009, 0.999999953479264, 15.697119333707327, 301),
+)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
-    st.floats(1.0, 5.0),
+    st.floats(0.0, 4.0).map(lambda k: 10.0**k),
     st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.floats(1.0, 9.0).map(lambda k: 1.0 - 10.0**-k)),
     st.floats(-20.0, 20.0),
     st.integers(1, 30_000),
@@ -463,11 +511,22 @@ NEAR_THE_GUARD = (
 @example(*NEAR_THE_GUARD[0])
 @example(*NEAR_THE_GUARD[1])
 @example(*NEAR_THE_GUARD[2])
+@example(*ECCENTRIC[0])
+@example(*ECCENTRIC[1])
+@example(*ECCENTRIC[2])
+@example(*ECCENTRIC[3])
+@example(*ECCENTRIC[4])
 def test_every_returned_orbit_is_certified(a, fraction, u0, n):
-    """Each step of the angles _orbit returns re-checks against
-    endpoint_coordinates; the lift starts at u0, advances by less than pi
+    """Each step of the orbit's points, re-read, shares its endpoint to
+    _SHARE_TOL: cos and sin of the angles _orbit returns, or on a composed
+    orbit the points composed again, whose angles they are.  Up to a = 5 the
+    angles themselves re-check through endpoint_coordinates too; past it a
+    vertex read at a rounded angle can move by a percent of _SHARE_TOL (the
+    ECCENTRIC orbit at a = 194 re-checks at 1.005 times it), so there only
+    the points are re-read.  The lift starts at u0, advances by less than pi
     and differs from the angles by whole turns.  Otherwise iterate_orbit
-    raises NumericalError, which the NEAR_THE_GUARD orbits must not."""
+    raises NumericalError, which the NEAR_THE_GUARD orbits must not.  a runs
+    from 1 to 1e4, log-spaced."""
     table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
     try:
         sample = iterate_orbit(table, caustic, u0, n)
@@ -476,8 +535,16 @@ def test_every_returned_orbit_is_certified(a, fraction, u0, n):
         return
     angles, us = sample.angles, sample.u_sequence
     assert angles is bd._orbit(table, caustic, u0, n)[0]
-    x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, angles)
+    if n >= bd._COMPOSE_MIN:
+        composed, cos_u, sin_u = bd._composed_sequence(table, caustic, u0 % bd._TAU % bd._TAU, n)
+        assert np.array_equal(composed, angles)
+    else:
+        cos_u, sin_u = np.cos(angles), np.sin(angles)
+    ((x1, x2), (y1, y2)), _ = cg._endpoints(table, caustic, cos_u, sin_u)
     assert np.max(np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])) <= bd._SHARE_TOL
+    if a <= 5.0:
+        x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, angles)
+        assert np.max(np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])) <= bd._SHARE_TOL
     steps = np.diff(angles) % bd._TAU
     assert np.all(steps > 0.0) and np.all(steps < math.pi)
     assert us[0] == u0

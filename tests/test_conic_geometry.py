@@ -30,6 +30,14 @@ Proves:
  Group 4 - Measure density and symmetry
    - explicit density values, circle constancy, u -> -u and u -> u+pi symmetry
    - ranges: cosines in [-1, 1], lengths and density positive
+ Group 5 - The per-point forms in place
+   - each of the four private per-point forms an orbit reads, which
+     allocate their result and finish in place, is bit for bit its
+     one-expression form (tests/oracles.py) on the read-only arrays a scalar
+     and a composed orbit hand out, on a quadrature grid's (2, n) rows and
+     on 0-d arrays and numpy scalars, at the circle, at ca = 0 and near the
+     guard, and leaves its inputs as they were; the public functions of a
+     scalar still return a float
 
 The oracles focal_distances and interior_cosine_rational are local to this
 module; outer_cosine_gradient, the rational form's coefficients
@@ -46,9 +54,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caustics.billiard_dynamics as bd
 import caustics.conic_geometry as cg
 from caustics.errors import DomainError, NumericalError
-from oracles import next_tangency, outer_cosine_gradient, rational_coefficients
+from oracles import EXPRESSION_FORMS, next_tangency, outer_cosine_gradient, rational_coefficients
 
 RNG = np.random.default_rng(20240817)
 
@@ -587,3 +596,46 @@ def test_circle_degeneration_everything_constant():
     for fn in (cg.chord_length, cg.interior_cosine, cg.outer_cosine, cg.measure_density):
         vals = fn(CIRCLE, caustic, us)
         assert float(np.ptp(vals)) < 1e-12
+
+
+# ----------------------------------------------------------------- group 5
+
+
+def _form_inputs(table, caustic):
+    """(w, x, y) as the per-point forms are handed them: by a scalar and a
+    composed orbit (read-only; x and y strided columns of the vertices), by
+    a quadrature grid ((2, n) rows of the endpoint pass) and as 0-d arrays
+    and numpy scalars."""
+    for n in (bd._COMPOSE_MIN - 1, 2_000):
+        _, vertices, w = bd._orbit(table, caustic, 0.1, n)
+        yield w, vertices[:, 0], vertices[:, 1]
+    u = np.linspace(0.0, math.pi, 512, endpoint=False)
+    (x, y), w = cg._endpoints(table, caustic, np.cos(u), np.sin(u))
+    yield w, x, y
+    yield np.asarray(w[3]), np.asarray(x[0, 3]), np.asarray(y[0, 3])
+    yield w[3], x[0, 3], y[0, 3]
+
+
+@pytest.mark.parametrize("name", sorted(EXPRESSION_FORMS))
+@pytest.mark.parametrize("table, frac", [(CIRCLE, 0.42), (T2, 0.37), (T2, 0.8), (T5, 1.0 - 1e-9)])
+def test_per_point_forms_in_place_are_their_expressions_bit_for_bit(name, table, frac):
+    """T2 at lam = 0.8 is ca = 0, where the outer cosine is 0 everywhere."""
+    form, (expression, kind) = getattr(cg, name), EXPRESSION_FORMS[name]
+    caustic = cg.CausticSpec(frac * table.b**2)
+    for w, x, y in _form_inputs(table, caustic):
+        arrays = {"cw": (w,), "y": (y,), "xy": (x, y)}[kind]
+        args = (caustic,) + arrays if kind == "cw" else arrays
+        before = [np.array(array, copy=True) for array in arrays]
+        got, want = form(table, *args), expression(table, *args)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for array, copy in zip(arrays, before):
+            assert np.asarray(array).tobytes() == copy.tobytes()
+
+
+def test_public_functions_of_a_scalar_return_floats():
+    caustic = cg.CausticSpec(0.37)
+    for fn in (cg.chord_length, cg.interior_cosine, cg.outer_cosine, cg.measure_density):
+        for u in (0.3, np.float64(0.3), np.asarray(0.3)):
+            assert type(fn(T2, caustic, u)) is float
+    x1, y1, _, _ = cg.endpoint_coordinates(T2, caustic, 0.3)
+    assert type(cg.curvature23(T2, (float(x1), float(y1)))) is float
