@@ -2,6 +2,8 @@
 billiard, cross-checked three ways: closed forms, adaptive quadrature, and
 time averages / discrete invariants of simulated orbits.
 """
+__version__ = "0.1.0"  # the one place it is set: pyproject.toml reads it from here
+
 from .billiard_dynamics import (
     OrbitSample,
     find_caustic_for_period,

@@ -43,6 +43,7 @@ __all__ = [
 _SHARE_TOL = 1e-8  # endpoint-sharing residual accepted from the closed-form step
 _TAU = 2.0 * math.pi
 _SECANT_STEPS = 6  # brentq's secant steps toward a bracket; the poncelet pool takes at most 5
+_MAX_EVALS = 100  # brentq's evaluations of f before it gives up
 _COMPOSE_MIN = 120  # orbit length from which composing wins; measured break-even 110-120
 _AGM_TOL = 2.0**-30  # c/a at which rotation_number's mean stops; the steps left move rho < 2^-60
 _AGM_STEPS = 30  # the least k', 5e-324, takes 12 steps; more means a runaway mean
@@ -224,6 +225,12 @@ def _orbit(table, caustic, u0, n):
     rounded angle moves).  w of the points is kept for the samples that read
     it, so no caller forms it or takes a sine again.  Callers share the
     cached arrays, so they are handed out read-only.
+
+    The maxsize=2 cache also holds up ergodic throughput: its arrays keep
+    glibc's heap grown between ops, and without it perfbench's
+    ergodic-orbits ran 574-605 against 838-926 ops/s (maxsize=1: 748-863
+    against 902-933; 8 s pairs, 2 vCPUs).  It costs memory: the two cached
+    10^6-bounce orbits are 61 MB of verify's 176 MB peak (115 MB without it).
     """
     r0 = u0 % _TAU % _TAU  # the second % maps 2 pi, rounded from a tiny negative u0, to 0
     if n >= _COMPOSE_MIN:
@@ -343,7 +350,7 @@ def rotation_number(table, caustic) -> float:
     return rho
 
 
-def brentq(f, lo, hi, x0, anchor, tol, maxiter=100):
+def brentq(f, lo, hi, x0, anchor, tol):
     """The root of the increasing function f on [lo, hi], from a first
     evaluation at x0 and a known point anchor = (x, f(x)).
 
@@ -356,14 +363,14 @@ def brentq(f, lo, hi, x0, anchor, tol, maxiter=100):
     inside the bracket and below half the step before last, bisection
     otherwise, so it cannot stall.  It returns the bracket's end with the
     smaller |f| once the bracket is narrower than tol(x) there, and raises
-    NumericalError after maxiter evaluations of f.
+    NumericalError after _MAX_EVALS evaluations of f.
     """
     evals = 0
 
     def evaluate(x):
         nonlocal evals
-        if evals == maxiter:
-            raise NumericalError(f"root solve did not converge in {maxiter} evaluations")
+        if evals == _MAX_EVALS:
+            raise NumericalError(f"root solve did not converge in {_MAX_EVALS} evaluations")
         evals += 1
         fx = f(x)
         if (x == lo and not fx < 0.0) or (x == hi and not fx > 0.0):

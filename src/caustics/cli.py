@@ -16,18 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from . import conic_geometry as cg
 from . import spatial_averages as sa
 from .billiard_dynamics import TIME_AVERAGE_QUANTITIES, iterate_orbit, time_average
 from .errors import DomainError, NumericalError
 from .invariant_suite import build_periodic_orbit, evaluate_invariants
-
-try:
-    from importlib.metadata import version as _version
-
-    _VERSION = _version("artifact")
-except Exception:  # not installed; running from a source tree
-    _VERSION = "0.1.0"
 
 _DUAL_ROUTE_REL = 1e-9
 _PERIODIC_MATCH = 1e-6
@@ -56,7 +50,7 @@ def _fmt(x) -> str:
 
 
 def _print_meta(command: str, flag_pairs):
-    print(f"# caustics {command} v{_VERSION}")
+    print(f"# caustics {command} v{__version__}")
     print("# flags: " + " ".join(f"{k}={v}" for k, v in flag_pairs))
     print(
         f"# tolerances: dual_route_rel={_DUAL_ROUTE_REL:g} "

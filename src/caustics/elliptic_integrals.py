@@ -108,16 +108,11 @@ def complete_k(m: float) -> float:
 def complete_pi(n: float, m: float) -> float:
     """Complete elliptic integral of the third kind, parameter convention.
 
-    Evaluated through Carlson symmetric forms:
-    Pi(n, m) = K(m) + (n/3) R_J(0, 1-m, 1, 1-n).
-    n may be negative; Pi(0, m) = K(m) exactly.
+    Evaluated as Pi(n, m) = K(m) + n H(n, m), with H = complete_pi_minus_k
+    = R_J(0, 1-m, 1, 1-n)/3.  n may be negative (n < 1); Pi(0, m) = K(m)
+    exactly.
     """
-    if not n < 1.0:
-        raise DomainError(f"complete_pi requires characteristic n < 1; got n={n}")
-    value = complete_k(m)
-    if n != 0.0:
-        value += (n / 3.0) * _rj(0.0, 1.0 - m, 1.0, 1.0 - n)
-    return value
+    return complete_k(m) + n * complete_pi_minus_k(n, m)
 
 
 def complete_pi_minus_k(n: float, m: float) -> float:

@@ -56,17 +56,16 @@ _MAX_NODES = 2**20
 # bulk-sweep caustics 90% converge by 256 nodes of the half period, 8% at 512
 # and 2% beyond (56/34/10 on the full period), so evaluating ahead to 512
 # wastes little and saves the level-by-level calls.  Its nodes, and cos u
-# and sin u at u = v/2 for _quadrature_averages, are taken once, read-only;
-# _LEVEL_ORDER lists the nodes level by level, level 16's and then the
-# midpoints of each next level, whose places are _LEVEL_SPANS.
+# and sin u at u = v/2 for _quadrature_averages, are taken once, read-only.
+# Each level's new nodes on it, level 16's and then each next level's
+# midpoints, are the strided view (start, step) in _FIRST_LEVELS.
 _FIRST_GRID = 512
 _FIRST_NODES = np.linspace(0.0, 2.0 * math.pi, _FIRST_GRID, endpoint=False)
 _FIRST_TRIG = np.array([np.cos(0.5 * _FIRST_NODES), np.sin(0.5 * _FIRST_NODES)])  # cos u, sin u
 _FIRST_NODES.flags.writeable = _FIRST_TRIG.flags.writeable = False
-_LEVEL_ORDER = np.concatenate([np.arange(0, _FIRST_GRID, 32)]
-                               + [np.arange(s // 2, _FIRST_GRID, s) for s in (32, 16, 8, 4, 2)])
-_LEVEL_SPANS = ((0, 16), (16, 32), (32, 64), (64, 128), (128, 256), (256, 512))
-_NEW_NODES = np.array([hi - lo for lo, hi in _LEVEL_SPANS], dtype=float)[:, None, None]
+_FIRST_LEVELS = ((0, 32), (16, 32), (8, 16), (4, 8), (2, 4), (1, 2))
+_NEW_NODES = np.array([_FIRST_GRID / step for _, step in _FIRST_LEVELS])[:, None]
+_LEVELS = 17  # 16 to 2^20 nodes
 
 
 @dataclass(frozen=True)
@@ -91,72 +90,52 @@ def _check_caustic(table, caustic):
 
 
 def periodic_quadrature(f):
-    """Integrate smooth 2pi-periodic functions over one period.
+    """Trapezoid integrals over one period of a weight rho and k weighted
+    integrands g_i rho, all smooth and 2pi-periodic.
 
-    Composite trapezoid on uniform grids, doubling from 16 up to 2^20 nodes
-    until successive estimates differ by less than _QUAD_TOL (the trapezoid rule
-    converges spectrally for smooth periodic integrands, so doubling is the
-    whole refinement strategy).  Returns (value, last defect).
+    f(v), for an array v in [0, 2pi), returns shape (1 + k, len(v)): rho,
+    then each g_i rho.  The grid doubles from 16 up to 2^20 nodes (the
+    trapezoid rule converges spectrally on smooth periodic integrands).
+    Group i pairs row 0 with row i + 1 and keeps the first level at which
+    both defects (changes from the level before) are below _QUAD_TOL or
+    either is NaN, so it gets what it would alone; doubling stops once every
+    group has closed.  Returns each group's (Z, integral g_i rho), shape
+    (k, 2), and its defect, the larger of the two, the last level's where it
+    never closed.  Nothing raises; _average rejects an open or NaN defect.
 
-    f is first called on _FIRST_NODES itself, the 512 nodes of levels 16 to
-    512, which are read in one pass: each level's new nodes are summed with
-    np.add.reduce (np.mean times the count, bit for bit) as one run of a copy
-    in level order, so every estimate is what one call per level would give.
-    Past 512 nodes each level calls f on its midpoints, while a group is open.
-
-    f : vectorized callable on arrays of u in [0, 2pi).  It returns shape
-        (len(u),) for one integral, (m, len(u)) for m integrals that converge
-        together (the defect is the largest of theirs), or (k, m, len(u)) for
-        k such groups on one grid.  Each group keeps the values and defect of
-        the first level at which all its defects are below _QUAD_TOL, so it
-        gets what it would get alone; doubling stops once every group has.
-        A NaN defect (a NaN or infinite estimate) cannot shrink, so it closes
-        its group at the level where it appears.  value has f's leading shape,
-        the defect one entry per group.  A lone group that has not converged
-        at 2^20 nodes, or has turned NaN, raises NumericalError; one of k
-        groups is returned with its last defect, for the caller to reject.
+    Each level is a row of one estimates table.  The first call, on
+    _FIRST_NODES itself, fills levels 16 to 512 from strided views (np.mean
+    of each level's new nodes, bit for bit), as one call per level would;
+    each later call evaluates the next level's midpoints into the next row.
     """
     grid = f(_FIRST_NODES)
-    shape = grid.shape[:-1]
-    # groups x integrals x nodes in level order
-    by_level = grid.reshape(-1, shape[-1] if shape else 1, _FIRST_GRID).take(_LEVEL_ORDER, axis=-1)
-    estimates = np.empty((len(_LEVEL_SPANS),) + by_level.shape[:-1])
-    for i, (lo, hi) in enumerate(_LEVEL_SPANS):
-        np.add.reduce(by_level[..., lo:hi], axis=-1, out=estimates[i])
-    estimates /= _NEW_NODES  # the means of the new nodes, as np.mean takes them
-    estimates[0] *= 2.0
-    estimates *= math.pi
-    for i in range(1, len(estimates)):
-        estimates[i] += 0.5 * estimates[i - 1]
-    defects = np.abs(estimates[1:] - estimates[:-1]).max(axis=-1)  # levels 32..512 x groups
-    closed = ~(defects >= _QUAD_TOL)  # converged, or NaN
-    level = closed.argmax(axis=0)  # each group's first closed level, 0 if none
-    groups = np.arange(len(level))
-    result, defect = estimates[level + 1, groups], defects[level, groups]
-    todo = groups[~closed.any(axis=0)]
-    # n ends at the level where a lone group stopped
-    value, n = estimates[-1, todo], _FIRST_GRID if len(todo) else 32 << int(level[0])
-    while len(todo) and n < _MAX_NODES:
-        at_midpoints = f(np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2])
-        means = np.mean(at_midpoints, axis=-1).reshape(len(groups), -1)
-        refined = 0.5 * value + means[todo] * math.pi
-        result[todo], defect[todo] = refined, np.max(np.abs(refined - value), axis=-1)
-        still_open = defect[todo] >= _QUAD_TOL
-        todo, value, n = todo[still_open], refined[still_open], 2 * n
-    result, defect = result.reshape(shape)[()], defect.reshape(shape[:-1])[()]
-    if np.ndim(defect) == 0 and not defect < _QUAD_TOL:
-        raise _not_converged(defect, n)
-    return result, defect
-
-
-def _not_converged(defect, nodes=None):
-    if np.isnan(defect):  # nodes: the level where it turned NaN, where known
-        at = f" at {nodes} nodes" if nodes else ""
-        return NumericalError(f"periodic quadrature estimate is NaN{at}; refinement cannot converge")
-    return NumericalError(
-        f"periodic quadrature did not converge at {_MAX_NODES} nodes "
-        f"(last defect {defect:.3e} > tol {_QUAD_TOL:.3e})"
-    )
+    estimates = np.empty((_LEVELS, len(grid)))
+    for row, (start, step) in zip(estimates, _FIRST_LEVELS):
+        np.add.reduce(grid[:, start::step], axis=-1, out=row)
+    level, n = len(_FIRST_LEVELS), _FIRST_GRID
+    first = estimates[:level]
+    first /= _NEW_NODES  # the means of the new nodes, as np.mean takes them
+    first[0] *= 2.0
+    first *= math.pi
+    for i in range(1, level):
+        first[i] += 0.5 * first[i - 1]
+    while True:
+        change = np.abs(estimates[1:level] - estimates[:level - 1])
+        defects = np.maximum(change[:, :1], change[:, 1:])  # levels 32.. x groups
+        closed = ~(defects >= _QUAD_TOL)  # converged, or NaN
+        if n == _MAX_NODES or closed.any(axis=0).all():
+            break
+        midpoints = np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2]
+        row = np.add.reduce(f(midpoints), axis=-1, out=estimates[level])
+        row /= n
+        row *= math.pi
+        row += 0.5 * estimates[level - 1]
+        level, n = level + 1, 2 * n
+    closed[-1] = True  # a group that never closed keeps the last level
+    at = closed.argmax(axis=0)  # each group's first closed level
+    picked = estimates[at + 1]  # row i: group i's level, Z and every integral
+    picked[:, 1] = picked[:, 1:].diagonal()
+    return picked[:, :2], defects[at, np.arange(len(at))]
 
 
 def normalization(table, caustic) -> float:
@@ -208,15 +187,15 @@ def _quadrature_averages(table, caustic):
     """(average, error estimate, defect, Z) of each per-chord sample, in
     _CHORD_QUANTITIES order, from one periodic_quadrature call.
 
-    Group i pairs rho with g_i rho, so average i is integral g_i rho over
-    integral rho = Z on the same nodes, frozen at the first level where both
-    defects are below _QUAD_TOL; its error estimate is defect / Z.  The chord
-    at u + pi is the chord at u turned by pi, so the grid integrates each
-    pi-periodic f as f(v/2) over v in [0, 2pi): n nodes, one per chord, give
-    the 2n-node trapezoid of f.  Nothing here evaluates an elliptic integral,
-    so this route stays independent of the closed forms.  At ca = 0,
-    log|outer cosine| is -inf on every node: its row is left out of the grid
-    and reads (-inf, 0.0, 0.0, None).
+    The grid's rows are rho and each g_i rho, so average i is integral
+    g_i rho over integral rho = Z on the same nodes, frozen at the first
+    level where both defects are below _QUAD_TOL; its error estimate is
+    defect / Z.  The chord at u + pi is the chord at u turned by pi, so the
+    grid integrates each pi-periodic f as f(v/2) over v in [0, 2pi): n nodes,
+    one per chord, give the 2n-node trapezoid of f.  Nothing here evaluates
+    an elliptic integral, so this route stays independent of the closed
+    forms.  At ca = 0, log|outer cosine| is -inf on every node: its row is
+    left out of the grid and reads (-inf, 0.0, 0.0, None).
     """
     _check_caustic(table, caustic)
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
@@ -230,10 +209,10 @@ def _quadrature_averages(table, caustic):
         (x, y), w = cg._endpoints(table, caustic, cos_u, sin_u)  # x, y: rows P1, P2
         q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
         samples = _chord_samples(table, caustic, w, q[0], q[1], k[0], k[1])
-        pairs = np.empty((rows, 2, len(v)))
-        pairs[:, 0] = rho = cg._measure_density_at(table, caustic, w)
-        np.multiply(samples[:rows], rho, out=pairs[:, 1])
-        return pairs
+        grid = np.empty((1 + rows, len(v)))
+        grid[0] = rho = cg._measure_density_at(table, caustic, w)
+        np.multiply(samples[:rows], rho, out=grid[1:])
+        return grid
 
     values, defects = periodic_quadrature(weighted)
     averages = tuple(
@@ -288,8 +267,13 @@ def _average(table, caustic, method, quantity):
     if method != "quadrature":
         raise DomainError(f"unknown method {method!r}")
     value, err, defect, _ = _quadrature_averages(table, caustic)[i]
+    if math.isnan(defect):
+        raise NumericalError("periodic quadrature estimate is NaN; refinement cannot converge")
     if not defect < _QUAD_TOL:
-        raise _not_converged(defect)
+        raise NumericalError(
+            f"periodic quadrature did not converge at {_MAX_NODES} nodes "
+            f"(last defect {defect:.3e} > tol {_QUAD_TOL:.3e})"
+        )
     return AverageResult(value, method, err, caustic.lam)
 
 

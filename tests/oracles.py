@@ -63,26 +63,26 @@ def rational_coefficients(table, caustic):
 
 def level_by_level_quadrature(f):
     """spatial_averages.periodic_quadrature as it was before its first call
-    evaluated several levels at once: f is called on the 16 nodes, then on
-    each level's midpoints, and the same doubling recursion, per-group
-    freezing (a group closes when its defect falls below tol or turns NaN)
-    and lone-group raise follow, with a mask per level."""
+    evaluated several levels at once: f returns the weight row and k weighted
+    rows, and is called on the 16 nodes, then on each level's midpoints; the
+    same doubling recursion and per-group freezing follow (group i pairs row
+    0 with row i + 1 and closes when both defects fall below tol or either
+    turns NaN), with a mask per level."""
+
+    def pairs(estimates):  # (k, 2): the weight's estimate beside each weighted row's
+        return np.stack([np.broadcast_to(estimates[0], estimates[1:].shape), estimates[1:]], axis=-1)
+
     n = 16
-    value = np.mean(f(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)), axis=-1) * 2.0 * math.pi
-    shape = value.shape
-    value = value.reshape(-1, shape[-1] if shape else 1)
+    value = pairs(np.mean(f(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)), axis=-1) * 2.0 * math.pi)
     result, defect = value.copy(), np.full(len(value), np.inf)
     still_open = np.ones(len(value), dtype=bool)
     while n < sa._MAX_NODES and np.any(still_open):
         midpoints = np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2]
-        refined = 0.5 * value + np.mean(f(midpoints), axis=-1).reshape(value.shape) * math.pi
+        refined = 0.5 * value + pairs(np.mean(f(midpoints), axis=-1)) * math.pi
         result[still_open] = refined[still_open]
         defect[still_open] = np.max(np.abs(refined - value), axis=-1)[still_open]
         still_open &= defect >= sa._QUAD_TOL
         value, n = refined, 2 * n
-    result, defect = result.reshape(shape)[()], defect.reshape(shape[:-1])[()]
-    if np.ndim(defect) == 0 and not defect < sa._QUAD_TOL:
-        raise sa._not_converged(defect, n)
     return result, defect
 
 

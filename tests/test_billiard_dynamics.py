@@ -14,8 +14,8 @@ Proves:
      read-only, scalar or composed
    - lambda_N is solved once while seeded periodic orbits of period N are
      built; the import, a solve, a periodic orbit, its invariants and the
-     sweep, periodic and orbit commands load no scipy module (fresh
-     interpreter)
+     sweep, periodic and orbit commands load no scipy module, and the CLI's
+     import loads no importlib.metadata (fresh interpreter)
    - a corrupted step is rejected by the orbit certificate in every caller,
      through the composed path of a long orbit too, naming the first failing
      step; a composed orbit with a corrupted point raises as well
@@ -87,7 +87,6 @@ Proves:
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
 import subprocess
@@ -224,12 +223,17 @@ def test_period_is_solved_once_for_its_seeds(monkeypatch):
 def test_no_solve_or_periodic_run_imports_the_scipy_solver():
     """The package imports no part of scipy: in a fresh interpreter, the
     import, a solve, a periodic orbit, its invariants and the sweep (both
-    routes), periodic and orbit commands leave no scipy module loaded."""
+    routes), periodic and orbit commands leave no scipy module loaded.  The
+    CLI reads the package's own version, so its import adds no
+    importlib.metadata either."""
     code = textwrap.dedent("""
         import contextlib, io, sys
+        before = set(sys.modules)
         import caustics
         from caustics.cli import main
         assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        added = [m for m in set(sys.modules) - before if m.startswith("importlib.metadata")]
+        assert not added, added
         table = caustics.BilliardTable(2.0, 1.0)
         lam = caustics.find_caustic_for_period(table, 4).lam
         assert abs(lam - 0.8) < 1e-12, lam
@@ -709,8 +713,8 @@ def test_find_caustic_validation_and_bracket_failure():
 
 
 def test_a_solve_that_does_not_converge_raises(monkeypatch):
-    """brentq gives up after maxiter evaluations, here 3, with NumericalError."""
-    monkeypatch.setattr(bd, "brentq", functools.partial(bd.brentq, maxiter=3))
+    """brentq gives up after _MAX_EVALS evaluations, here 3, with NumericalError."""
+    monkeypatch.setattr(bd, "_MAX_EVALS", 3)
     with pytest.raises(NumericalError, match="did not converge in 3 evaluations"):
         find_caustic_for_period(T2, 7)
 

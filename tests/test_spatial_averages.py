@@ -4,9 +4,13 @@ log-geometric mean of outer cosines.
 
 Proves:
  Group 1 - Periodic quadrature
-   - exact smooth integrals, spectral convergence, non-convergence error
-   - groups on one grid: a group that does not converge is reported, not
-     raised, and leaves the others as they are alone
+   - one contract: the integrand returns a weight row and its weighted
+     rows, and group i pairs the weight with row i + 1
+   - exact smooth integrals, spectral convergence; the weight's defect holds
+     its groups open as its own
+   - groups on one grid: a group that does not converge is returned with
+     its defect, never raised, and leaves the others as they are alone;
+     _average rejects it with NumericalError
    - each of the four averages, read off one shared grid over the half period
      u = v/2 in [0, pi), equals bit for bit a quadrature of its own
      [rho, g rho] pair at v/2 on 40 cells (the circle and the near-guard
@@ -21,16 +25,16 @@ Proves:
      to 1e-15 relative on 36 of the 40 cells, to 5e-14 on the four at
      lambda = b^2 (1 - 1e-6)
    - the first integrand call evaluates 512 nodes and the levels up to 512
-     are read from it in one pass: values, defects and raises are bit for bit
-     those of the level-by-level loop (tests/oracles.py) on the test
-     integrands, on groups that settle at every level from 16 to 1024 (one
-     call per level past 512), with a NaN group among them, in the (n,),
-     (m, n) and (k, m, n) shapes, and on 44 caustics (the circle and the
+     are read from it in one pass: values and defects are bit for bit those
+     of the level-by-level loop (tests/oracles.py) on the test integrands,
+     on groups that settle at every level from 16 to 1024 (one call per
+     level past 512), with a NaN group among them, a weight that settles
+     last and a NaN weight, and on 44 caustics (the circle and the
      near-guard cells included); a caustic that converges by 512 nodes costs
      one integrand call, and past 512 no node is evaluated twice
-   - a NaN estimate stops its group: alone it raises at the level where its
-     defect turns NaN after one 512-node call; among groups it is returned
-     with its NaN defect
+   - a NaN estimate stops its group: it closes at the level where its
+     defect turns NaN, alone after one 512-node call, and is returned with
+     its NaN defect, which _average rejects
    - the first grid's nodes and cos u, sin u, sin^2 u at u = v/2 are
      read-only module constants, bit for bit np.linspace, np.cos and np.sin,
      and the first integrand call receives the nodes array itself
@@ -117,69 +121,82 @@ def scipy_density_integral(table, caustic):
 # ----------------------------------------------------------------- group 1
 
 
-def test_periodic_quadrature_exact_values():
-    value, err = sa.periodic_quadrature(lambda u: np.sin(u) ** 2)
-    assert value == pytest.approx(math.pi, abs=1e-13)
-    assert err >= 0.0
-    value, _ = sa.periodic_quadrature(lambda u: np.ones_like(u))
-    assert value == pytest.approx(2.0 * math.pi, abs=1e-14)
-
-
-def test_periodic_quadrature_spectral_convergence():
-    # smooth periodic integrand: a handful of doublings reaches 1e-12
-    value, err = sa.periodic_quadrature(lambda u: np.exp(np.cos(u)))
-    bessel_i0 = 1.2660658777520084  # I_0(1), series value
-    assert value == pytest.approx(2.0 * math.pi * bessel_i0, rel=1e-12)
-    assert err < 1e-12
-
-
-def test_periodic_quadrature_nonconvergence():
-    with pytest.raises(NumericalError, match="defect"):
-        sa.periodic_quadrature(jump)
-    # as one group of several on one grid it is reported, not raised, and the
-    # smooth group keeps the level and value it has alone
-    values, defects = sa.periodic_quadrature(
-        lambda u: np.stack([np.stack([np.ones_like(u), np.exp(np.cos(u))]),
-                            np.stack([np.ones_like(u), jump(u)])])
-    )
-    alone, defect = sa.periodic_quadrature(lambda u: np.stack([np.ones_like(u), np.exp(np.cos(u))]))
-    assert np.array_equal(values[0], alone) and defects[0] == defect < sa._QUAD_TOL
-    assert not defects[1] < sa._QUAD_TOL
+def groups(*fs):
+    """The integrand of len(fs) groups on one grid: the weight row 1 and the
+    weighted rows f(u)."""
+    return lambda u: np.stack([np.ones_like(u)] + [f(u) for f in fs])
 
 
 def jump(u):
     return np.sign(np.cos(u)) * np.cos(u / 2.0 + 0.1)
 
 
-def raised(quadrature, f):
-    """quadrature(f), or the message of the NumericalError it raises."""
+def average_of(monkeypatch, f):
+    """_average of the first group of f as the quadrature route reads it: a
+    caustic's quadrature record integrates f in place of its own grid."""
+    quadrature = sa.periodic_quadrature
+    monkeypatch.setattr(sa, "periodic_quadrature", lambda _: quadrature(f))
+    sa._quadrature_averages.cache_clear()
     try:
-        return quadrature(f)
-    except NumericalError as exc:
-        return str(exc)
+        return sa._average(T2, cg.CausticSpec(0.37), "quadrature", "sidelength")
+    finally:
+        monkeypatch.setattr(sa, "periodic_quadrature", quadrature)
+        sa._quadrature_averages.cache_clear()
+
+
+def test_periodic_quadrature_exact_values():
+    values, defects = sa.periodic_quadrature(groups(lambda u: np.sin(u) ** 2, np.ones_like))
+    assert values[0][0] == values[1][0] == pytest.approx(2.0 * math.pi, abs=1e-14)
+    assert values[0][1] == pytest.approx(math.pi, abs=1e-13)
+    assert values[1][1] == pytest.approx(2.0 * math.pi, abs=1e-14)
+    assert np.all(defects >= 0.0)
+
+
+def test_periodic_quadrature_spectral_convergence():
+    # smooth periodic integrand: a handful of doublings reaches 1e-12
+    ((_, value),), (err,) = sa.periodic_quadrature(groups(lambda u: np.exp(np.cos(u))))
+    bessel_i0 = 1.2660658777520084  # I_0(1), series value
+    assert value == pytest.approx(2.0 * math.pi * bessel_i0, rel=1e-12)
+    assert err < 1e-12
+    # the weight's defect holds its groups open as its own: exp(cos u) as the
+    # weight converges where it does as a weighted row
+    ((z, one),), (defect,) = sa.periodic_quadrature(
+        lambda u: np.stack([np.exp(np.cos(u)), np.ones_like(u)]))
+    assert z == value and defect == err and one == pytest.approx(2.0 * math.pi, abs=1e-14)
+
+
+def test_periodic_quadrature_nonconvergence(monkeypatch):
+    """A group that does not converge is returned with its last defect, and
+    the smooth group beside it keeps the level and value it has alone; the
+    quadrature route's _average rejects it with NumericalError."""
+    values, defects = sa.periodic_quadrature(groups(lambda u: np.exp(np.cos(u)), jump))
+    alone, defect = sa.periodic_quadrature(groups(lambda u: np.exp(np.cos(u))))
+    assert np.array_equal(values[:1], alone) and defects[0] == defect[0] < sa._QUAD_TOL
+    assert not defects[1] < sa._QUAD_TOL
+    with pytest.raises(NumericalError, match="did not converge at 1048576 nodes .last defect"):
+        average_of(monkeypatch, groups(jump))
+    assert average_of(monkeypatch, groups(lambda u: np.exp(np.cos(u)))).value == float(
+        alone[0][1] / alone[0][0])
 
 
 def assert_same_quadrature(got, want):
-    if isinstance(want, str):
-        assert got == want
-        return
     for g, w in zip(got, want, strict=True):
         assert np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 @pytest.mark.parametrize("f", [
-    lambda u: np.sin(u) ** 2,
-    np.ones_like,
-    lambda u: np.exp(np.cos(u)),
-    jump,
-    lambda u: np.stack([np.ones_like(u), np.exp(np.cos(u))]),
-    lambda u: np.stack([np.stack([np.ones_like(u), np.exp(np.cos(u))]),
-                        np.stack([np.ones_like(u), jump(u)])]),
+    groups(lambda u: np.sin(u) ** 2),
+    groups(np.ones_like),
+    groups(lambda u: np.exp(np.cos(u))),
+    groups(jump),
+    lambda u: np.stack([np.exp(np.cos(u)), np.ones_like(u)]),
+    groups(lambda u: np.exp(np.cos(u)), jump),
 ], ids=["sin2", "one", "exp_cos", "jump", "pair", "groups_one_open"])
 def test_first_grid_replays_the_level_by_level_loop(f):
     """The levels read off the first 512-node call are those of one call per
-    level, bit for bit: values, defects, and the lone group's raise."""
-    assert_same_quadrature(raised(sa.periodic_quadrature, f), raised(level_by_level_quadrature, f))
+    level, bit for bit: values and defects, a group that never converges
+    included."""
+    assert_same_quadrature(sa.periodic_quadrature(f), level_by_level_quadrature(f))
 
 
 def settling_at(level):
@@ -213,56 +230,54 @@ def test_each_settling_level_is_read_as_the_level_by_level_loop(level):
     """A lone group settles at each level of the first grid and past it: the
     one-pass readout gives the loop's value and defect, bit for bit, and
     calls f once on the first grid, then once per level past 512."""
-    quadrature, oracle = counting(settling_at(level)), counting(settling_at(level))
+    quadrature, oracle = counting(groups(settling_at(level))), counting(groups(settling_at(level)))
     got, want = sa.periodic_quadrature(quadrature), level_by_level_quadrature(oracle)
     assert_same_quadrature(got, want)
-    assert got[0] == pytest.approx(2.0 * math.pi, rel=1e-15) and got[1] < sa._QUAD_TOL
+    assert got[0][0][1] == pytest.approx(2.0 * math.pi, rel=1e-15) and got[1][0] < sa._QUAD_TOL
     assert oracle.nodes[-1] == level  # its last call: the midpoints of 2 level nodes
     assert quadrature.nodes == [512] + [n // 2 for n in (1024, 2048) if n <= 2 * level]
-
-
-def groups(*fs):
-    """The (k, m, n) integrand of k groups of [1, f(u)] pairs."""
-    return lambda u: np.stack([np.stack([np.ones_like(u), f(u)]) for f in fs])
 
 
 @pytest.mark.parametrize("f", [
     groups(*map(settling_at, LEVELS), lambda u: np.exp(np.cos(u))),
     groups(settling_at(64), nan_everywhere, settling_at(1024)),
     groups(nan_everywhere, settling_at(32)),
-    lambda u: np.stack([settling_at(level)(u) for level in LEVELS]),
-    settling_at(512),
-    nan_everywhere,
-    lambda v: np.stack([np.stack([
-        cg.measure_density(T2, cg.CausticSpec(1.0 - 1e-6), 0.5 * v), np.full_like(v, 2.0)])]),
-], ids=["groups_at_every_level", "nan_among_groups", "nan_first", "one_group_of_m", "one",
-        "lone_nan", "near_guard_past_512"])
+    lambda u: np.stack([settling_at(1024)(u)] + [settling_at(level)(u) for level in LEVELS]),
+    lambda u: np.stack([nan_everywhere(u), settling_at(1024)(u), np.ones_like(u)]),
+    groups(settling_at(512)),
+    groups(nan_everywhere),
+    lambda v: np.stack([cg.measure_density(T2, cg.CausticSpec(1.0 - 1e-6), 0.5 * v),
+                        np.full_like(v, 2.0)]),
+], ids=["groups_at_every_level", "nan_among_groups", "nan_first", "weight_settles_last",
+        "nan_weight", "one", "lone_nan", "near_guard_past_512"])
 def test_one_pass_readout_is_the_level_by_level_loop(f):
     """The one-pass readout of the first grid equals the loop, bit for bit,
-    on k groups that close at every level from 32 to 2048 nodes, with a NaN
-    group among them (its defect stays NaN while the others refine), and on
-    the (n,) and (m, n) shapes: values, defects and the lone group's raise;
+    on groups that close at every level from 32 to 2048 nodes, with a NaN
+    group among them (its defect stays NaN while the others refine), on a
+    weight that settles last and holds every group open until it does, and
+    on a NaN weight, which closes every group at once: values and defects;
     groups_one_open above has a group that never converges."""
-    assert_same_quadrature(raised(sa.periodic_quadrature, f), raised(level_by_level_quadrature, f))
+    assert_same_quadrature(sa.periodic_quadrature(f), level_by_level_quadrature(f))
 
 
-def test_a_nan_estimate_stops_its_group():
-    """A NaN estimate cannot converge: a lone NaN group raises at the level
+def test_a_nan_estimate_stops_its_group(monkeypatch):
+    """A NaN estimate cannot converge: a lone NaN group closes at the level
     where its defect turns NaN, after the first grid's 512 nodes alone (it
-    took 12 calls over 1,048,576 nodes), and among k groups it is returned
-    with its NaN defect while the others converge as they would alone."""
-    f = counting(nan_everywhere)
-    with pytest.raises(NumericalError, match=r"estimate is NaN at 32 nodes"):
-        sa.periodic_quadrature(f)
-    assert f.nodes == [512]
+    took 12 calls over 1,048,576 nodes), and _average rejects it; among
+    groups it is returned with its NaN defect while the others converge as
+    they would alone."""
+    f = counting(groups(nan_everywhere))
+    _, (defect,) = sa.periodic_quadrature(f)
+    assert f.nodes == [512] and np.isnan(defect)
+    with pytest.raises(NumericalError, match=r"estimate is NaN; refinement cannot converge"):
+        average_of(monkeypatch, groups(nan_everywhere))
     f = counting(groups(nan_everywhere, settling_at(256)))
     values, defects = sa.periodic_quadrature(f)
     assert f.nodes == [512] and np.isnan(defects[0]) and defects[1] < sa._QUAD_TOL
     assert values[1] == pytest.approx([2.0 * math.pi] * 2, rel=1e-15)
-    late = counting(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES else np.nan))
-    with pytest.raises(NumericalError, match=r"estimate is NaN at 1024 nodes"):
-        sa.periodic_quadrature(late)
-    assert late.nodes == [512, 512]
+    late = counting(groups(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES else np.nan)))
+    _, (defect,) = sa.periodic_quadrature(late)
+    assert late.nodes == [512, 512] and np.isnan(defect)
 
 
 def test_first_grid_constants():
@@ -279,7 +294,7 @@ def test_first_grid_constants():
         with pytest.raises(ValueError):
             constant[0] = 0.0
     seen = []
-    sa.periodic_quadrature(lambda v: seen.append(v) or np.ones_like(v))
+    sa.periodic_quadrature(lambda v: seen.append(v) or groups(np.ones_like)(v))
     assert seen[0] is sa._FIRST_NODES
 
 
@@ -336,24 +351,23 @@ def test_each_average_on_the_shared_grid_is_its_own_quadrature(a):
                 rho = cg.measure_density(table, caustic, u)
                 return np.stack([rho, chord_sample(quantity, table, caustic, u) * rho])
 
-            try:
-                (z, raw), defect = sa.periodic_quadrature(on_the_half_period(pair))
-            except NumericalError:
+            ((z, raw),), (defect,) = sa.periodic_quadrature(on_the_half_period(pair))
+            if not defect < sa._QUAD_TOL:
                 assert isinstance(got[quantity], NumericalError), (a, fraction, quantity)
                 continue
             assert got[quantity] == (float(raw / z), float(defect / z)), (a, fraction, quantity)
 
 
 def public_integrand(table, caustic):
-    """The shared grid's integrand, [rho, g rho] for each sample the grid
-    holds (all but log|outer cosine| where ca = 0), built from the public
-    functions of u alone."""
+    """The shared grid's integrand, rho and then g rho for each sample the
+    grid holds (all but log|outer cosine| where ca = 0), built from the
+    public functions of u alone."""
     rows = len(TIME_AVERAGE_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
     def weighted(u):
         rho = cg.measure_density(table, caustic, u)
-        return np.stack([np.stack([rho, chord_sample(quantity, table, caustic, u) * rho])
-                         for quantity in TIME_AVERAGE_QUANTITIES[:rows]])
+        return np.stack([rho] + [chord_sample(quantity, table, caustic, u) * rho
+                                 for quantity in TIME_AVERAGE_QUANTITIES[:rows]])
 
     return weighted
 
@@ -586,7 +600,8 @@ def test_normalization_dual_route():
     for table in (T12, T2, T5, TB):
         for frac in (0.05, 0.5, 0.95):
             caustic = cg.CausticSpec(frac * table.b**2)
-            quad, _ = sa.periodic_quadrature(lambda u: cg.measure_density(table, caustic, u))
+            ((quad, _),), _ = sa.periodic_quadrature(
+                lambda u: np.stack([cg.measure_density(table, caustic, u), np.ones_like(u)]))
             closed = sa.normalization(table, caustic)
             assert abs(quad - closed) / closed < 1e-11
 
@@ -783,10 +798,11 @@ def test_log_geomean_quadrature_route_is_consistent():
     for table, lam in ((T2, 0.5), (T5, 0.93), (TB, 1.1)):
         caustic = cg.CausticSpec(lam)
         log_mean, _ = sa.log_geomean_outer(table, caustic)
-        brute, _ = sa.periodic_quadrature(
-            lambda u: np.log(np.abs(outer_cosine_gradient(table, caustic, u)))
-            * cg.measure_density(table, caustic, u)
-        )
+        def weighted(u):
+            rho = cg.measure_density(table, caustic, u)
+            return np.stack([rho, np.log(np.abs(outer_cosine_gradient(table, caustic, u))) * rho])
+
+        ((_, brute),), _ = sa.periodic_quadrature(weighted)
         assert log_mean == pytest.approx(brute / sa.normalization(table, caustic), abs=1e-11)
 
 
