@@ -42,7 +42,6 @@ __all__ = [
 
 _SHARE_TOL = 1e-8  # endpoint-sharing residual accepted from the closed-form step
 _TAU = 2.0 * math.pi
-_SECANT_STEPS = 6  # brentq's secant steps toward a bracket; the poncelet pool takes at most 5
 _MAX_EVALS = 100  # brentq's evaluations of f before it gives up
 _COMPOSE_MIN = 120  # orbit length from which composing wins; measured break-even 110-120
 _AGM_TOL = 2.0**-30  # c/a at which rotation_number's mean stops; the steps left move rho < 2^-60
@@ -352,18 +351,21 @@ def rotation_number(table, caustic) -> float:
 
 def brentq(f, lo, hi, x0, anchor, tol):
     """The root of the increasing function f on [lo, hi], from a first
-    evaluation at x0 and a known point anchor = (x, f(x)).
+    evaluation at x0 and a known point anchor = (x, f(x)) below the root.
 
-    Secant steps, held in [lo, hi], run from the anchor through x0 until two
-    points bracket the root; after _SECANT_STEPS of them, or at one that
-    finds f not increasing, the end of [lo, hi] beyond the last point is
-    evaluated instead.  Every evaluation at an end is the bracket check:
-    ValueError unless f(lo) < 0 < f(hi), as scipy.optimize.brentq raises it.
-    Then Brent's safeguard, as scipy runs it: a secant step while it stays
-    inside the bracket and below half the step before last, bisection
-    otherwise, so it cannot stall.  It returns the bracket's end with the
-    smaller |f| once the bracket is narrower than tol(x) there, and raises
-    NumericalError after _MAX_EVALS evaluations of f.
+    One bracketed secant iteration (regula falsi with the Illinois
+    modification: Dowell & Jarratt, BIT 11 (1971) 168).  While every point
+    lies below the root, secant steps run from the anchor through x0; a slope
+    that is not positive sends the next step to hi.  Once a point lands above
+    the root, each step is regula falsi between the newest point and the
+    other end of the bracket, and where the newest point falls on the side
+    of the one before, the kept end's f is halved in the step, so that end
+    cannot stall.  Every step moves at least tol(x)/2 and stays in [lo, hi].
+    Every evaluation at an end is the bracket check: ValueError unless
+    f(lo) < 0 < f(hi).  It returns the bracket's end with the smaller true
+    |f| once the bracket is narrower than tol(x) there, and raises
+    NumericalError after _MAX_EVALS evaluations of f.  The name stays from
+    the Brent solver this replaced, since the benchmark's tracer binds it.
     """
     evals = 0
 
@@ -377,46 +379,31 @@ def brentq(f, lo, hi, x0, anchor, tol):
             raise ValueError(f"f has no sign change on [{lo!r}, {hi!r}]")
         return fx
 
-    xpre, fpre = anchor
-    xcur = min(max(x0, lo), hi)
-    fcur = evaluate(xcur)
-    bracketed = False
-    for _ in range(_SECANT_STEPS):
-        if fcur == 0.0 or bracketed:
-            break
-        slope = (fcur - fpre) / (xcur - xpre)
-        if not slope > 0.0:
-            break
-        step, delta = -fcur / slope, 0.5 * tol(xcur)
-        xpre, fpre = xcur, fcur
-        xcur = min(max(xcur + (step if abs(step) > delta else math.copysign(delta, step)), lo), hi)
-        fcur = evaluate(xcur)
-        bracketed = (fcur > 0.0) != (fpre > 0.0)
-    if fcur != 0.0 and not bracketed:
-        xpre = lo if fcur > 0.0 else hi
-        fpre = evaluate(xpre)
-    # xblk is the bracket's other end; spre and scur, the steps before last and last
-    xblk, fblk = xpre, fpre
-    spre = scur = xcur - xpre
-    while True:
-        if (fpre > 0.0) != (fcur > 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * tol(xcur)
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        bisect = True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            bisect = not 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        spre, scur = (sbis, sbis) if bisect else (scur, stry)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = evaluate(xcur)
+    # (xb, fb) is the newest point; (xa, fa) the one before or, once they
+    # bracket the root, its other end, whose f enters the step as wa
+    xa, fa = anchor
+    wa = fa
+    xb = min(max(x0, lo), hi)
+    fb = evaluate(xb)
+    while fb != 0.0:
+        bracketed = (fa > 0.0) != (fb > 0.0)
+        if bracketed:
+            best = xb if abs(fb) <= abs(fa) else xa
+            if abs(xb - xa) < tol(best):
+                return best
+        slope = (fb - wa) / (xb - xa)
+        if bracketed or slope > 0.0:
+            step, delta = -fb / slope, 0.5 * tol(xb)
+            x = min(max(xb + (step if abs(step) > delta else math.copysign(delta, step)), lo), hi)
+        else:
+            x = hi
+        fx = evaluate(x)
+        if bracketed and (fx > 0.0) == (fb > 0.0):
+            wa *= 0.5
+        else:
+            xa, fa, wa = xb, fb, fb
+        xb, fb = x, fx
+    return xb
 
 
 def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
@@ -429,8 +416,8 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     or above pi/n, the circle's root.  brentq starts there, takes its first
     secant step from the exact rho(0) = 0 and stops within the tolerance of
     a solve in lam, 1e-15 b^2 + 8.9e-16 lam; on the poncelet benchmark's
-    tables (a in [1, 5], n in [3, 40]) it evaluates rho 5.5 to 5.7 times
-    per period on average and at most 15 times.  rho increases strictly with
+    tables (a in [1, 5], n in [3, 40]) it evaluates rho 5.7 times per
+    period on average and at most 14 times.  rho increases strictly with
     lam from 0; it tends to 1/2 as lam -> b^2, but for a > b only
     logarithmically, so at the upper guard it is below 1/2 (0.414 at a = 5)
     and periods n with 1/n above it are not bracketed: NumericalError, as

@@ -21,7 +21,7 @@ from . import conic_geometry as cg
 from . import spatial_averages as sa
 from .billiard_dynamics import TIME_AVERAGE_QUANTITIES, iterate_orbit, time_average
 from .errors import DomainError, NumericalError
-from .invariant_suite import build_periodic_orbit, evaluate_invariants
+from .invariant_suite import _dots, build_periodic_orbit, evaluate_invariants
 
 _DUAL_ROUTE_REL = 1e-9
 _PERIODIC_MATCH = 1e-6
@@ -93,9 +93,11 @@ def cmd_sweep(args) -> int:
     b2 = table.b**2
     lam_min = 0.01 * b2 if args.lambda_min is None else args.lambda_min
     lam_max = 0.99 * b2 if args.lambda_max is None else args.lambda_max
-    if not (0.0 < lam_min <= lam_max < b2):
+    guard = sa._DEGENERACY_GUARD * b2
+    if not (0.0 < lam_min <= lam_max <= guard):
         raise DomainError(
-            f"need 0 < lambda-min <= lambda-max < b^2; got [{lam_min}, {lam_max}], b^2={b2}"
+            f"need 0 < lambda-min <= lambda-max <= b^2 (1 - 1e-9) = {guard}; "
+            f"got [{lam_min}, {lam_max}]"
         )
     if args.steps < 1:
         raise DomainError(f"--steps must be >= 1; got {args.steps}")
@@ -194,8 +196,6 @@ def cmd_periodic(args) -> int:
 def cmd_orbit(args) -> int:
     table = cg.BilliardTable(args.a, args.b)
     caustic = cg.CausticSpec(args.lam)
-    if args.n < 1:
-        raise DomainError(f"--n must be >= 1; got {args.n}")
     sample = iterate_orbit(table, caustic, args.u0, args.n)
     j = cg.joachimsthal(table, caustic)
     _print_meta(
@@ -207,13 +207,12 @@ def cmd_orbit(args) -> int:
     verts, us = sample.vertex_sequence, sample.u_sequence
     edges = np.diff(verts, axis=0)
     edges /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
-    normals = np.column_stack([verts[:, 0] / table.a**2, verts[:, 1] / table.b**2])
+    normals = verts / np.array([table.a**2, table.b**2])
+    residuals = np.abs(np.abs(_dots(normals.T, np.vstack([edges, edges[-1:]]).T)) - j)
     for i in range(args.n + 1):
-        edge = edges[i] if i < args.n else edges[-1]
-        residual = abs(abs(float(np.dot(normals[i], edge))) - j)
         print(
             ",".join(
-                [str(i), _fmt(verts[i, 0]), _fmt(verts[i, 1]), _fmt(us[i]), _fmt(residual)]
+                [str(i), _fmt(verts[i, 0]), _fmt(verts[i, 1]), _fmt(us[i]), _fmt(residuals[i])]
             )
         )
     return 0

@@ -68,11 +68,15 @@ Proves:
    - the solve in phi is within twice the tolerance of a solve in lam of
      scipy.optimize.brentq in lam, on a in {1, 1.2, 2, 5, 100, 1e4} x N in
      3..40, 2000, 5000
-   - a solve evaluates rho 5.71 times on average and at most 14 times on
+   - a solve evaluates rho 5.88 times on average and at most 14 times on
      tables like the poncelet benchmark's, and 5 times at (3.14, 55)
    - a period bracketed at neither end, and a solve that does not converge,
-     raise NumericalError; where secant steps approach the root from one
-     side, the solve evaluates the far end and finishes in that bracket
+     raise NumericalError
+   - brentq's bracketed secant iteration: a concave root approached from
+     below only, a convex one overshot and finished inside the bracket, a
+     slope that does not rise sent to hi, ValueError at an end with no sign
+     change; every solved period lies within tol of a sign change of
+     rho - 1/n for a in [1, 100] and n in [3, 400]
  Group 4 - Time averages
    - constant quantity on the circle averages exactly
    - 1e6-bounce averages match spatial quadrature to 1e-3 (a=2, lambda=0.37)
@@ -94,6 +98,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -719,23 +724,77 @@ def test_a_solve_that_does_not_converge_raises(monkeypatch):
         find_caustic_for_period(T2, 7)
 
 
-def test_brentq_brackets_a_root_its_secant_steps_creep_up_to():
-    """On a concave f the secant steps from the anchor approach the root
-    from below without crossing it; after _SECANT_STEPS of them the upper
-    end is evaluated, and Brent's steps finish inside that bracket.  A range
-    with no sign change raises ValueError, as scipy's brentq does."""
+def _traced_brentq(f, lo, hi, x0, anchor, tol=lambda x: 1e-15):
+    """bd.brentq's root and the points it evaluated, in order."""
     points = []
 
-    def f(x):
+    def traced(x):
         points.append(x)
-        return math.sqrt(x) - 1.0
+        return f(x)
 
-    root = bd.brentq(f, 0.01, 4.0, 0.01, (0.0, -1.0), lambda x: 1e-15)
+    return bd.brentq(traced, lo, hi, x0, anchor, tol), points
+
+
+def test_brentq_approaches_a_concave_root_from_below():
+    """On a concave f every secant step from the anchor lands below the root,
+    and the iteration finishes within tol from that side without evaluating
+    the far end of the range."""
+    root, points = _traced_brentq(lambda x: math.sqrt(x) - 1.0, 0.01, 4.0, 0.01, (0.0, -1.0))
     assert abs(root - 1.0) <= 1e-15
-    steps = bd._SECANT_STEPS
-    assert all(x < 1.0 for x in points[: steps + 1]) and points[steps + 1] == 4.0
+    assert all(x < 1.0 for x in points[:-1]) and 4.0 not in points
+
+
+def test_brentq_overshoots_a_convex_root_and_finishes_in_the_bracket():
+    """On a convex f the first secant step lands above the root; from there
+    every point lies strictly inside the bracket of the points before it.
+    Halving the kept end's f keeps regula falsi from stalling: 11 evaluations,
+    where regula falsi without it keeps x = 2 and takes over 200."""
+    root, points = _traced_brentq(lambda x: x * x - 1.0, 0.01, 4.0, 0.5, (0.0, -1.0))
+    assert abs(root - 1.0) <= 1e-15
+    assert points[1] == 2.0 and len(points) <= 11
+    below, above = 0.5, 2.0
+    for x in points[2:]:
+        assert below < x < above
+        below, above = (x, above) if x < 1.0 else (below, x)
+
+
+def test_brentq_sends_a_step_with_no_rising_slope_to_hi():
+    root, points = _traced_brentq(lambda x: max(x, 0.6) - 0.9, 0.1, 1.0, 0.5, (0.0, -0.3))
+    assert points[:2] == [0.5, 1.0] and abs(root - 0.9) <= 1e-15
+
+
+def test_brentq_raises_at_an_end_with_no_sign_change():
+    """The root above hi is met at hi, the root below lo at lo."""
+    with pytest.raises(ValueError, match="no sign change"):
+        bd.brentq(lambda x: x - 2.0, 0.0, 1.0, 0.5, (-2.0, -4.0), lambda x: 1e-15)
     with pytest.raises(ValueError, match="no sign change"):
         bd.brentq(lambda x: x + 1.0, 0.0, 1.0, 0.5, (-2.0, -1.0), lambda x: 1e-15)
+
+
+@settings(deadline=None, max_examples=60)
+@given(a=st.floats(1.0, 100.0), n=st.integers(3, 400))
+@example(a=1.0, n=3)
+@example(a=100.0, n=3)
+@example(a=1.0, n=400)
+def test_a_solved_period_lies_within_tol_of_a_sign_change(a, n):
+    """Each solve in phi either fails to bracket, or rho - 1/n changes sign
+    between phi_n - tol(phi_n) and phi_n + tol(phi_n), within _MAX_EVALS
+    evaluations (the solve raises past them)."""
+    solves = []
+
+    def recording_brentq(f, lo, hi, x0, anchor, tol):
+        solves.append((f, tol, brentq(f, lo, hi, x0, anchor, tol)))
+        return solves[-1][2]
+
+    brentq = bd.brentq
+    with mock.patch.object(bd, "brentq", recording_brentq):
+        try:
+            bd._caustic_for_period.__wrapped__(cg.BilliardTable(a, 1.0), n)
+        except NumericalError as exc:
+            assert "failed to bracket" in str(exc)
+            return
+    (f, tol, phi_n), = solves
+    assert f(phi_n - tol(phi_n)) < 0.0 < f(phi_n + tol(phi_n))
 
 
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0, 100.0, 1e4])
@@ -758,9 +817,9 @@ def test_find_caustic_matches_a_solve_in_lam(a):
 
 def test_find_caustic_evaluates_rho_a_few_times(monkeypatch):
     """On tables like the poncelet benchmark's (a in [1, 5], every 16th the
-    circle, n in 3..40) a solve evaluates rho 5.71 times on average and 14 at
-    most (5.79 and 14 with scipy's F and K; scipy's brentq in lam: 11.25 with
-    its two bracket checks), and 5 at (3.14, 55)."""
+    circle, n in 3..40) a solve evaluates rho 5.88 times on average and 14 at
+    most (5.71 and 14 with Brent's steps after the secant steps; scipy's
+    brentq in lam: 11.25 with its two bracket checks), and 5 at (3.14, 55)."""
     calls = []
 
     def counted(table, caustic):

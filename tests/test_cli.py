@@ -23,6 +23,8 @@ Proves:
      with its FAIL line and the failure count
    - usage errors exit 2 (bad lambda, bad steps, unknown quantity,
      missing flags, verify --b without --a); unbracketable period exits 3
+   - a sweep whose --lambda-max lies past the degeneracy guard exits 2
+     before it prints anything
    - a closed form off by 1e-6 fails the dual-route comparison: sweep
      --method both exits 3 naming the quantity, and the battery records a
      failing dual-route check (kappa^(2/3) included)
@@ -250,6 +252,17 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 def test_usage_errors_exit_two(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
+
+
+def test_sweep_rejects_a_lambda_max_past_the_guard_before_printing(capsys):
+    # b^2 (1 - 1e-9) is the largest lambda every route admits; a range past it
+    # is refused before the header, not at the first row beyond it
+    code, out, err = run_cli(
+        capsys, "sweep", "--a", "2", "--lambda-min", "0.5", "--lambda-max", "0.9999999999",
+        "--steps", "3",
+    )
+    assert code == 2 and out == ""
+    assert "lambda-max <= b^2 (1 - 1e-9)" in err
 
 
 def test_verify_b_needs_a(capsys):
