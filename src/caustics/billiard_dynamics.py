@@ -59,7 +59,9 @@ class OrbitSample:
     (_COMPOSE_MIN bounces or more) the vertex read at the angle instead moves
     by up to 5.0e-12 at a = 20, lam = b^2 (1 - 1e-6), against the orbit's own
     error of 2.5e-9 there (1,500 bounces, 40-digit reference).  Both arrays have
-    length n+1 for an n-step orbit and are read-only.  u_sequence, built on
+    length n+1 for an n-step orbit and are read-only: vertex_sequence, of
+    shape (n+1, 2), is the transposed view of the orbit's cached vertices,
+    which are kept as two contiguous rows x and y.  u_sequence, built on
     first access, is their monotone lift from u0: u0 + (angles - angles[0])
     + 2pi (whole turns so far), a turn being a step that lowers the angle.
     """
@@ -219,8 +221,11 @@ def _orbit(table, caustic, u0, n):
     never lifted, so each is rounded at ulp(2pi) at most and a far seed costs
     no precision: the chord at point k+1 must start where the chord at point k
     ends, P2 = P1 to _SHARE_TOL (compared squared), and u_{k+1} - u_k mod 2pi
-    must lie in (0, pi); otherwise NumericalError.  Vertex 0 is P2 at point 0,
-    vertex k+1 is P1 at point k (OrbitSample says how far a vertex read at the
+    must lie in (0, pi), which _advances asks of the raw difference by plain
+    comparisons, exactly as a wrap of a negative one by 2pi would; otherwise
+    NumericalError.  The vertices are planar, (2, n+1) rows x and y, so the
+    per-vertex forms read contiguous rows: vertex 0 is P2 at point 0, vertex
+    k+1 is P1 at point k (OrbitSample says how far a vertex read at the
     rounded angle moves).  w of the points is kept for the samples that read
     it, so no caller forms it or takes a sine again.  Callers share the
     cached arrays, so they are handed out read-only.
@@ -237,35 +242,50 @@ def _orbit(table, caustic, u0, n):
     else:
         angles = _advance_sequence(table, caustic, r0, n)
         cos_u, sin_u = np.cos(angles), np.sin(angles)
-    ((x1, x2), (y1, y2)), w = cg._endpoints(table, caustic, cos_u, sin_u)
+    ends, w = cg._endpoints(table, caustic, cos_u, sin_u)  # rows x, y of (P1, P2)
     del cos_u, sin_u
     # allocated once the endpoint pass has freed its temporaries: verify then
     # peaks at 177 MB, against 184 MB with it allocated before the pass
-    vertices = np.empty((n + 1, 2))
-    vertices[0] = x2[0], y2[0]
-    vertices[1:, 0], vertices[1:, 1] = x1[:-1], y1[:-1]
-    # the squared gap from P2 at point k+1 to P1 at point k, formed in x2, y2
-    gap, dy = x2[1:], y2[1:]
-    gap -= x1[:-1]
-    gap *= gap
-    dy -= y1[:-1]
-    dy *= dy
-    gap += dy
+    vertices = np.empty((2, n + 1))
+    vertices[:, 0] = ends[:, 1, 0]
+    vertices[:, 1:] = ends[:, 0, :-1]
+    # the squared gap from P2 at point k+1 to P1 at point k, formed in P2's rows
+    delta = ends[:, 1, 1:]
+    delta -= vertices[:, 1:]
+    delta *= delta
+    gap = np.add(delta[0], delta[1], out=delta[0])
     steps = angles[1:] - angles[:-1]
-    test = steps < 0.0
-    np.add(steps, _TAU, out=steps, where=test)  # both angles lie in one interval of length 2pi
-    ok = gap <= _SHARE_TOL**2
-    ok &= np.greater(steps, 0.0, out=test)
-    ok &= np.less(steps, math.pi, out=test)
-    if not ok.all():
+    ok = _advances(steps)
+    if not (ok.all() and np.maximum.reduce(gap) <= _SHARE_TOL**2):  # NaN fails too
+        ok &= gap <= _SHARE_TOL**2
         k = int(np.argmin(ok))  # the first failing step
+        step = float(steps[k])
+        if step < 0.0:  # both angles lie in one interval of length 2pi
+            step += _TAU
         raise NumericalError(
             f"billiard step {k} failed at u={angles[k]}, lam={caustic.lam}: "
-            f"endpoint-sharing residual {math.sqrt(gap[k]):.3e}, advance {float(steps[k])!r}"
+            f"endpoint-sharing residual {math.sqrt(gap[k]):.3e}, advance {step!r}"
         )
     for array in (angles, vertices, w):
         array.flags.writeable = False
     return angles, vertices, w
+
+
+def _advances(steps):
+    """Whether each d in steps, the difference angle[k+1] - angle[k] of two
+    angles that lie in one interval of length 2pi, advances by (0, pi) mod
+    2pi, as a boolean array: by plain comparisons, 0 < d < pi or
+    -2pi < d < -pi.
+
+    That is the wrap of a negative d by 2pi followed by 0 < d < pi, exactly:
+    on [-2pi, -pi] the sum d + 2pi is exact (Sterbenz's lemma), and elsewhere
+    rounding cannot carry it across an end of (0, pi).  NaN fails."""
+    ok = steps > 0.0
+    test = steps >= -math.pi
+    np.equal(ok, test, out=ok)  # forward, or back by more than pi: a turn
+    ok &= np.less(steps, math.pi, out=test)
+    ok &= np.greater(steps, -_TAU, out=test)
+    return ok
 
 
 def _whole(n, least, what):
@@ -276,15 +296,27 @@ def _whole(n, least, what):
     return int(n)
 
 
+def _seed(u0):
+    """u0 as a float; DomainError unless it is finite (1e300 is; nan and inf
+    are not, and would fail as a degenerate chord)."""
+    u0 = float(u0)
+    if not math.isfinite(u0):
+        raise DomainError(f"seed u0 must be a finite number; got u0={u0}")
+    return u0
+
+
 def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
     """Iterate the billiard map n times from tangency parameter u0.
 
     Returns an OrbitSample with n+1 angles and n+1 vertices; vertex 0 is the
     backward endpoint P2(u0), vertex i+1 the forward endpoint P1(u_i), so the
-    sample describes n chords.  The arrays are read-only.
+    sample describes n chords.  The arrays are read-only; vertex_sequence is
+    the (n+1, 2) transposed view of the cached orbit's two vertex rows.
+    DomainError unless u0 is finite and n a whole number >= 1.
     """
-    angles, verts, _ = _orbit(table, caustic, float(u0), _whole(n, 1, "orbit length"))
-    return OrbitSample(float(u0), angles, verts)
+    u0 = _seed(u0)
+    angles, verts, _ = _orbit(table, caustic, u0, _whole(n, 1, "orbit length"))
+    return OrbitSample(u0, angles, verts.T)
 
 
 def rotation_number(table, caustic) -> float:
@@ -481,12 +513,12 @@ def _orbit_means(table, caustic, u0, n):
     vertex's inverse focal product and kappa^(2/3) are evaluated once and
     read by both of its chords, with the points' w: no endpoint, no
     boundary check and no trigonometric function is evaluated again."""
-    _, vertices, w = _orbit(table, caustic, u0, n)
-    x, y = vertices[:, 0], vertices[:, 1]
+    _, (x, y), w = _orbit(table, caustic, u0, n)
     q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
     samples = _chord_samples(table, caustic, w[:n], q[1:], q[:-1], k[1:], k[:-1])
-    full = np.mean(samples, axis=-1).tolist()
-    half = np.mean(samples[:, : max(1, n // 2)], axis=-1).tolist()
+    m = max(1, n // 2)
+    full = (np.add.reduce(samples, axis=-1) / n).tolist()  # np.mean's sum and division
+    half = (np.add.reduce(samples[:, :m], axis=-1) / m).tolist()
     return tuple(zip(full, half))
 
 
@@ -503,7 +535,7 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         raise DomainError(
             f"unknown quantity {quantity!r}; expected one of {TIME_AVERAGE_QUANTITIES}"
         )
-    means = _orbit_means(table, caustic, float(u0), _whole(n, 1, "orbit length"))
+    means = _orbit_means(table, caustic, _seed(u0), _whole(n, 1, "orbit length"))
     value, half = means[TIME_AVERAGE_QUANTITIES.index(quantity)]
     # equal means drift by 0, also where both are -inf (log|outer cosine| at ca = 0)
     err = abs(value - half) if value != half else 0.0

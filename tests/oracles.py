@@ -11,7 +11,9 @@ row_wise_invariants is evaluate_invariants on the rows of the vertex array;
 patch_complete_integrals swaps out every complete elliptic integral;
 outer_product_sums and EXPRESSION_FORMS are billiard_dynamics._sums and
 the four conic_geometry per-point forms that an orbit reads as they were
-written before they worked in place, one numpy expression each.
+written before they worked in place, one numpy expression each;
+masked_wrap_advances is billiard_dynamics._advances as _orbit's step check
+was written before it compared raw differences.
 """
 from __future__ import annotations
 
@@ -166,6 +168,15 @@ def outer_product_sums(shifts, points):
     sn = np.multiply.outer(cs * ds, sp) + np.multiply.outer(ss, cp * dp)
     cn = np.multiply.outer(cs, cp) - np.multiply.outer(ss * ds, sp * dp)
     return sn, cn
+
+
+def masked_wrap_advances(steps):
+    """billiard_dynamics._advances as a masked wrap: each negative difference
+    of angles is wrapped by 2pi in a masked add, then 0 < step < pi."""
+    steps = np.array(steps, dtype=float)
+    test = steps < 0.0
+    np.add(steps, 2.0 * math.pi, out=steps, where=test)
+    return (steps > 0.0) & (steps < math.pi)
 
 
 def _chord_length_expression(table, caustic, w):

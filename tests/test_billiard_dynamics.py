@@ -10,12 +10,20 @@ Proves:
    - the inverse step -next_tangency(-u) (the y -> -y reflection) inverts
      next_tangency to 1e-9
    - the lift step always lies in (0, pi)
-   - the cached orbit shared by every caller, its sin^2 u included, is
-     read-only, scalar or composed
+   - the cached orbit shared by every caller, its w included, is
+     read-only, scalar or composed; its vertices are planar rows x and y,
+     handed out as their read-only transposed view
    - lambda_N is solved once while seeded periodic orbits of period N are
      built; the import, a solve, a periodic orbit, its invariants and the
      sweep, periodic and orbit commands load no scipy module, and the CLI's
      import loads no importlib.metadata (fresh interpreter)
+   - the step check's plain comparisons accept exactly the steps that the
+     masked wrap of a negative step by 2pi accepted (tests/oracles.py), on
+     random angle pairs in both conventions, the floats next to 0, +-pi and
+     -2pi, infinities and NaN
+   - one uncached orbit's traced peak, net of a 1-bounce orbit's, stays
+     within 10.0 arrays of n+1 doubles at n = 100 (scalar) and 10.1 at
+     n = 1e5 (composed)
    - a corrupted step is rejected by the orbit certificate in every caller,
      through the composed path of a long orbit too, naming the first failing
      step; a composed orbit with a corrupted point raises as well
@@ -25,6 +33,8 @@ Proves:
      vertex, all vertices on the boundary (self-validating 1e5-step run)
    - circle square orbit closes exactly after 4 steps
    - n = 1 gives two parameters, one chord
+   - a seed u0 that is nan or +-inf is a DomainError naming it in
+     iterate_orbit, time_average and build_periodic_orbit; u0 = 1e300 runs
    - property: an orbit length or period (iterate_orbit, time_average,
      find_caustic_for_period, build_periodic_orbit) that is a whole number,
      int or float, gives what the int gives; 3.5, 250.7, nan or inf raise
@@ -96,6 +106,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -118,7 +129,7 @@ from caustics.billiard_dynamics import (
 )
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit
-from oracles import lam_space_period_solve, next_tangency, outer_product_sums
+from oracles import lam_space_period_solve, masked_wrap_advances, next_tangency, outer_product_sums
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -195,17 +206,85 @@ def test_cached_orbit_is_read_only():
     for n in (100, 1000):  # the scalar loop and a composed orbit
         angles, verts, w = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, n)
         sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.1, n)
-        assert sample.angles is angles and sample.vertex_sequence is verts
+        # the vertices are cached as planar rows x and y, and handed out as
+        # their transposed view, one vertex per row
+        assert verts.shape == (2, n + 1) and verts.flags.c_contiguous
+        assert sample.angles is angles and sample.vertex_sequence.base is verts
+        assert sample.vertex_sequence.shape == (n + 1, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            sample.vertex_sequence[3, 1] = 0.0
+        with pytest.raises(ValueError):
+            sample.vertex_sequence.flags.writeable = True
         with pytest.raises(ValueError, match="read-only"):
             angles[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             angles[:10] *= 2.0
         with pytest.raises(ValueError, match="read-only"):
-            verts[3, 1] = 0.0
+            verts[1, 3] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             w[5] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             w[:10] *= 2.0
+
+
+def _neighbours(x, k=3):
+    """x and the k floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -math.inf))
+        above.append(np.nextafter(above[-1], math.inf))
+    return below[1:] + above
+
+
+def test_step_check_accepts_what_the_masked_wrap_accepted():
+    """The certificate accepts d = angle[k+1] - angle[k] by plain comparisons,
+    0 < d < pi or -2pi < d < -pi, where it wrapped a negative d by 2pi in a
+    masked add and asked 0 < step < pi: both accept and reject the same
+    steps, on differences of random angles in [0, 2pi) (the scalar loop's)
+    and [-pi, pi] (a composed orbit's), and at every edge of the test."""
+    rng = np.random.default_rng(25)
+    scalar = rng.uniform(0.0, 2.0 * math.pi, (2, 100_000))
+    composed = rng.uniform(-math.pi, math.pi, (2, 100_000))
+    edges = [0.0, math.pi, -math.pi, -2.0 * math.pi, 2.0 * math.pi]
+    special = np.array(
+        [x for edge in edges for x in _neighbours(edge)]
+        + [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.5 * math.pi, -1.5 * math.pi]
+    )
+    # angles that meet at an edge: pi and -pi, the ends of the composed range
+    ends = np.array([math.pi, -math.pi] + _neighbours(math.pi) + _neighbours(-math.pi))
+    met = np.subtract.outer(ends, ends).ravel()
+    for steps in (scalar[1] - scalar[0], composed[1] - composed[0], special, met):
+        got, want = bd._advances(steps), masked_wrap_advances(steps)
+        assert got.dtype == bool and np.array_equal(got, want), steps[got != want]
+    # each edge of the test is met: accepted and rejected steps on both sides
+    accepted = special[bd._advances(special)]
+    assert accepted.min() > -2.0 * math.pi and accepted.max() < math.pi
+    assert np.any(accepted < -math.pi) and np.any(accepted > 0.0)
+    assert not bd._advances(np.array([-math.pi, 0.0, -2.0 * math.pi, math.nan])).any()
+
+
+@pytest.mark.parametrize("n, ceiling", [(100, 10.0), (100_000, 10.1)], ids=["scalar", "composed"])
+def test_orbit_memory_ceiling(n, ceiling):
+    """The traced peak of one uncached orbit, less that of a 1-bounce orbit
+    (frames, array headers and the small arrays of composition), counted in
+    arrays of n doubles: the endpoint pass holds the angles, the points
+    (cos u, sin u), its scratch (2), w and the stacked ends (4).  Measured
+    on CPython 3.11 and numpy 2.4: 9.9 at n = 100 and 10.0016 at n = 1e5.
+    verify's peak RSS rests on these allocations for its 1e6-bounce orbit,
+    so a new temporary of the orbit's size fails here first."""
+    caustic = cg.CausticSpec(0.37)
+
+    def peak(n):
+        bd._orbit.__wrapped__(T2, caustic, 0.1, n)  # first-call allocations are not the orbit's
+        tracemalloc.start()
+        try:
+            bd._orbit.__wrapped__(T2, caustic, 0.1, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    arrays = (peak(n) - peak(1)) / (8 * n)
+    assert 9.0 < arrays <= ceiling
 
 
 def test_period_is_solved_once_for_its_seeds(monkeypatch):
@@ -306,6 +385,22 @@ def test_orbit_sample_shapes():
     assert sample.vertex_sequence.shape == (2, 2)
     with pytest.raises(DomainError):
         iterate_orbit(T2, cg.CausticSpec(0.5), 0.3, 0)
+
+
+@pytest.mark.parametrize("u0", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_seed_is_a_domain_error(u0):
+    """A seed that is not finite is refused by name, not reported as a
+    degenerate chord (NumericalError) at index 0; a huge finite one runs."""
+    caustic = cg.CausticSpec(0.5)
+    calls = (
+        lambda u: iterate_orbit(T2, caustic, u, 10).angles,
+        lambda u: time_average(T2, caustic, "sidelength", 10, u0=u).value,
+        lambda u: build_periodic_orbit(T2, 5, seed_u=u).vertices,
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=rf"seed u0 must be a finite number; got u0={u0}"):
+            call(u0)
+        assert np.all(np.isfinite(call(1e300)))
 
 
 def test_orbit_self_validates():
@@ -890,7 +985,7 @@ def samples_at_the_vertices(table, caustic, u0, n):
     lam (1/(d1 d2) + 1/(d1 d2)) - 1 with d1 d2 = b^2 + c^2 y^2/b^2 at them;
     the chord length and outer cosine at the points' chord factor w."""
     _, vertices, w = bd._orbit(table, caustic, u0, n)
-    p1, p2 = vertices[1:], vertices[:-1]
+    p1, p2 = vertices.T[1:], vertices.T[:-1]
     b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
     rows = np.empty((len(TIME_AVERAGE_QUANTITIES), n))
     rows[0] = cg._chord_length_at(table, caustic, w[:n])

@@ -24,7 +24,7 @@ Proves:
    - usage errors exit 2 (bad lambda, bad steps, unknown quantity,
      missing flags, verify --b without --a); unbracketable period exits 3
    - a sweep whose --lambda-max lies past the degeneracy guard exits 2
-     before it prints anything
+     before it prints anything, as does an orbit whose --u0 is nan or +-inf
    - a closed form off by 1e-6 fails the dual-route comparison: sweep
      --method both exits 3 naming the quantity, and the battery records a
      failing dual-route check (kappa^(2/3) included)
@@ -263,6 +263,13 @@ def test_sweep_rejects_a_lambda_max_past_the_guard_before_printing(capsys):
     )
     assert code == 2 and out == ""
     assert "lambda-max <= b^2 (1 - 1e-9)" in err
+
+
+@pytest.mark.parametrize("u0", ["nan", "inf", "-inf"])
+def test_orbit_with_a_non_finite_seed_exits_two_before_printing(capsys, u0):
+    code, out, err = run_cli(capsys, "orbit", "--a", "2", "--lambda", "0.4", f"--u0={u0}", "--n", "10")
+    assert code == 2 and out == ""
+    assert "seed u0 must be a finite number" in err
 
 
 def test_verify_b_needs_a(capsys):

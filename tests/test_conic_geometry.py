@@ -603,11 +603,13 @@ def test_circle_degeneration_everything_constant():
 
 def _form_inputs(table, caustic):
     """(w, x, y) as the per-point forms are handed them: by a scalar and a
-    composed orbit (read-only; x and y strided columns of the vertices), by
-    a quadrature grid ((2, n) rows of the endpoint pass) and as 0-d arrays
-    and numpy scalars."""
+    composed orbit (read-only; x and y its planar vertex rows, and the
+    strided columns of the vertices it hands out), by a quadrature grid
+    ((2, n) rows of the endpoint pass) and as 0-d arrays and numpy scalars."""
     for n in (bd._COMPOSE_MIN - 1, 2_000):
-        _, vertices, w = bd._orbit(table, caustic, 0.1, n)
+        _, (x, y), w = bd._orbit(table, caustic, 0.1, n)
+        yield w, x, y
+        vertices = bd.iterate_orbit(table, caustic, 0.1, n).vertex_sequence
         yield w, vertices[:, 0], vertices[:, 1]
     u = np.linspace(0.0, math.pi, 512, endpoint=False)
     (x, y), w = cg._endpoints(table, caustic, np.cos(u), np.sin(u))
