@@ -17,10 +17,11 @@ endpoint's kappa^(2/3) and inverse focal product, and one
 periodic_quadrature call per caustic integrates them all on one grid: each
 average pairs its sample with Z and converges, or fails, on
 its own.  The samples are pi-periodic, so the grid holds the chords at u in
-[0, pi), each once.  Its first integrand call evaluates the first six levels
-(16 to 512 nodes) on nodes and trigonometry taken once at import, all six
-are read from it in one pass, and 98% of bulk-sweep's caustics converge
-within them.
+[0, pi), each once.  Its first integrand call evaluates every level from 16
+nodes up to the grid that the caustic's analyticity strip, atanh(b_c/a_c),
+predicts: 512 nodes, or 1024 or 2048 where the strip is narrow, on nodes and
+trigonometry taken once at import.  All those levels are read from it in one
+pass, and every bulk-sweep caustic converges within them, 98% within 512.
 """
 from __future__ import annotations
 
@@ -50,21 +51,40 @@ _DEGENERACY_GUARD = 1.0 - 1e-9
 
 _QUAD_TOL = 1e-12
 _MAX_NODES = 2**20
-# periodic_quadrature's first integrand call evaluates this grid, which holds
-# levels 16 through 512.  Below about 1,000 nodes a call costs nearly the same
-# whatever its size (numpy dispatch, not nodes), and of seed 3's 1,024
-# bulk-sweep caustics 90% converge by 256 nodes of the half period, 8% at 512
-# and 2% beyond (56/34/10 on the full period), so evaluating ahead to 512
-# wastes little and saves the level-by-level calls.  Its nodes, and cos u
-# and sin u at u = v/2 for _quadrature_averages, are taken once, read-only.
-# Each level's new nodes on it, level 16's and then each next level's
-# midpoints, are the strided view (start, step) in _FIRST_LEVELS.
+# periodic_quadrature's first integrand call evaluates a grid of at least
+# this many nodes, which holds levels 16 through 512.  Below about 1,000
+# nodes a call costs nearly the same whatever its size (numpy dispatch, not
+# nodes), and of seed 3's 1,024 bulk-sweep caustics 90% converge by 256
+# nodes of the half period, 8% at 512 and 2% beyond (56/34/10 on the full
+# period), so evaluating ahead to 512 wastes little and saves the
+# level-by-level calls.  The 2% beyond start on the grid their strip
+# predicts, up to _FIRST_CAP.
 _FIRST_GRID = 512
-_FIRST_NODES = np.linspace(0.0, 2.0 * math.pi, _FIRST_GRID, endpoint=False)
-_FIRST_TRIG = np.array([np.cos(0.5 * _FIRST_NODES), np.sin(0.5 * _FIRST_NODES)])  # cos u, sin u
-_FIRST_NODES.flags.writeable = _FIRST_TRIG.flags.writeable = False
-_FIRST_LEVELS = ((0, 32), (16, 32), (8, 16), (4, 8), (2, 4), (1, 2))
-_NEW_NODES = np.array([_FIRST_GRID / step for _, step in _FIRST_LEVELS])[:, None]
+# An integrand analytic in the strip |Im v| < s has a trapezoid error like
+# e^(-s n), so the defect between n and n/2 nodes falls like e^(-s n/2), and
+# ln(1/_QUAD_TOL) = 27.6.  The first grid is the least power of two from
+# _FIRST_GRID up to _FIRST_CAP with s n/2 >= _STRIP_EXPONENT; on bulk-sweep's
+# caustics that grid is where the defect first passes or one level past it,
+# never short of it.  Past _FIRST_CAP the grid doubles from there: on
+# grazing caustics the law often predicts one level too many, and a first
+# call of 2^20 nodes doubled grazing-sweep's median op and added 90 MB to
+# its peak memory.
+_STRIP_EXPONENT = 29.0
+_FIRST_CAP = 2048
+# Each first grid's nodes, and cos u and sin u at u = v/2 for
+# _quadrature_averages, are taken once, read-only.  Each level's new nodes
+# on it, level 16's and then each next level's midpoints, are the strided
+# view (start, step) in _FIRST_LEVELS, and _NEW_NODES counts them.
+_FIRST_NODES = {
+    n: np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    for n in (_FIRST_GRID << k for k in range((_FIRST_CAP // _FIRST_GRID).bit_length()))
+}
+_FIRST_TRIG = {n: np.array([np.cos(0.5 * v), np.sin(0.5 * v)]) for n, v in _FIRST_NODES.items()}
+for _constant in (*_FIRST_NODES.values(), *_FIRST_TRIG.values()):
+    _constant.flags.writeable = False
+_FIRST_LEVELS = {n: ((0, n // 16),) + tuple((n >> k, n >> (k - 1)) for k in range(5, n.bit_length()))
+                 for n in _FIRST_NODES}
+_NEW_NODES = np.array([16.0] + [2.0**k for k in range(4, _FIRST_CAP.bit_length() - 1)])[:, None]
 _LEVELS = 17  # 16 to 2^20 nodes
 
 
@@ -89,7 +109,7 @@ def _check_caustic(table, caustic):
     return ac, bc
 
 
-def periodic_quadrature(f):
+def periodic_quadrature(f, strip=math.inf):
     """Trapezoid integrals over one period of a weight rho and k weighted
     integrands g_i rho, all smooth and 2pi-periodic.
 
@@ -103,18 +123,28 @@ def periodic_quadrature(f):
     (k, 2), and its defect, the larger of the two, the last level's where it
     never closed.  Nothing raises; _average rejects an open or NaN defect.
 
+    strip is the half-width s of the strip |Im v| < s where f is analytic
+    (inf, the default, for none given).  It only sizes the first call, on
+    the least power of two n from 512 to _FIRST_CAP with s n/2 >=
+    _STRIP_EXPONENT, where the defect is predicted to pass; the defects alone
+    decide every level, so the result is the same whatever strip says.
+
     Each level is a row of one estimates table.  The first call, on
-    _FIRST_NODES itself, fills levels 16 to 512 from strided views (np.mean
-    of each level's new nodes, bit for bit), as one call per level would;
-    each later call evaluates the next level's midpoints into the next row.
+    _FIRST_NODES[n] itself, fills levels 16 to n from strided views (np.mean
+    of each level's new nodes, bit for bit: the nodes of nested power-of-two
+    grids coincide), as one call per level would; each later call evaluates
+    the next level's midpoints into the next row.
     """
-    grid = f(_FIRST_NODES)
+    n = _FIRST_GRID
+    while n < _FIRST_CAP and 0.5 * n * strip < _STRIP_EXPONENT:
+        n *= 2
+    grid = f(_FIRST_NODES[n])
     estimates = np.empty((_LEVELS, len(grid)))
-    for row, (start, step) in zip(estimates, _FIRST_LEVELS):
+    for row, (start, step) in zip(estimates, _FIRST_LEVELS[n]):
         np.add.reduce(grid[:, start::step], axis=-1, out=row)
-    level, n = len(_FIRST_LEVELS), _FIRST_GRID
+    level = len(_FIRST_LEVELS[n])
     first = estimates[:level]
-    first /= _NEW_NODES  # the means of the new nodes, as np.mean takes them
+    first /= _NEW_NODES[:level]  # the means of the new nodes, as np.mean takes them
     first[0] *= 2.0
     first *= math.pi
     for i in range(1, level):
@@ -125,7 +155,7 @@ def periodic_quadrature(f):
         closed = ~(defects >= _QUAD_TOL)  # converged, or NaN
         if n == _MAX_NODES or closed.any(axis=0).all():
             break
-        midpoints = np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2]
+        midpoints = np.arange(1, 2 * n, 2) * (2.0 * math.pi / (2 * n))  # linspace's bits, no 2n array
         row = np.add.reduce(f(midpoints), axis=-1, out=estimates[level])
         row /= n
         row *= math.pi
@@ -197,12 +227,13 @@ def _quadrature_averages(table, caustic):
     forms.  At ca = 0, log|outer cosine| is -inf on every node: its row is
     left out of the grid and reads (-inf, 0.0, 0.0, None).
     """
-    _check_caustic(table, caustic)
+    ac, bc = _check_caustic(table, caustic)
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
     def weighted(v):
-        if v is _FIRST_NODES:
-            cos_u, sin_u = _FIRST_TRIG[0], _FIRST_TRIG[1]
+        if v is _FIRST_NODES.get(len(v)):
+            trig = _FIRST_TRIG[len(v)]
+            cos_u, sin_u = trig[0], trig[1]
         else:
             u = 0.5 * v
             cos_u, sin_u = np.cos(u), np.sin(u)
@@ -214,7 +245,9 @@ def _quadrature_averages(table, caustic):
         np.multiply(samples[:rows], rho, out=grid[1:])
         return grid
 
-    values, defects = periodic_quadrature(weighted)
+    # rho and the samples are analytic in u out to |Im u| = atanh(b_c/a_c),
+    # where w vanishes: in v = 2u, twice that (none on the circle)
+    values, defects = periodic_quadrature(weighted, 2.0 * math.atanh(bc / ac) if bc < ac else math.inf)
     averages = tuple(
         (float(raw / z), float(d / z), float(d), float(z)) for (z, raw), d in zip(values, defects)
     )

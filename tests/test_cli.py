@@ -315,9 +315,9 @@ def test_battery_ergodic_check_where_the_mean_cosine_vanishes():
 def test_battery_integrates_each_caustic_once(monkeypatch):
     quadrature, calls = sa.periodic_quadrature, []
 
-    def counting(f):
+    def counting(f, strip):
         calls.append(f)
-        return quadrature(f)
+        return quadrature(f, strip)
 
     monkeypatch.setattr(sa, "periodic_quadrature", counting)
     checks = cli.run_battery([(2.0, 1.0)], quick=True)

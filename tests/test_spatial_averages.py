@@ -24,14 +24,20 @@ Proves:
      averages and Z match a full-period quadrature of the public integrand
      to 1e-15 relative on 36 of the 40 cells, to 5e-14 on the four at
      lambda = b^2 (1 - 1e-6)
-   - the first integrand call evaluates 512 nodes and the levels up to 512
-     are read from it in one pass: values and defects are bit for bit those
-     of the level-by-level loop (tests/oracles.py) on the test integrands,
-     on groups that settle at every level from 16 to 1024 (one call per
-     level past 512), with a NaN group among them, a weight that settles
-     last and a NaN weight, and on 44 caustics (the circle and the
-     near-guard cells included); a caustic that converges by 512 nodes costs
-     one integrand call, and past 512 no node is evaluated twice
+   - the first integrand call evaluates the grid the strip predicts, 512,
+     1024 or 2048 nodes, and the levels up to it are read from it in one
+     pass: values and defects are bit for bit those of the level-by-level
+     loop (tests/oracles.py) on the test integrands from each of the three
+     first grids, on groups that settle at every level from 16 to 1024 (one
+     call per level past the first grid), with a NaN group among them, a
+     weight that settles last and a NaN weight, and on 49 caustics (the
+     circle, caustics that start at 1024 and 2048 nodes, one level past
+     their level or short of it, and the near-guard cells included); a
+     caustic predicted within 512 nodes starts on the first grid's nodes
+     array itself, one that converges on its first grid costs one integrand
+     call, no first call exceeds 2048 nodes nor any call 2^19, no node is
+     evaluated twice, and each refinement call's midpoints are np.linspace's
+     bits in an array of their own
    - a NaN estimate stops its group: it closes at the level where its
      defect turns NaN, alone after one 512-node call, and is returned with
      its NaN defect, which _average rejects
@@ -133,9 +139,10 @@ def jump(u):
 
 def average_of(monkeypatch, f):
     """_average of the first group of f as the quadrature route reads it: a
-    caustic's quadrature record integrates f in place of its own grid."""
+    caustic's quadrature record integrates f in place of its own grid, with
+    the caustic's strip."""
     quadrature = sa.periodic_quadrature
-    monkeypatch.setattr(sa, "periodic_quadrature", lambda _: quadrature(f))
+    monkeypatch.setattr(sa, "periodic_quadrature", lambda _, strip: quadrature(f, strip))
     sa._quadrature_averages.cache_clear()
     try:
         return sa._average(T2, cg.CausticSpec(0.37), "quadrature", "sidelength")
@@ -184,6 +191,15 @@ def assert_same_quadrature(got, want):
         assert np.shape(g) == np.shape(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
+def strip_for(first):
+    """A strip whose predicted first grid is first nodes."""
+    return 2.0 * sa._STRIP_EXPONENT / first
+
+
+FIRST_GRIDS = (512, 1024, 2048)
+
+
+@pytest.mark.parametrize("first", FIRST_GRIDS)
 @pytest.mark.parametrize("f", [
     groups(lambda u: np.sin(u) ** 2),
     groups(np.ones_like),
@@ -192,11 +208,13 @@ def assert_same_quadrature(got, want):
     lambda u: np.stack([np.exp(np.cos(u)), np.ones_like(u)]),
     groups(lambda u: np.exp(np.cos(u)), jump),
 ], ids=["sin2", "one", "exp_cos", "jump", "pair", "groups_one_open"])
-def test_first_grid_replays_the_level_by_level_loop(f):
-    """The levels read off the first 512-node call are those of one call per
-    level, bit for bit: values and defects, a group that never converges
-    included."""
-    assert_same_quadrature(sa.periodic_quadrature(f), level_by_level_quadrature(f))
+def test_first_grid_replays_the_level_by_level_loop(f, first):
+    """The levels read off the first call, of 512, 1024 or 2048 nodes, are
+    those of one call per level, bit for bit: values and defects, a group
+    that never converges included."""
+    counted = counting(f)
+    assert_same_quadrature(sa.periodic_quadrature(counted, strip_for(first)), level_by_level_quadrature(f))
+    assert counted.nodes[0] == first
 
 
 def settling_at(level):
@@ -225,19 +243,21 @@ def nan_everywhere(u):
 LEVELS = (16, 32, 64, 128, 256, 512, 1024)
 
 
+@pytest.mark.parametrize("first", FIRST_GRIDS)
 @pytest.mark.parametrize("level", LEVELS)
-def test_each_settling_level_is_read_as_the_level_by_level_loop(level):
+def test_each_settling_level_is_read_as_the_level_by_level_loop(level, first):
     """A lone group settles at each level of the first grid and past it: the
     one-pass readout gives the loop's value and defect, bit for bit, and
-    calls f once on the first grid, then once per level past 512."""
+    calls f once on the first grid, then once per level past it."""
     quadrature, oracle = counting(groups(settling_at(level))), counting(groups(settling_at(level)))
-    got, want = sa.periodic_quadrature(quadrature), level_by_level_quadrature(oracle)
+    got, want = sa.periodic_quadrature(quadrature, strip_for(first)), level_by_level_quadrature(oracle)
     assert_same_quadrature(got, want)
     assert got[0][0][1] == pytest.approx(2.0 * math.pi, rel=1e-15) and got[1][0] < sa._QUAD_TOL
     assert oracle.nodes[-1] == level  # its last call: the midpoints of 2 level nodes
-    assert quadrature.nodes == [512] + [n // 2 for n in (1024, 2048) if n <= 2 * level]
+    assert quadrature.nodes == [first] + [n for n in (512, 1024) if first <= n <= level]
 
 
+@pytest.mark.parametrize("first", FIRST_GRIDS)
 @pytest.mark.parametrize("f", [
     groups(*map(settling_at, LEVELS), lambda u: np.exp(np.cos(u))),
     groups(settling_at(64), nan_everywhere, settling_at(1024)),
@@ -250,14 +270,16 @@ def test_each_settling_level_is_read_as_the_level_by_level_loop(level):
                         np.full_like(v, 2.0)]),
 ], ids=["groups_at_every_level", "nan_among_groups", "nan_first", "weight_settles_last",
         "nan_weight", "one", "lone_nan", "near_guard_past_512"])
-def test_one_pass_readout_is_the_level_by_level_loop(f):
-    """The one-pass readout of the first grid equals the loop, bit for bit,
+def test_one_pass_readout_is_the_level_by_level_loop(f, first):
+    """The one-pass readout of each first grid equals the loop, bit for bit,
     on groups that close at every level from 32 to 2048 nodes, with a NaN
     group among them (its defect stays NaN while the others refine), on a
     weight that settles last and holds every group open until it does, and
     on a NaN weight, which closes every group at once: values and defects;
     groups_one_open above has a group that never converges."""
-    assert_same_quadrature(sa.periodic_quadrature(f), level_by_level_quadrature(f))
+    counted = counting(f)
+    assert_same_quadrature(sa.periodic_quadrature(counted, strip_for(first)), level_by_level_quadrature(f))
+    assert counted.nodes[0] == first
 
 
 def test_a_nan_estimate_stops_its_group(monkeypatch):
@@ -275,27 +297,65 @@ def test_a_nan_estimate_stops_its_group(monkeypatch):
     values, defects = sa.periodic_quadrature(f)
     assert f.nodes == [512] and np.isnan(defects[0]) and defects[1] < sa._QUAD_TOL
     assert values[1] == pytest.approx([2.0 * math.pi] * 2, rel=1e-15)
-    late = counting(groups(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES else np.nan)))
+    late = counting(groups(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES[512] else np.nan)))
     _, (defect,) = sa.periodic_quadrature(late)
     assert late.nodes == [512, 512] and np.isnan(defect)
 
 
-def test_first_grid_constants():
-    """The first grid and its trigonometry at u = v/2 are read-only and are
+@pytest.mark.parametrize("first", FIRST_GRIDS)
+def test_first_grid_constants(first):
+    """Each first grid and its trigonometry at u = v/2 are read-only and are
     what np.linspace, np.cos and np.sin give, bit for bit; the quadrature
     hands the nodes array itself to its first call."""
-    nodes = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    assert sorted(sa._FIRST_NODES) == sorted(sa._FIRST_TRIG) == list(FIRST_GRIDS)
+    nodes = np.linspace(0.0, 2.0 * math.pi, first, endpoint=False)
     u = 0.5 * nodes
-    assert sa._FIRST_TRIG.shape == (2, 512)
-    for constant, want in ((sa._FIRST_NODES, nodes), (sa._FIRST_TRIG[0], np.cos(u)),
-                           (sa._FIRST_TRIG[1], np.sin(u))):
+    assert sa._FIRST_TRIG[first].shape == (2, first)
+    for constant, want in ((sa._FIRST_NODES[first], nodes), (sa._FIRST_TRIG[first][0], np.cos(u)),
+                           (sa._FIRST_TRIG[first][1], np.sin(u))):
         assert not constant.flags.writeable
         assert constant.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             constant[0] = 0.0
     seen = []
-    sa.periodic_quadrature(lambda v: seen.append(v) or groups(np.ones_like)(v))
-    assert seen[0] is sa._FIRST_NODES
+    sa.periodic_quadrature(lambda v: seen.append(v) or groups(np.ones_like)(v), strip_for(first))
+    assert seen[0] is sa._FIRST_NODES[first]
+
+
+@pytest.mark.parametrize("first", FIRST_GRIDS)
+def test_each_call_gets_linspace_nodes_in_an_array_of_its_own(first):
+    """A group that never converges doubles to the 2^20-node cap: the first
+    call's nodes are np.linspace's n nodes, and each later call's midpoints
+    of 2n nodes are np.linspace(0, 2pi, 2n)[1::2] bit for bit, in a
+    contiguous array of n values that keeps no 2n-node array alive."""
+    seen = []
+    sa.periodic_quadrature(lambda v: seen.append(v) or groups(jump)(v), strip_for(first))
+    assert [len(v) for v in seen] == [first] + [2**k for k in range(first.bit_length() - 1, 20)]
+    assert seen[0].tobytes() == np.linspace(0.0, 2.0 * math.pi, first, endpoint=False).tobytes()
+    for v in seen[1:]:
+        n = len(v)
+        assert v.base is None and v.flags.c_contiguous and v.nbytes == 8 * n
+        assert v.tobytes() == np.linspace(0.0, 2.0 * math.pi, 2 * n, endpoint=False)[1::2].tobytes()
+
+
+def test_the_strip_sizes_the_first_call():
+    """The first call is the least power of two from 512 up to the 2048-node
+    cap at which strip n/2 reaches _STRIP_EXPONENT: 512 nodes, the nodes
+    array itself, with no strip or a strip of 2 _STRIP_EXPONENT/512 or
+    wider; 2048 for a strip of 0 or one too narrow for any grid (beyond the
+    cap the grid doubles from there)."""
+    def first_call(strip):
+        seen = []
+        sa.periodic_quadrature(lambda v: seen.append(v) or groups(np.ones_like)(v), strip)
+        return seen[0]
+
+    for strip in (math.inf, 10.0, strip_for(512)):
+        assert first_call(strip) is sa._FIRST_NODES[512]
+    assert len(first_call(np.nextafter(strip_for(512), 0.0))) == 1024
+    assert len(first_call(strip_for(1024))) == 1024
+    assert len(first_call(np.nextafter(strip_for(1024), 0.0))) == 2048
+    for strip in (strip_for(2048), strip_for(4096), 1e-300, 0.0):
+        assert len(first_call(strip)) == 2048
 
 
 def chord_sample(quantity, table, caustic, u):
@@ -384,14 +444,14 @@ def test_shared_grid_integrand_is_the_public_functions_of_u(monkeypatch, a):
         caustic = cg.CausticSpec(fraction)
         public, calls = on_the_half_period(public_integrand(table, caustic)), []
 
-        def checked(f):
+        def checked(f, strip):
             def both(u):
                 got = f(u)
                 assert got.tobytes() == public(u).tobytes(), (a, fraction)
                 return got
 
-            got = quadrature(both)
-            assert_same_quadrature(got, quadrature(public))
+            got = quadrature(both, strip)
+            assert_same_quadrature(got, quadrature(public, strip))
             calls.append(f)
             return got
 
@@ -478,8 +538,8 @@ def test_shared_grid_on_the_first_grid_is_the_level_by_level_loop(monkeypatch, a
     table = cg.BilliardTable(a, 1.0)
     first_grid, calls = sa.periodic_quadrature, []
 
-    def both(f):
-        got = first_grid(f)
+    def both(f, strip):
+        got = first_grid(f, strip)
         assert_same_quadrature(got, level_by_level_quadrature(f))
         calls.append(f)
         return got
@@ -488,6 +548,46 @@ def test_shared_grid_on_the_first_grid_is_the_level_by_level_loop(monkeypatch, a
     for fraction in CELLS + (1.0 - 1e-9,):
         shared_grid_averages(table, cg.CausticSpec(fraction))
     assert len(calls) == len(CELLS) + 1
+
+
+# (a, lambda) of caustics whose predicted first grid is not 512 nodes; the
+# integrand calls of each, and the level at which the level-by-level loop
+# closes its last group
+PREDICTED = {
+    (5.0, 0.95): ([1024], 1024),  # where the loop closes
+    (5.0, 0.99): ([2048], 2048),
+    (4.0, 0.952): ([1024], 512),  # one level past it
+    (3.0, 0.994): ([2048], 1024),
+    (5.0, 0.999): ([2048, 2048, 4096], 8192),  # past the cap, still refining
+}
+
+
+@pytest.mark.parametrize("cell", PREDICTED)
+def test_a_predicted_first_grid_is_the_level_by_level_loop(monkeypatch, cell):
+    """A caustic whose strip predicts a first grid of 1024 or 2048 nodes
+    gives, bit for bit, the level-by-level loop's values and defects, where
+    the loop closes at that level, where it closes a level below it, and
+    past the 2048-node cap, from where the grid keeps doubling."""
+    (a, fraction), (calls, closes) = cell, PREDICTED[cell]
+    quadrature, nodes, oracle_nodes = sa.periodic_quadrature, [], []
+
+    def both(f, strip):
+        def counted(v):
+            nodes.append(len(v))
+            return f(v)
+
+        def oracle(v):
+            oracle_nodes.append(len(v))
+            return f(v)
+
+        got = quadrature(counted, strip)
+        assert_same_quadrature(got, level_by_level_quadrature(oracle))
+        return got
+
+    monkeypatch.setattr(sa, "periodic_quadrature", both)
+    got = shared_grid_averages(cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction))
+    assert nodes == calls and 2 * oracle_nodes[-1] == closes
+    assert not any(isinstance(value, NumericalError) for value in got.values())
 
 
 @pytest.mark.parametrize("broken", TIME_AVERAGE_QUANTITIES)
@@ -519,7 +619,7 @@ def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
 def passes(monkeypatch):
     """Counts of endpoint passes (conic_geometry._endpoints, which
     endpoint_coordinates calls too) and of periodic_quadrature calls and
-    their integrand calls ("levels"), with the nodes of each call."""
+    their integrand calls ("levels"), with the node array of each call."""
     counts = {"endpoints": 0, "quadratures": 0, "levels": 0, "grids": []}
     endpoints, quadrature = cg._endpoints, sa.periodic_quadrature
 
@@ -527,14 +627,14 @@ def passes(monkeypatch):
         counts["endpoints"] += 1
         return endpoints(table, caustic, cos_u, sin_u)
 
-    def counting_quadrature(f):
+    def counting_quadrature(f, strip):
         def level(u):
             counts["levels"] += 1
-            counts["grids"].append(np.array(u))
+            counts["grids"].append(u)
             return f(u)
 
         counts["quadratures"] += 1
-        return quadrature(level)
+        return quadrature(level, strip)
 
     monkeypatch.setattr(cg, "_endpoints", counting_endpoints)
     monkeypatch.setattr(sa, "periodic_quadrature", counting_quadrature)
@@ -542,8 +642,9 @@ def passes(monkeypatch):
 
 
 def test_one_pass_over_the_samples_per_set_of_chords(passes):
-    # (5, 0.95) converges at 1024 nodes of the half period: two integrand calls
-    table, caustic = T5, cg.CausticSpec(0.95)
+    # (5, 0.999) converges at 8192 nodes of the half period, past the
+    # 2048-node first grid: three integrand calls
+    table, caustic = T5, cg.CausticSpec(0.999)
     for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
         average(table, caustic, method="quadrature")
     sa.log_geomean_outer(table, caustic)
@@ -557,7 +658,8 @@ def test_one_pass_over_the_samples_per_set_of_chords(passes):
 
 def test_first_grid_is_one_integrand_call(passes):
     """A caustic that converges by 512 nodes costs one integrand call; one
-    that needs 2048 evaluates each node of the 2048-node grid exactly once.
+    that needs 2048, (5, 0.99), is predicted there and costs one call of
+    2048 nodes, each node once (three calls from a 512-node first grid).
     The grids are in v = 2u, so 2048 nodes are the chords at the 2048 u of
     [0, pi) (the 4096-node u-grid's first half); the full-period grid took
     four calls for (5, 0.99)."""
@@ -565,10 +667,38 @@ def test_first_grid_is_one_integrand_call(passes):
     assert [len(u) for u in passes["grids"]] == [512]
     passes["grids"].clear()
     sa.mean_sidelength(T5, cg.CausticSpec(0.99), method="quadrature")
-    nodes = np.sort(np.concatenate(passes["grids"]))
-    assert len(passes["grids"]) == 3
+    (nodes,) = passes["grids"]
     assert np.array_equal(nodes, np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False))
     assert np.array_equal(0.5 * nodes, np.linspace(0.0, math.pi, 2048, endpoint=False))
+
+
+@pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
+def test_a_caustic_predicted_within_512_nodes_starts_on_the_first_grid(passes, a):
+    """Every cell whose strip predicts 512 nodes or fewer, the circle's
+    included, makes its first integrand call on _FIRST_NODES[512] itself,
+    and so on the trigonometry taken at import."""
+    table, predicted = cg.BilliardTable(a, 1.0), 0
+    for fraction in CELLS:
+        ac, bc = cg.caustic_axes(table, cg.CausticSpec(fraction))
+        if a > 1.0 and 512 * math.atanh(bc / ac) < sa._STRIP_EXPONENT:
+            continue
+        passes["grids"].clear()
+        sa._quadrature_averages.cache_clear()
+        sa.mean_sidelength(table, cg.CausticSpec(fraction), method="quadrature")
+        assert passes["grids"][0] is sa._FIRST_NODES[512], (a, fraction)
+        predicted += 1
+    assert predicted >= 7
+
+
+def test_no_call_exceeds_the_caps(passes):
+    """No first call exceeds the 2048-node cap, however narrow the strip,
+    and a caustic that fails at the 2^20-node cap, (2, 1 - 1e-9), evaluates
+    no call of more than 2^19 nodes (the midpoints of the last level)."""
+    sa._quadrature_averages.cache_clear()
+    with pytest.raises(NumericalError, match="did not converge at 1048576 nodes"):
+        sa.mean_sidelength(T2, cg.CausticSpec(1.0 - 1e-9), method="quadrature")
+    sizes = [len(u) for u in passes["grids"]]
+    assert sizes[0] == 2048 and max(sizes) == 2**19 and sum(sizes[1:]) == 2**20 - 2048
 
 
 @pytest.mark.parametrize("table, lam", [(CIRCLE, 0.5), (T2, 0.8)])
