@@ -5,7 +5,11 @@
 
 Every caller passes the parameter m (not the modulus k = sqrt(m)); keeping a
 single convention at the API boundary prevents silent square/square-root
-mix-ups when transcribing closed-form averages.
+mix-ups when transcribing closed-form averages.  The two functions whose
+names end in _m1 take the complements instead, m1 = 1 - m and n1 = 1 - n,
+which are what Carlson's forms read: a caller that has them in factored form
+(the closed forms near the degenerate caustic, where m -> 1) passes them
+without the cancellation of forming 1 - m from m.
 
 Both are evaluated through Carlson's symmetric integrals R_F and R_J, by
 duplication (Carlson, Numer. Algorithms 10 (1995) 13; DLMF 19.36(i)):
@@ -17,7 +21,7 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["complete_k", "complete_pi", "complete_pi_minus_k"]
+__all__ = ["complete_k", "complete_pi", "complete_k_m1", "complete_pi_minus_k_m1"]
 
 # Duplication stops once every variable lies within A_m / _SPREAD of their
 # mean A_m.  The series of DLMF 19.36.1-2, kept to seventh order, then leaves
@@ -96,33 +100,40 @@ def _rj(x, y, z, p):
 
 
 def complete_k(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention.
-
-    Evaluated through the Carlson symmetric form K(m) = R_F(0, 1-m, 1).
-    """
+    """Complete elliptic integral of the first kind, parameter convention."""
     if not (0.0 <= m < 1.0):
         raise DomainError(f"complete_k requires 0 <= m < 1; got m={m}")
-    return _rf(0.0, 1.0 - m, 1.0)
+    return complete_k_m1(1.0 - m)
 
 
 def complete_pi(n: float, m: float) -> float:
     """Complete elliptic integral of the third kind, parameter convention.
 
-    Evaluated as Pi(n, m) = K(m) + n H(n, m), with H = complete_pi_minus_k
-    = R_J(0, 1-m, 1, 1-n)/3.  n may be negative (n < 1); Pi(0, m) = K(m)
+    Evaluated as Pi(n, m) = K(m) + n H(n, m), with H = (Pi - K)/n from
+    complete_pi_minus_k_m1.  n may be negative (n < 1); Pi(0, m) = K(m)
     exactly.
     """
-    return complete_k(m) + n * complete_pi_minus_k(n, m)
+    if not n < 1.0:
+        raise DomainError(f"complete_pi requires n < 1; got n={n}")
+    return complete_k(m) + n * complete_pi_minus_k_m1(1.0 - n, 1.0 - m)
 
 
-def complete_pi_minus_k(n: float, m: float) -> float:
-    """(Pi(n, m) - K(m)) / n, continued to its finite limit at n = 0.
+def complete_k_m1(m1: float) -> float:
+    """K(m) from the complementary parameter m1 = 1 - m: R_F(0, m1, 1)."""
+    if not (0.0 < m1 <= 1.0):
+        raise DomainError(f"complete_k_m1 requires 0 < m1 <= 1; got m1={m1}")
+    return _rf(0.0, m1, 1.0)
 
-    Equals R_J(0, 1-m, 1, 1-n)/3 identically, which stays well conditioned as
+
+def complete_pi_minus_k_m1(n1: float, m1: float) -> float:
+    """(Pi(n, m) - K(m)) / n, continued to its finite limit at n = 0, from the
+    complements n1 = 1 - n and m1 = 1 - m.
+
+    Equals R_J(0, m1, 1, n1)/3 identically, which stays well conditioned as
     n -> 0 where the difference quotient would lose all significant digits.
     """
-    if not (0.0 <= m < 1.0):
-        raise DomainError(f"complete_pi_minus_k requires 0 <= m < 1; got m={m}")
-    if not n < 1.0:
-        raise DomainError(f"complete_pi_minus_k requires n < 1; got n={n}")
-    return _rj(0.0, 1.0 - m, 1.0, 1.0 - n) / 3.0
+    if not (0.0 < m1 <= 1.0):
+        raise DomainError(f"complete_pi_minus_k_m1 requires 0 < m1 <= 1; got m1={m1}")
+    if not n1 > 0.0:
+        raise DomainError(f"complete_pi_minus_k_m1 requires n1 > 0; got n1={n1}")
+    return _rj(0.0, m1, 1.0, n1) / 3.0

@@ -8,9 +8,10 @@ with rho the invariant measure density from conic_geometry.  For an aperiodic
 orbit this equals the asymptotic time average of g over the bounce sequence.
 Mean sidelength and mean vertex cosine also admit closed forms in the complete
 elliptic integrals K and Pi, and kappa^(2/3) follows from the cosine; the three
-are evaluated together, once per caustic (_closed_forms), and both routes are
-cross-checked.  The quadrature route integrates Z itself, so it evaluates no
-elliptic integral and no closed form.
+are evaluated together, once per caustic (_closed_forms), from the complements
+1 - m and 1 - n in factored form, and both routes are cross-checked.  The
+quadrature route integrates Z itself, so it evaluates no elliptic integral and
+no closed form.
 All four per-chord samples are evaluated together (_chord_samples), from one
 cos u and sin u per node: the endpoint pass's chord factor w and each
 endpoint's kappa^(2/3) and inverse focal product, and one
@@ -20,8 +21,11 @@ its own.  The samples are pi-periodic, so the grid holds the chords at u in
 [0, pi), each once.  Its first integrand call evaluates every level from 16
 nodes up to the grid that the caustic's analyticity strip, atanh(b_c/a_c),
 predicts: 512 nodes, or 1024 or 2048 where the strip is narrow, on nodes and
-trigonometry taken once at import.  All those levels are read from it in one
-pass, and every bulk-sweep caustic converges within them, 98% within 512.
+trigonometry taken once at import, and every bulk-sweep caustic converges
+within its levels, 98% within 512.  Each level's sums are one numpy reduction
+over a strided view of that grid, taken to Python floats; the doubling
+recurrence, the defects and the closing of each group are plain float
+arithmetic, read level by level until every group has closed.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conic_geometry as cg
-from .elliptic_integrals import complete_k, complete_pi_minus_k
+from .elliptic_integrals import complete_k_m1, complete_pi_minus_k_m1
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -74,7 +78,7 @@ _FIRST_CAP = 2048
 # Each first grid's nodes, and cos u and sin u at u = v/2 for
 # _quadrature_averages, are taken once, read-only.  Each level's new nodes
 # on it, level 16's and then each next level's midpoints, are the strided
-# view (start, step) in _FIRST_LEVELS, and _NEW_NODES counts them.
+# view (start, step) in _FIRST_LEVELS.
 _FIRST_NODES = {
     n: np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     for n in (_FIRST_GRID << k for k in range((_FIRST_CAP // _FIRST_GRID).bit_length()))
@@ -84,8 +88,6 @@ for _constant in (*_FIRST_NODES.values(), *_FIRST_TRIG.values()):
     _constant.flags.writeable = False
 _FIRST_LEVELS = {n: ((0, n // 16),) + tuple((n >> k, n >> (k - 1)) for k in range(5, n.bit_length()))
                  for n in _FIRST_NODES}
-_NEW_NODES = np.array([16.0] + [2.0**k for k in range(4, _FIRST_CAP.bit_length() - 1)])[:, None]
-_LEVELS = 17  # 16 to 2^20 nodes
 
 
 @dataclass(frozen=True)
@@ -129,43 +131,47 @@ def periodic_quadrature(f, strip=math.inf):
     _STRIP_EXPONENT, where the defect is predicted to pass; the defects alone
     decide every level, so the result is the same whatever strip says.
 
-    Each level is a row of one estimates table.  The first call, on
-    _FIRST_NODES[n] itself, fills levels 16 to n from strided views (np.mean
-    of each level's new nodes, bit for bit: the nodes of nested power-of-two
-    grids coincide), as one call per level would; each later call evaluates
-    the next level's midpoints into the next row.
+    The first call, on _FIRST_NODES[n] itself, sums each level from 16 to n
+    over its new nodes, a strided view (the nodes of nested power-of-two
+    grids coincide), and each later call sums the next level's midpoints, as
+    one call per level would, bit for bit.  Each level's sums are taken to
+    Python floats at once: the recurrence, the defects and the closing of
+    groups are a few float operations per level, read until every group has
+    closed.
     """
     n = _FIRST_GRID
     while n < _FIRST_CAP and 0.5 * n * strip < _STRIP_EXPONENT:
         n *= 2
     grid = f(_FIRST_NODES[n])
-    estimates = np.empty((_LEVELS, len(grid)))
-    for row, (start, step) in zip(estimates, _FIRST_LEVELS[n]):
+    views = _FIRST_LEVELS[n]
+    first = np.empty((len(views), len(grid)))
+    for row, (start, step) in zip(first, views):
         np.add.reduce(grid[:, start::step], axis=-1, out=row)
-    level = len(_FIRST_LEVELS[n])
-    first = estimates[:level]
-    first /= _NEW_NODES[:level]  # the means of the new nodes, as np.mean takes them
-    first[0] *= 2.0
-    first *= math.pi
-    for i in range(1, level):
-        first[i] += 0.5 * first[i - 1]
-    while True:
-        change = np.abs(estimates[1:level] - estimates[:level - 1])
-        defects = np.maximum(change[:, :1], change[:, 1:])  # levels 32.. x groups
-        closed = ~(defects >= _QUAD_TOL)  # converged, or NaN
-        if n == _MAX_NODES or closed.any(axis=0).all():
-            break
-        midpoints = np.arange(1, 2 * n, 2) * (2.0 * math.pi / (2 * n))  # linspace's bits, no 2n array
-        row = np.add.reduce(f(midpoints), axis=-1, out=estimates[level])
-        row /= n
-        row *= math.pi
-        row += 0.5 * estimates[level - 1]
-        level, n = level + 1, 2 * n
-    closed[-1] = True  # a group that never closed keeps the last level
-    at = closed.argmax(axis=0)  # each group's first closed level
-    picked = estimates[at + 1]  # row i: group i's level, Z and every integral
-    picked[:, 1] = picked[:, 1:].diagonal()
-    return picked[:, :2], defects[at, np.arange(len(at))]
+    levels = iter(first.tolist())
+    estimates = [s / 16.0 * 2.0 * math.pi for s in next(levels)]
+    values, defects = [None] * (len(grid) - 1), [None] * (len(grid) - 1)
+    still_open, new = range(len(values)), 16  # new: the next level's new nodes
+    while still_open:
+        sums = next(levels, None)
+        if sums is None:
+            if n == _MAX_NODES:
+                break
+            midpoints = np.arange(1, 2 * n, 2) * (2.0 * math.pi / (2 * n))  # linspace's bits, no 2n array
+            sums = np.add.reduce(f(midpoints), axis=-1).tolist()
+            n *= 2
+        last, estimates = estimates, [s / new * math.pi + 0.5 * e for s, e in zip(sums, estimates)]
+        new *= 2
+        z, change = estimates[0], abs(estimates[0] - last[0])
+        kept = []
+        for i in still_open:
+            defect = abs(estimates[i + 1] - last[i + 1])
+            if defect == defect and not defect > change:  # the larger, NaN if either is
+                defect = change
+            values[i], defects[i] = (z, estimates[i + 1]), defect
+            if defect >= _QUAD_TOL:  # neither converged nor NaN
+                kept.append(i)
+        still_open = kept
+    return np.array(values), np.array(defects)
 
 
 def normalization(table, caustic) -> float:
@@ -176,7 +182,7 @@ def normalization(table, caustic) -> float:
     the circle (s3 = 0) this reduces to 2pi (1-lam)^(1/6).
     """
     ac, bc = _check_caustic(table, caustic)
-    return 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k(table.c2 / (ac * ac)) / ac
+    return 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k_m1(bc * bc / (ac * ac)) / ac
 
 
 # The per-chord samples behind the four averages, in the row order of
@@ -248,9 +254,7 @@ def _quadrature_averages(table, caustic):
     # rho and the samples are analytic in u out to |Im u| = atanh(b_c/a_c),
     # where w vanishes: in v = 2u, twice that (none on the circle)
     values, defects = periodic_quadrature(weighted, 2.0 * math.atanh(bc / ac) if bc < ac else math.inf)
-    averages = tuple(
-        (float(raw / z), float(d / z), float(d), float(z)) for (z, raw), d in zip(values, defects)
-    )
+    averages = tuple((raw / z, d / z, d, z) for (z, raw), d in zip(values.tolist(), defects.tolist()))
     return averages + ((-math.inf, 0.0, 0.0, None),) * (len(_CHORD_QUANTITIES) - rows)
 
 
@@ -264,25 +268,39 @@ def _closed_forms(table, caustic):
 
         Cbar = r1/r3 + (r2 r3 - r1 r4)/r3^2 * H(s2, s3) / K(s3),  s2 = -r4/r3,
 
-    with H(n, m) = (Pi(n, m) - K(m))/n in its stable Carlson form and r1..r4,
-    written out below, the coefficients of interior_cosine(u) =
-    (r1 + r2 z)/(r3 + r4 z) in z = cos^2 u.  It rearranges
+    with H(n, m) = (Pi(n, m) - K(m))/n in its stable Carlson form and r1..r4
+    the coefficients of interior_cosine(u) = (r1 + r2 z)/(r3 + r4 z) in
+    z = cos^2 u:
+
+        r1 = -ca (a^4 b_c^2 + lam^2 c^2)   r2 = ca c^2 (ca + 2 lam^2)
+        r3 = q^2 a_c^2                     r4 = -c^2 ca^2,
+
+    q = a^2 b^2 - lam c^2 = a^2 b_c^2 + lam b^2.  It rearranges
     (r1/r3)((s2 - s1) Pi(s2, s3) + s1 K)/(s2 K), s1 = -r2/r1, so that it stays
     finite at ca = 0, where r1, r2 and r4 vanish (Cbar = 0 there).
+
+    Near the degenerate caustic s3, s5 and s2 all tend to 1, so the kernels
+    take their complements in factored form: 1 - s3 = b_c^2/a_c^2,
+    1 - s5 = a^2 b_c^2/(b^2 a_c^2) and 1 - s2 = b_c^2 (q^2 + 4 lam a^2 b^2
+    c^2)/(q^2 a_c^2).  So does the cosine's coefficient, r2 r3 - r1 r4 =
+    2 lam c^2 a_c^2 b_c^2 ca q (a^2 b^2 + lam c^2), which as a difference
+    cancels from order 1 down to order b_c^2.
     """
-    ac, _ = _check_caustic(table, caustic)
+    ac, bc = _check_caustic(table, caustic)
     a, b, lam, c2 = table.a, table.b, caustic.lam, table.c2
-    s3 = c2 / (ac * ac)
-    s5 = lam * s3 / (b * b)
-    k = complete_k(s3)
-    pi5 = k + s5 * complete_pi_minus_k(s5, s3)
+    ac2, bc2 = ac * ac, bc * bc
+    s5 = lam * (c2 / ac2) / (b * b)
+    m1 = bc2 / ac2  # 1 - s3
+    k = complete_k_m1(m1)
+    pi5 = k + s5 * complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
     sidelength = 2.0 * a * (b * b * k + (lam - b * b) * pi5) / (b * math.sqrt(lam) * k)
     ca = cg._ca(table, caustic)
-    r1 = -ca * (a**4 * (b * b - lam) + lam * lam * c2)
-    r2 = ca * c2 * (ca + 2.0 * lam * lam)
-    r3 = (a * a * b * b - lam * c2) ** 2 * (a * a - lam)
-    r4 = -c2 * ca * ca
-    cosine = r1 / r3 + (r2 * r3 - r1 * r4) / (r3 * r3) * complete_pi_minus_k(-r4 / r3, s3) / k
+    q = a * a * bc2 + lam * b * b
+    r1 = -ca * (a**4 * bc2 + lam * lam * c2)
+    r3 = q * q * ac2
+    n1 = bc2 * (q * q + 4.0 * lam * a * a * b * b * c2) / r3
+    coefficient = 2.0 * lam * c2 * bc2 * ca * (a * a * b * b + lam * c2) / (q * r3)  # (r2 r3 - r1 r4)/r3^2
+    cosine = r1 / r3 + coefficient * complete_pi_minus_k_m1(n1, m1) / k
     j = cg.joachimsthal(table, caustic)
     curvature23 = (a * b) ** (-4.0 / 3.0) * (1.0 + cosine) / (2.0 * j * j)
     return sidelength, cosine, curvature23, None

@@ -153,7 +153,7 @@ def test_sweep_row_evaluates_its_closed_forms_once(capsys, monkeypatch):
 
         return counting
 
-    assert patch_complete_integrals(monkeypatch, counted) == ["complete_k", "complete_pi_minus_k"]
+    assert patch_complete_integrals(monkeypatch, counted) == ["complete_k_m1", "complete_pi_minus_k_m1"]
     code, _, _ = run_cli(capsys, "sweep", "--a", "2", "--steps", "3", "--method", "both")
     assert code == 0
     assert len(calls) == 3 * 3  # per row: K, and (Pi - K)/n at s5 and at s2

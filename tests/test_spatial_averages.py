@@ -38,9 +38,14 @@ Proves:
      call, no first call exceeds 2048 nodes nor any call 2^19, no node is
      evaluated twice, and each refinement call's midpoints are np.linspace's
      bits in an array of their own
+   - property: _quadrature_averages is bit for bit the route built on the
+     level-by-level loop, on a in [1, 20] with the circle and lambda/b^2
+     uniform and 1 - 10^-U(0.5, 8.5), which draws every first grid, the
+     refinements past it and the 2^20-node cap
    - a NaN estimate stops its group: it closes at the level where its
      defect turns NaN, alone after one 512-node call, and is returned with
-     its NaN defect, which _average rejects
+     its NaN defect, which _average rejects; a defect of exactly _QUAD_TOL
+     keeps its group open
    - the first grid's nodes and cos u, sin u, sin^2 u at u = v/2 are
      read-only module constants, bit for bit np.linspace, np.cos and np.sin,
      and the first integrand call receives the nodes array itself
@@ -61,6 +66,10 @@ Proves:
    - circle families 0 and 1/2; value at the ca = 0 caustic is exactly 0
    - closed form equals the printed Pi/K combination at generic lambda
    - kappa^(2/3): circle exactness, linear-identity route, discrete matching
+   - property: the closed sidelength, cosine and kappa^(2/3) match 40-digit
+     values of their formulas on a in [1, 20] and lambda = b^2 (1 - 10^-k),
+     k in [0.05, 9], out to the guard, to 8e-15, 3.2e-14 (absolute) and
+     2e-14 (measured: 3.7e-15, 1.59e-14 and 1.03e-14)
  Group 5 - Log-geometric mean of outer cosines
    - circle families log(1/2) and the (-inf, 0) degenerate point
    - sign convention -sign(ca) across the sweep range, a Python int also
@@ -83,7 +92,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
@@ -300,6 +309,21 @@ def test_a_nan_estimate_stops_its_group(monkeypatch):
     late = counting(groups(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES[512] else np.nan)))
     _, (defect,) = sa.periodic_quadrature(late)
     assert late.nodes == [512, 512] and np.isnan(defect)
+
+
+def test_a_defect_of_exactly_the_tolerance_keeps_its_group_open():
+    """A group closes at the first level where its defect is not >=
+    _QUAD_TOL.  A weighted row of v = _QUAD_TOL/pi on level 32's new nodes,
+    where cos 16u = -1, and 0 elsewhere changes by exactly _QUAD_TOL from 16
+    to 32 nodes, so its group stays open there and closes at 64 nodes, where
+    it changes by half that, as in the level-by-level loop."""
+    v = sa._QUAD_TOL / math.pi
+    assert v * math.pi == sa._QUAD_TOL
+    f = groups(lambda u: np.where(np.isclose(np.cos(16.0 * u), -1.0), v, 0.0))
+    got = sa.periodic_quadrature(f)
+    assert_same_quadrature(got, level_by_level_quadrature(f))
+    ((z, value),), (defect,) = got
+    assert z == 2.0 * math.pi and value == defect == 0.5 * sa._QUAD_TOL
 
 
 @pytest.mark.parametrize("first", FIRST_GRIDS)
@@ -590,6 +614,30 @@ def test_a_predicted_first_grid_is_the_level_by_level_loop(monkeypatch, cell):
     assert not any(isinstance(value, NumericalError) for value in got.values())
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(st.just(1.0), st.floats(1.0, 20.0)),
+       st.one_of(st.floats(1e-6, 0.999), st.floats(0.5, 8.5).map(lambda k: 1.0 - 10.0**-k)))
+def test_quadrature_averages_are_the_level_by_level_route(a, fraction):
+    """_quadrature_averages, values, error estimates, defects and Z, is bit
+    for bit the route built on the level-by-level loop (tests/oracles.py), on
+    a in [1, 20] with the circle and lambda/b^2 both uniform and
+    1 - 10^-U(0.5, 8.5): caustics that start on each first grid (512, 1024
+    and 2048 nodes), that refine past it, and that fail at the 2^20-node cap
+    are all drawn (hypothesis' statistics count each, as events)."""
+    table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
+    quadrature, nodes = sa.periodic_quadrature, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sa, "periodic_quadrature",
+                      lambda f, strip: quadrature(lambda v: nodes.append(len(v)) or f(v), strip))
+        got = sa._quadrature_averages.__wrapped__(table, caustic)
+        patch.setattr(sa, "periodic_quadrature", lambda f, strip: level_by_level_quadrature(f))
+        want = sa._quadrature_averages.__wrapped__(table, caustic)
+    assert repr(got) == repr(want), (a, fraction)
+    event(f"first grid {nodes[0]}")
+    event("refined" if len(nodes) > 1 else "first grid only")
+    event("at the 2^20 cap" if sum(nodes) == sa._MAX_NODES else "within the cap")
+
+
 @pytest.mark.parametrize("broken", TIME_AVERAGE_QUANTITIES)
 def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
     table, caustic = T2, cg.CausticSpec(0.37)
@@ -855,15 +903,17 @@ def test_mean_curvature23_circle_exact():
 
 
 def test_mean_curvature23_linear_identity_route():
-    for table, lam in ((T2, 0.5), (T5, 0.9), (TB, 2.0)):
+    """The closed kappa^(2/3) is the linear identity (a b)^(-4/3) (1 + Cbar)
+    / (2 J^2) of the closed cosine, bit for bit (at ca = 0, where Cbar = 0,
+    and on a = 20 too), and matches the quadrature to 1e-9."""
+    for table, lam in ((T2, 0.5), (T5, 0.9), (TB, 2.0), (T2, 0.8), (cg.BilliardTable(20.0, 1.0), 0.3)):
         caustic = cg.CausticSpec(lam)
         quad = sa.mean_curvature23(table, caustic)
         closed = sa.mean_curvature23(table, caustic, method="closed_form")
         assert abs(quad.value - closed.value) / closed.value < 1e-9
         j = cg.joachimsthal(table, caustic)
         cbar = sa.mean_cosine(table, caustic).value
-        expected = (table.a * table.b) ** (-4.0 / 3.0) * (1.0 + cbar) / (2.0 * j**2)
-        assert closed.value == pytest.approx(expected, rel=1e-12)
+        assert closed.value == (table.a * table.b) ** (-4.0 / 3.0) * (1.0 + cbar) / (2.0 * j * j)
 
 
 def test_mean_curvature23_matches_four_periodic():
@@ -871,6 +921,54 @@ def test_mean_curvature23_matches_four_periodic():
     report = evaluate_invariants(build_periodic_orbit(T2, 4))
     kbar = sa.mean_curvature23(T2, caustic).value
     assert abs(report.sum_kappa23 / 4.0 - kbar) / kbar < 1e-6
+
+
+def closed_forms_to_40_digits(a, lam):
+    """Sidelength, cosine and kappa^(2/3) of the caustic on the table (a, 1),
+    from mpmath's K and Pi at 40 digits of the formulas as printed (the
+    cosine in its (s2 - s1) form), with s3, s5 and s2 formed from the exact
+    float inputs."""
+    with mp.workdps(40):
+        a, lam = mp.mpf(a), mp.mpf(lam)
+        a2, c2 = a * a, a * a - 1
+        s3 = c2 / (a2 - lam)
+        k = mp.ellipk(s3)
+        sidelength = 2 * a * (k + (lam - 1) * mp.ellippi(lam * s3, s3)) / (mp.sqrt(lam) * k)
+        ca = a2 - lam * (a2 + 1)
+        r1, r2 = -ca * (a2 * a2 * (1 - lam) + lam * lam * c2), ca * c2 * (ca + 2 * lam * lam)
+        r3, r4 = (a2 - lam * c2) ** 2 * (a2 - lam), -c2 * ca * ca
+        if ca == 0 or c2 == 0:  # 0, and r1/r3 = 2 lam - 1 on the circle
+            cosine = r1 / r3
+        else:
+            s1, s2 = -r2 / r1, -r4 / r3
+            cosine = (r1 / r3) * ((s2 - s1) * mp.ellippi(s2, s3) + s1 * k) / (s2 * k)
+        curvature23 = a ** (mp.mpf(-4) / 3) * (1 + cosine) * a2 / (2 * lam)
+        return sidelength, cosine, curvature23
+
+
+# Measured worst cases of the closed forms against closed_forms_to_40_digits
+# over 6,000 random caustics drawn as below: sidelength 3.7e-15 and
+# kappa^(2/3) 1.03e-14 relative, cosine 1.59e-14 absolute.  Before the kernels
+# took their complements in factored form, 1 - m formed from m near 1 gave
+# 2.7e-6, 8.9e-7 and 1.3e-6 there.
+CLOSED_FORM_40_DIGITS = {"sidelength": 8e-15, "interior_cosine": 3.2e-14, "curvature23": 2e-14}
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.floats(1.0, 20.0), st.floats(0.05, 9.0))
+def test_closed_forms_against_40_digits_out_to_the_guard(a, k):
+    """On a in [1, 20] and lambda = b^2 (1 - 10^-k) out to the guard
+    (k <= 9), the three closed forms stay within a few ulps of 40-digit values
+    of their own formulas: the kernels take 1 - s3, 1 - s5 and 1 - s2 in
+    factored form, and the cosine its coefficient r2 r3 - r1 r4, so nothing
+    cancels as lambda -> b^2."""
+    lam = 1.0 - 10.0**-k
+    got = sa._closed_forms(cg.BilliardTable(a, 1.0), cg.CausticSpec(lam))
+    want = closed_forms_to_40_digits(a, lam)
+    errors = {"sidelength": abs(got[0] - want[0]) / want[0], "interior_cosine": abs(got[1] - want[1]),
+              "curvature23": abs(got[2] - want[2]) / want[2]}
+    for quantity, error in errors.items():
+        assert float(error) <= CLOSED_FORM_40_DIGITS[quantity], (a, k, quantity, float(error))
 
 
 # ----------------------------------------------------------------- group 5
@@ -1030,7 +1128,7 @@ def test_routes_independent_of_elliptic_integrals(monkeypatch):
         raise RuntimeError("complete elliptic integral evaluated")
 
     bound = patch_complete_integrals(monkeypatch, lambda fn: forbidden)
-    assert bound == ["complete_k", "complete_pi_minus_k"]
+    assert bound == ["complete_k_m1", "complete_pi_minus_k_m1"]
     caustic = cg.CausticSpec(0.37)
     with pytest.raises(RuntimeError, match="elliptic"):
         sa.mean_sidelength(T2, caustic, method="closed_form")
