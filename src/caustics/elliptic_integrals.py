@@ -110,11 +110,9 @@ def complete_pi(n: float, m: float) -> float:
     """Complete elliptic integral of the third kind, parameter convention.
 
     Evaluated as Pi(n, m) = K(m) + n H(n, m), with H = (Pi - K)/n from
-    complete_pi_minus_k_m1.  n may be negative (n < 1); Pi(0, m) = K(m)
-    exactly.
+    complete_pi_minus_k_m1, which rejects n >= 1 as 1 - n <= 0.  n may be
+    negative (n < 1); Pi(0, m) = K(m) exactly.
     """
-    if not n < 1.0:
-        raise DomainError(f"complete_pi requires n < 1; got n={n}")
     return complete_k(m) + n * complete_pi_minus_k_m1(1.0 - n, 1.0 - m)
 
 

@@ -70,6 +70,8 @@ Proves:
      values of their formulas on a in [1, 20] and lambda = b^2 (1 - 10^-k),
      k in [0.05, 9], out to the guard, to 8e-15, 3.2e-14 (absolute) and
      2e-14 (measured: 3.7e-15, 1.59e-14 and 1.03e-14)
+   - the three closed forms are their factored formulas, written out in the
+     same order of operations, bit for bit on six caustics out to the guard
  Group 5 - Log-geometric mean of outer cosines
    - circle families log(1/2) and the (-inf, 0) degenerate point
    - sign convention -sign(ca) across the sweep range, a Python int also
@@ -102,7 +104,7 @@ from caustics.billiard_dynamics import (
     find_caustic_for_period,
     time_average,
 )
-from caustics.elliptic_integrals import complete_k, complete_pi
+from caustics.elliptic_integrals import complete_k, complete_k_m1, complete_pi, complete_pi_minus_k_m1
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
 from oracles import (
@@ -969,6 +971,34 @@ def test_closed_forms_against_40_digits_out_to_the_guard(a, k):
               "curvature23": abs(got[2] - want[2]) / want[2]}
     for quantity, error in errors.items():
         assert float(error) <= CLOSED_FORM_40_DIGITS[quantity], (a, k, quantity, float(error))
+
+
+def test_closed_forms_are_their_factored_formulas_bit_for_bit():
+    """_closed_forms is its docstring's factored formulas, written out here in
+    the same order of operations, bit for bit: a one-ulp change of an exact
+    factor (the 2 of the sidelength, the 4 of 1 - s2, the 2 of the cosine
+    coefficient) stays inside the 40-digit bounds above but shows here."""
+    for table, frac in ((T12, 0.3), (T2, 0.5), (T5, 0.9), (TB, 0.7), (T2, 1.0 - 1e-6),
+                        (cg.BilliardTable(20.0, 1.0), 1.0 - 1e-9)):
+        a, b, c2 = table.a, table.b, table.c2
+        lam = frac * b * b
+        caustic = cg.CausticSpec(lam)
+        ac, bc = cg.caustic_axes(table, caustic)
+        ac2, bc2 = ac * ac, bc * bc
+        m1 = bc2 / ac2
+        k = complete_k_m1(m1)
+        s5 = lam * (c2 / ac2) / (b * b)
+        pi5 = k + s5 * complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
+        sidelength = 2.0 * a * (b * b * k + (lam - b * b) * pi5) / (b * math.sqrt(lam) * k)
+        ca = cg._ca(table, caustic)
+        q = a * a * bc2 + lam * b * b
+        r3 = q * q * ac2
+        n1 = bc2 * (q * q + 4.0 * lam * a * a * b * b * c2) / r3
+        coefficient = 2.0 * lam * c2 * bc2 * ca * (a * a * b * b + lam * c2) / (q * r3)
+        cosine = -ca * (a**4 * bc2 + lam * lam * c2) / r3 + coefficient * complete_pi_minus_k_m1(n1, m1) / k
+        j = cg.joachimsthal(table, caustic)
+        curvature23 = (a * b) ** (-4.0 / 3.0) * (1.0 + cosine) / (2.0 * j * j)
+        assert sa._closed_forms(table, caustic) == (sidelength, cosine, curvature23, None), (a, frac)
 
 
 # ----------------------------------------------------------------- group 5

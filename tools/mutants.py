@@ -17,11 +17,10 @@ Each mutant changes one operator node inside one of the named functions
 
 Each mutant is written over the module in a copy of src/ and tests/ (and
 pyproject.toml) in a temporary directory, and the module's own test file,
-tests/test_<module>.py unless --tests names others, runs there under
-pytest -x.  A mutant whose run passes survived: no test noticed it.  The
-survivors are printed, one a line, with the line number, the node as written
-and as mutated.  The exit status is 1 if any survived.  --list prints the
-mutants without running anything.
+tests/test_<module>.py, runs there under pytest -x.  A mutant whose run
+passes survived: no test noticed it; a run longer than TIMEOUT seconds kills
+it.  The survivors are printed, one a line, with the line number, the node
+as written and as mutated.  The exit status is 1 if any survived.
 """
 from __future__ import annotations
 
@@ -38,6 +37,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600.0
 
 FLIP = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE, ast.GtE: ast.Lt, ast.Eq: ast.NotEq,
         ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
@@ -128,12 +128,8 @@ def run(args):
     if missing:
         sys.exit(f"no function named {', '.join(sorted(missing))} in {args.module}")
     found = mutants(source, set(args.functions))
-    tests = args.tests or [f"tests/test_{module.stem}.py"]
-    print(f"{len(found)} mutants of {', '.join(args.functions)} in {module.relative_to(ROOT)}; tests: {' '.join(tests)}")
-    if args.list:
-        for (_, kind, _), line, before, after in found:
-            print(f"  {line}: {kind}: {before}  ->  {after}")
-        return 0
+    tests = f"tests/test_{module.stem}.py"
+    print(f"{len(found)} mutants of {', '.join(args.functions)} in {module.relative_to(ROOT)}; tests: {tests}")
     survivors = []
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp)
@@ -148,8 +144,8 @@ def run(args):
         def passes(text):
             copied.write_text(text)
             try:
-                return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-                                      cwd=tree, env=env, capture_output=True, timeout=args.timeout).returncode == 0
+                return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests],
+                                      cwd=tree, env=env, capture_output=True, timeout=TIMEOUT).returncode == 0
             except subprocess.TimeoutExpired:
                 return False
 
@@ -173,9 +169,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="path of the module to mutate, e.g. src/caustics/spatial_averages.py")
     parser.add_argument("functions", nargs="+", help="names of the functions whose nodes are mutated")
-    parser.add_argument("--tests", nargs="+", help="test files to run (default: tests/test_<module>.py)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds a test run may take (a timeout kills)")
-    parser.add_argument("--list", action="store_true", help="list the mutants, run nothing")
     return run(parser.parse_args(argv))
 
 
