@@ -20,12 +20,13 @@ average pairs its sample with Z and converges, or fails, on
 its own.  The samples are pi-periodic, so the grid holds the chords at u in
 [0, pi), each once.  Its first integrand call evaluates every level from 16
 nodes up to the grid that the caustic's analyticity strip, atanh(b_c/a_c),
-predicts: 512 nodes, or 1024 or 2048 where the strip is narrow, on nodes and
-trigonometry taken once at import, and every bulk-sweep caustic converges
-within its levels, 98% within 512.  Each level's sums are one numpy reduction
-over a strided view of that grid, taken to Python floats; the doubling
-recurrence, the defects and the closing of each group are plain float
-arithmetic, read level by level until every group has closed.
+predicts: 256 nodes, or 512, 1024 or 2048 where the strip is narrower, on
+nodes and trigonometry taken once at import, and every bulk-sweep caustic
+converges within its levels, 89% within 256.  Each level's sums are one numpy
+reduction over a strided view of that grid, taken to Python floats only when
+the readout reaches that level; the doubling recurrence, the defects and the
+closing of each group are plain float arithmetic, read level by level until
+every group has closed.
 """
 from __future__ import annotations
 
@@ -56,14 +57,16 @@ _DEGENERACY_GUARD = 1.0 - 1e-9
 _QUAD_TOL = 1e-12
 _MAX_NODES = 2**20
 # periodic_quadrature's first integrand call evaluates a grid of at least
-# this many nodes, which holds levels 16 through 512.  Below about 1,000
-# nodes a call costs nearly the same whatever its size (numpy dispatch, not
-# nodes), and of seed 3's 1,024 bulk-sweep caustics 90% converge by 256
-# nodes of the half period, 8% at 512 and 2% beyond (56/34/10 on the full
-# period), so evaluating ahead to 512 wastes little and saves the
-# level-by-level calls.  The 2% beyond start on the grid their strip
-# predicts, up to _FIRST_CAP.
-_FIRST_GRID = 512
+# this many nodes, which holds levels 16 through 256.  A call has a fixed
+# cost (numpy dispatch) that its nodes add to: in one sitting the bulk-sweep
+# integrand took 72 us at 16 nodes, 80 at 256, 93 at 512, 112 at 1,024 and
+# 145 at 2,048 (41, 49, 61, 75 and 107 in a quieter one; thread CPU, 2-vCPU
+# x86_64, BENCH_28.json), so evaluating ahead to 256 wastes little and saves
+# the level-by-level calls.  Of the 12,288
+# caustics of twelve bulk-sweep pools the strip law starts 89% on 256 nodes,
+# 8.5% on 512 and 2.1% beyond, and every one converges on that first call; a
+# floor of 128 would give 13 of 2,048 a second call.
+_FIRST_GRID = 256
 # An integrand analytic in the strip |Im v| < s has a trapezoid error like
 # e^(-s n), so the defect between n and n/2 nodes falls like e^(-s n/2), and
 # ln(1/_QUAD_TOL) = 27.6.  The first grid is the least power of two from
@@ -127,27 +130,24 @@ def periodic_quadrature(f, strip=math.inf):
 
     strip is the half-width s of the strip |Im v| < s where f is analytic
     (inf, the default, for none given).  It only sizes the first call, on
-    the least power of two n from 512 to _FIRST_CAP with s n/2 >=
+    the least power of two n from 256 to _FIRST_CAP with s n/2 >=
     _STRIP_EXPONENT, where the defect is predicted to pass; the defects alone
     decide every level, so the result is the same whatever strip says.
 
     The first call, on _FIRST_NODES[n] itself, sums each level from 16 to n
     over its new nodes, a strided view (the nodes of nested power-of-two
     grids coincide), and each later call sums the next level's midpoints, as
-    one call per level would, bit for bit.  Each level's sums are taken to
-    Python floats at once: the recurrence, the defects and the closing of
-    groups are a few float operations per level, read until every group has
-    closed.
+    one call per level would, bit for bit.  A level of the first call is
+    summed, and its sums taken to Python floats, only when the readout
+    reaches it, so a caustic that closes below n skips the levels above:
+    the recurrence, the defects and the closing of groups are a few float
+    operations per level, read until every group has closed.
     """
     n = _FIRST_GRID
     while n < _FIRST_CAP and 0.5 * n * strip < _STRIP_EXPONENT:
         n *= 2
     grid = f(_FIRST_NODES[n])
-    views = _FIRST_LEVELS[n]
-    first = np.empty((len(views), len(grid)))
-    for row, (start, step) in zip(first, views):
-        np.add.reduce(grid[:, start::step], axis=-1, out=row)
-    levels = iter(first.tolist())
+    levels = (np.add.reduce(grid[:, start::step], axis=-1).tolist() for start, step in _FIRST_LEVELS[n])
     estimates = [s / 16.0 * 2.0 * math.pi for s in next(levels)]
     values, defects = [None] * (len(grid) - 1), [None] * (len(grid) - 1)
     still_open, new = range(len(values)), 16  # new: the next level's new nodes
@@ -262,9 +262,16 @@ def _quadrature_averages(table, caustic):
 def _closed_forms(table, caustic):
     """The closed form of each average in _CHORD_QUANTITIES order (None for
     log|outer cosine|, which has none yet), with s3 = c^2/(a^2 - lam) and
-    K(s3) taken once for all three: Pi(s5, s3) is K + s5 H(s5, s3), so a
-    caustic makes three elliptic calls.  Sidelength and kappa^(2/3) are as in
-    mean_sidelength and mean_curvature23; the mean cosine is
+    K(s3) taken once for all three: a caustic makes three elliptic calls.
+    kappa^(2/3) is as in mean_curvature23.  The sidelength of
+    mean_sidelength, with Pi(s5, s3) = K + s5 H(s5, s3) and lam - b^2 =
+    -b_c^2, is
+
+        Lbar = 2a sqrt(lam) (K(s3) - r H(s5, s3)) / (b K(s3)),
+        r = b_c^2 c^2/(a_c^2 b^2),
+
+    whose two terms do not cancel as lam -> 0 (K - r H tends to E(s3)),
+    where b^2 K + (lam - b^2) Pi cancels like 1/lam.  The mean cosine is
 
         Cbar = r1/r3 + (r2 r3 - r1 r4)/r3^2 * H(s2, s3) / K(s3),  s2 = -r4/r3,
 
@@ -289,11 +296,10 @@ def _closed_forms(table, caustic):
     ac, bc = _check_caustic(table, caustic)
     a, b, lam, c2 = table.a, table.b, caustic.lam, table.c2
     ac2, bc2 = ac * ac, bc * bc
-    s5 = lam * (c2 / ac2) / (b * b)
     m1 = bc2 / ac2  # 1 - s3
     k = complete_k_m1(m1)
-    pi5 = k + s5 * complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
-    sidelength = 2.0 * a * (b * b * k + (lam - b * b) * pi5) / (b * math.sqrt(lam) * k)
+    h5 = complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
+    sidelength = 2.0 * a * math.sqrt(lam) * (k - bc2 * c2 / (ac2 * b * b) * h5) / (b * k)
     ca = cg._ca(table, caustic)
     q = a * a * bc2 + lam * b * b
     r1 = -ca * (a**4 * bc2 + lam * lam * c2)
@@ -332,7 +338,10 @@ def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResul
     """Measure-weighted mean chord length.
 
     closed_form: Lbar = 2a (b^2 K(s3) + (lam - b^2) Pi(s5, s3)) / (b sqrt(lam) K(s3)),
-                 with s3 = c^2/(a^2 - lam) and s5 = lam s3/b^2.
+                 with s3 = c^2/(a^2 - lam) and s5 = lam s3/b^2, evaluated
+                 as 2a sqrt(lam) (K - r H(s5, s3)) / (b K) with H = (Pi -
+                 K)/s5 and r = b_c^2 c^2/(a_c^2 b^2), which does not cancel
+                 as lam -> 0.
     quadrature:  integral of chord_length(u) rho(u) du / integral rho(u) du.
     The two agree to 1e-9 relative; on the circle both reduce to 2 sqrt(lam).
     """

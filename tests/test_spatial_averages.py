@@ -24,26 +24,29 @@ Proves:
      averages and Z match a full-period quadrature of the public integrand
      to 1e-15 relative on 36 of the 40 cells, to 5e-14 on the four at
      lambda = b^2 (1 - 1e-6)
-   - the first integrand call evaluates the grid the strip predicts, 512,
-     1024 or 2048 nodes, and the levels up to it are read from it in one
-     pass: values and defects are bit for bit those of the level-by-level
-     loop (tests/oracles.py) on the test integrands from each of the three
-     first grids, on groups that settle at every level from 16 to 1024 (one
-     call per level past the first grid), with a NaN group among them, a
-     weight that settles last and a NaN weight, and on 49 caustics (the
-     circle, caustics that start at 1024 and 2048 nodes, one level past
-     their level or short of it, and the near-guard cells included); a
-     caustic predicted within 512 nodes starts on the first grid's nodes
-     array itself, one that converges on its first grid costs one integrand
-     call, no first call exceeds 2048 nodes nor any call 2^19, no node is
-     evaluated twice, and each refinement call's midpoints are np.linspace's
-     bits in an array of their own
+   - the first integrand call evaluates the grid the strip predicts, 256,
+     512, 1024 or 2048 nodes, and the levels up to it are read from it in
+     one pass: values and defects are bit for bit those of the
+     level-by-level loop (tests/oracles.py) on the test integrands from each
+     of the four first grids, on groups that settle at every level from 16
+     to 1024 (one call per level past the first grid), with a NaN group
+     among them, a weight that settles last and a NaN weight, and on 51
+     caustics (the circle, caustics that start at 512, 1024 and 2048 nodes,
+     one level past their level or short of it, and the near-guard cells
+     included); a caustic predicted within 512 nodes starts on the nodes
+     array of the grid its strip names, one that converges on its first
+     grid costs one integrand call, no first call exceeds 2048 nodes nor any
+     call 2^19, no node is evaluated twice, and each refinement call's
+     midpoints are np.linspace's bits in an array of their own
+   - on 256 caustics spread over bulk-sweep's range (a in [1, 5] with the
+     circle, lambda/b^2 in [0.01, 0.99]) each takes exactly one integrand
+     call, on the grid the strip law names
    - property: _quadrature_averages is bit for bit the route built on the
      level-by-level loop, on a in [1, 20] with the circle and lambda/b^2
      uniform and 1 - 10^-U(0.5, 8.5), which draws every first grid, the
      refinements past it and the 2^20-node cap
    - a NaN estimate stops its group: it closes at the level where its
-     defect turns NaN, alone after one 512-node call, and is returned with
+     defect turns NaN, alone after one 256-node call, and is returned with
      its NaN defect, which _average rejects; a defect of exactly _QUAD_TOL
      keeps its group open
    - the first grid's nodes and cos u, sin u, sin^2 u at u = v/2 are
@@ -70,8 +73,12 @@ Proves:
      values of their formulas on a in [1, 20] and lambda = b^2 (1 - 10^-k),
      k in [0.05, 9], out to the guard, to 8e-15, 3.2e-14 (absolute) and
      2e-14 (measured: 3.7e-15, 1.59e-14 and 1.03e-14)
+   - property: the closed sidelength matches its 40-digit value at small
+     lambda, lambda = b^2 10^-k with k in [0.05, 3], to 4e-15 (measured:
+     2.0e-15)
    - the three closed forms are their factored formulas, written out in the
-     same order of operations, bit for bit on six caustics out to the guard
+     same order of operations, bit for bit on seven caustics out to the
+     guard and at small lambda
  Group 5 - Log-geometric mean of outer cosines
    - circle families log(1/2) and the (-inf, 0) degenerate point
    - sign convention -sign(ca) across the sweep range, a Python int also
@@ -207,7 +214,7 @@ def strip_for(first):
     return 2.0 * sa._STRIP_EXPONENT / first
 
 
-FIRST_GRIDS = (512, 1024, 2048)
+FIRST_GRIDS = (256, 512, 1024, 2048)
 
 
 @pytest.mark.parametrize("first", FIRST_GRIDS)
@@ -220,7 +227,7 @@ FIRST_GRIDS = (512, 1024, 2048)
     groups(lambda u: np.exp(np.cos(u)), jump),
 ], ids=["sin2", "one", "exp_cos", "jump", "pair", "groups_one_open"])
 def test_first_grid_replays_the_level_by_level_loop(f, first):
-    """The levels read off the first call, of 512, 1024 or 2048 nodes, are
+    """The levels read off the first call, of 256, 512, 1024 or 2048 nodes, are
     those of one call per level, bit for bit: values and defects, a group
     that never converges included."""
     counted = counting(f)
@@ -265,7 +272,7 @@ def test_each_settling_level_is_read_as_the_level_by_level_loop(level, first):
     assert_same_quadrature(got, want)
     assert got[0][0][1] == pytest.approx(2.0 * math.pi, rel=1e-15) and got[1][0] < sa._QUAD_TOL
     assert oracle.nodes[-1] == level  # its last call: the midpoints of 2 level nodes
-    assert quadrature.nodes == [first] + [n for n in (512, 1024) if first <= n <= level]
+    assert quadrature.nodes == [first] + [n for n in (256, 512, 1024) if first <= n <= level]
 
 
 @pytest.mark.parametrize("first", FIRST_GRIDS)
@@ -295,22 +302,23 @@ def test_one_pass_readout_is_the_level_by_level_loop(f, first):
 
 def test_a_nan_estimate_stops_its_group(monkeypatch):
     """A NaN estimate cannot converge: a lone NaN group closes at the level
-    where its defect turns NaN, after the first grid's 512 nodes alone (it
+    where its defect turns NaN, after the first grid's 256 nodes alone (it
     took 12 calls over 1,048,576 nodes), and _average rejects it; among
     groups it is returned with its NaN defect while the others converge as
-    they would alone."""
+    they would alone, here within the first grid; a group that turns NaN on
+    the first refinement closes there."""
     f = counting(groups(nan_everywhere))
     _, (defect,) = sa.periodic_quadrature(f)
-    assert f.nodes == [512] and np.isnan(defect)
+    assert f.nodes == [256] and np.isnan(defect)
     with pytest.raises(NumericalError, match=r"estimate is NaN; refinement cannot converge"):
         average_of(monkeypatch, groups(nan_everywhere))
-    f = counting(groups(nan_everywhere, settling_at(256)))
+    f = counting(groups(nan_everywhere, settling_at(128)))
     values, defects = sa.periodic_quadrature(f)
-    assert f.nodes == [512] and np.isnan(defects[0]) and defects[1] < sa._QUAD_TOL
+    assert f.nodes == [256] and np.isnan(defects[0]) and defects[1] < sa._QUAD_TOL
     assert values[1] == pytest.approx([2.0 * math.pi] * 2, rel=1e-15)
-    late = counting(groups(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES[512] else np.nan)))
+    late = counting(groups(lambda u: settling_at(512)(u) + (0.0 if u is sa._FIRST_NODES[256] else np.nan)))
     _, (defect,) = sa.periodic_quadrature(late)
-    assert late.nodes == [512, 512] and np.isnan(defect)
+    assert late.nodes == [256, 256] and np.isnan(defect)
 
 
 def test_a_defect_of_exactly_the_tolerance_keeps_its_group_open():
@@ -365,18 +373,21 @@ def test_each_call_gets_linspace_nodes_in_an_array_of_its_own(first):
 
 
 def test_the_strip_sizes_the_first_call():
-    """The first call is the least power of two from 512 up to the 2048-node
-    cap at which strip n/2 reaches _STRIP_EXPONENT: 512 nodes, the nodes
-    array itself, with no strip or a strip of 2 _STRIP_EXPONENT/512 or
-    wider; 2048 for a strip of 0 or one too narrow for any grid (beyond the
-    cap the grid doubles from there)."""
+    """The first call is the least power of two from 256 up to the 2048-node
+    cap at which strip n/2 reaches _STRIP_EXPONENT: 256 nodes, the nodes
+    array itself, with no strip or a strip of 2 _STRIP_EXPONENT/256 or
+    wider; each next grid from just below its predecessor's strip down to
+    its own; 2048 for a strip of 0 or one too narrow for any grid (beyond
+    the cap the grid doubles from there)."""
     def first_call(strip):
         seen = []
         sa.periodic_quadrature(lambda v: seen.append(v) or groups(np.ones_like)(v), strip)
         return seen[0]
 
-    for strip in (math.inf, 10.0, strip_for(512)):
-        assert first_call(strip) is sa._FIRST_NODES[512]
+    for strip in (math.inf, 10.0, strip_for(256)):
+        assert first_call(strip) is sa._FIRST_NODES[256]
+    assert first_call(np.nextafter(strip_for(256), 0.0)) is sa._FIRST_NODES[512]
+    assert first_call(strip_for(512)) is sa._FIRST_NODES[512]
     assert len(first_call(np.nextafter(strip_for(512), 0.0))) == 1024
     assert len(first_call(strip_for(1024))) == 1024
     assert len(first_call(np.nextafter(strip_for(1024), 0.0))) == 2048
@@ -576,10 +587,12 @@ def test_shared_grid_on_the_first_grid_is_the_level_by_level_loop(monkeypatch, a
     assert len(calls) == len(CELLS) + 1
 
 
-# (a, lambda) of caustics whose predicted first grid is not 512 nodes; the
+# (a, lambda) of caustics whose predicted first grid is not 256 nodes; the
 # integrand calls of each, and the level at which the level-by-level loop
 # closes its last group
 PREDICTED = {
+    (5.0, 0.85): ([512], 512),
+    (3.0, 0.9): ([512], 256),
     (5.0, 0.95): ([1024], 1024),  # where the loop closes
     (5.0, 0.99): ([2048], 2048),
     (4.0, 0.952): ([1024], 512),  # one level past it
@@ -590,7 +603,7 @@ PREDICTED = {
 
 @pytest.mark.parametrize("cell", PREDICTED)
 def test_a_predicted_first_grid_is_the_level_by_level_loop(monkeypatch, cell):
-    """A caustic whose strip predicts a first grid of 1024 or 2048 nodes
+    """A caustic whose strip predicts a first grid of 512, 1024 or 2048 nodes
     gives, bit for bit, the level-by-level loop's values and defects, where
     the loop closes at that level, where it closes a level below it, and
     past the 2048-node cap, from where the grid keeps doubling."""
@@ -623,8 +636,8 @@ def test_quadrature_averages_are_the_level_by_level_route(a, fraction):
     """_quadrature_averages, values, error estimates, defects and Z, is bit
     for bit the route built on the level-by-level loop (tests/oracles.py), on
     a in [1, 20] with the circle and lambda/b^2 both uniform and
-    1 - 10^-U(0.5, 8.5): caustics that start on each first grid (512, 1024
-    and 2048 nodes), that refine past it, and that fail at the 2^20-node cap
+    1 - 10^-U(0.5, 8.5): caustics that start on each first grid (256, 512,
+    1024 and 2048 nodes), that refine past it, and that fail at the 2^20-node cap
     are all drawn (hypothesis' statistics count each, as events)."""
     table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
     quadrature, nodes = sa.periodic_quadrature, []
@@ -707,13 +720,17 @@ def test_one_pass_over_the_samples_per_set_of_chords(passes):
 
 
 def test_first_grid_is_one_integrand_call(passes):
-    """A caustic that converges by 512 nodes costs one integrand call; one
-    that needs 2048, (5, 0.99), is predicted there and costs one call of
-    2048 nodes, each node once (three calls from a 512-node first grid).
-    The grids are in v = 2u, so 2048 nodes are the chords at the 2048 u of
-    [0, pi) (the 4096-node u-grid's first half); the full-period grid took
-    four calls for (5, 0.99)."""
+    """A caustic that converges by 256 nodes costs one integrand call, and
+    one that needs 512, (5, 0.85), is predicted there and costs one call of
+    512 nodes; one that needs 2048, (5, 0.99), is predicted there and costs
+    one call of 2048 nodes, each node once (four calls from a 256-node first
+    grid).  The grids are in v = 2u, so 2048 nodes are the chords at the
+    2048 u of [0, pi) (the 4096-node u-grid's first half); the full-period
+    grid took four calls for (5, 0.99)."""
     sa.mean_sidelength(T5, cg.CausticSpec(0.61), method="quadrature")
+    assert [len(u) for u in passes["grids"]] == [256]
+    passes["grids"].clear()
+    sa.mean_sidelength(T5, cg.CausticSpec(0.85), method="quadrature")
     assert [len(u) for u in passes["grids"]] == [512]
     passes["grids"].clear()
     sa.mean_sidelength(T5, cg.CausticSpec(0.99), method="quadrature")
@@ -722,22 +739,64 @@ def test_first_grid_is_one_integrand_call(passes):
     assert np.array_equal(0.5 * nodes, np.linspace(0.0, math.pi, 2048, endpoint=False))
 
 
+def strip_law_grid(table, caustic):
+    """The first grid the strip law names: the least n of 256, 512, 1024 and
+    2048 with n atanh(b_c/a_c) >= _STRIP_EXPONENT, 2048 if none, and 256 on
+    the circle, which has no strip."""
+    ac, bc = cg.caustic_axes(table, caustic)
+    return next((n for n in (256, 512, 1024) if bc >= ac or n * math.atanh(bc / ac) >= sa._STRIP_EXPONENT),
+                2048)
+
+
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0])
 def test_a_caustic_predicted_within_512_nodes_starts_on_the_first_grid(passes, a):
     """Every cell whose strip predicts 512 nodes or fewer, the circle's
-    included, makes its first integrand call on _FIRST_NODES[512] itself,
-    and so on the trigonometry taken at import."""
-    table, predicted = cg.BilliardTable(a, 1.0), 0
+    included, makes its first integrand call on the nodes array of the grid
+    the strip names, _FIRST_NODES[256] or _FIRST_NODES[512] itself, and so
+    on the trigonometry taken at import."""
+    table, predicted = cg.BilliardTable(a, 1.0), []
     for fraction in CELLS:
-        ac, bc = cg.caustic_axes(table, cg.CausticSpec(fraction))
-        if a > 1.0 and 512 * math.atanh(bc / ac) < sa._STRIP_EXPONENT:
+        first = strip_law_grid(table, cg.CausticSpec(fraction))
+        if first > 512:
             continue
         passes["grids"].clear()
         sa._quadrature_averages.cache_clear()
         sa.mean_sidelength(table, cg.CausticSpec(fraction), method="quadrature")
-        assert passes["grids"][0] is sa._FIRST_NODES[512], (a, fraction)
-        predicted += 1
-    assert predicted >= 7
+        assert passes["grids"][0] is sa._FIRST_NODES[first], (a, fraction)
+        predicted.append(first)
+    assert len(predicted) >= 7 and predicted.count(256) >= 5
+
+
+def bulk_caustics(count=256):
+    """count (a, lambda) spread over bulk-sweep's range, a in [1, 5] with
+    every 16th the circle and lambda/b^2 in [0.01, 0.99] (b = 1), on the
+    R2 sequence (steps 1/g and 1/g^2, g the plastic number), so that they
+    cover the square evenly."""
+    g = 1.324717957244746
+    for i in range(count):
+        x, y = (0.5 + i / g) % 1.0, (0.5 + i / (g * g)) % 1.0
+        yield (1.0 if i % 16 == 0 else 1.0 + 4.0 * x), 0.01 + 0.98 * y
+
+
+def test_every_bulk_caustic_takes_one_call_on_the_grid_its_strip_names(passes):
+    """Each of 256 caustics over bulk-sweep's range converges in all four
+    averages on its first integrand call, and that call is on the grid the
+    strip law names: a change to the integrand's decay or to the law shows
+    here rather than as a second call.  Most start on the 256-node floor,
+    some on 512 and a few on 1024 (231, 22 and 3 of them)."""
+    firsts = []
+    for a, fraction in bulk_caustics():
+        table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
+        passes["grids"].clear()
+        sa._quadrature_averages.cache_clear()
+        defects = [defect for _, _, defect, _ in sa._quadrature_averages(table, caustic)]
+        assert all(defect < sa._QUAD_TOL for defect in defects), (a, fraction, defects)
+        first = strip_law_grid(table, caustic)
+        assert [len(v) for v in passes["grids"]] == [first], (a, fraction)
+        assert passes["grids"][0] is sa._FIRST_NODES[first], (a, fraction)
+        firsts.append(first)
+    sa._quadrature_averages.cache_clear()
+    assert firsts.count(256) >= 200 and firsts.count(512) >= 10 and firsts.count(1024) >= 1
 
 
 def test_no_call_exceeds_the_caps(passes):
@@ -763,7 +822,7 @@ def test_shared_grid_at_vanishing_ca(passes, table, lam):
         closed = average(table, caustic, method="closed_form").value
         assert abs(quad - closed) <= 1e-9 * max(1.0, abs(closed))
     assert sa.log_geomean_outer(table, caustic) == (-math.inf, 0)
-    assert passes["quadratures"] == 1 and sum(map(len, passes["grids"])) <= 512
+    assert passes["quadratures"] == 1 and sum(map(len, passes["grids"])) <= 256
 
 
 # ----------------------------------------------------------------- group 2
@@ -973,13 +1032,36 @@ def test_closed_forms_against_40_digits_out_to_the_guard(a, k):
         assert float(error) <= CLOSED_FORM_40_DIGITS[quantity], (a, k, quantity, float(error))
 
 
+# Measured worst case of the closed sidelength against closed_forms_to_40_digits
+# over 2,000 random caustics drawn as below: 2.0e-15 relative.  Written as
+# 2a (b^2 K + (lambda - b^2) Pi(s5, s3))/(b sqrt(lambda) K), its two terms
+# near b^2 K cancel like 1/lambda, which gave 7.7e-13 there.
+SMALL_LAMBDA_SIDELENGTH_REL = 4e-15
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.floats(1.0, 20.0), st.floats(0.05, 3.0))
+def test_closed_sidelength_against_40_digits_at_small_lambda(a, k):
+    """On a in [1, 20] and lambda = b^2 10^-k, k in [0.05, 3], the closed
+    sidelength stays within a few ulps of its 40-digit value: it is formed as
+    2a sqrt(lambda) (K - r H(s5, s3))/(b K), in which nothing cancels as
+    lambda -> 0."""
+    lam = 10.0**-k
+    got = sa._closed_forms(cg.BilliardTable(a, 1.0), cg.CausticSpec(lam))[0]
+    want = closed_forms_to_40_digits(a, lam)[0]
+    error = float(abs(got - want) / want)
+    assert error <= SMALL_LAMBDA_SIDELENGTH_REL, (a, k, error)
+
+
 def test_closed_forms_are_their_factored_formulas_bit_for_bit():
     """_closed_forms is its docstring's factored formulas, written out here in
     the same order of operations, bit for bit: a one-ulp change of an exact
     factor (the 2 of the sidelength, the 4 of 1 - s2, the 2 of the cosine
-    coefficient) stays inside the 40-digit bounds above but shows here."""
+    coefficient) stays inside the 40-digit bounds above but shows here.
+    The sidelength is 2a sqrt(lambda) (K - r H(s5, s3))/(b K), r = b_c^2
+    c^2/(a_c^2 b^2)."""
     for table, frac in ((T12, 0.3), (T2, 0.5), (T5, 0.9), (TB, 0.7), (T2, 1.0 - 1e-6),
-                        (cg.BilliardTable(20.0, 1.0), 1.0 - 1e-9)):
+                        (cg.BilliardTable(20.0, 1.0), 1.0 - 1e-9), (cg.BilliardTable(18.3, 1.0), 0.036)):
         a, b, c2 = table.a, table.b, table.c2
         lam = frac * b * b
         caustic = cg.CausticSpec(lam)
@@ -987,9 +1069,8 @@ def test_closed_forms_are_their_factored_formulas_bit_for_bit():
         ac2, bc2 = ac * ac, bc * bc
         m1 = bc2 / ac2
         k = complete_k_m1(m1)
-        s5 = lam * (c2 / ac2) / (b * b)
-        pi5 = k + s5 * complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
-        sidelength = 2.0 * a * (b * b * k + (lam - b * b) * pi5) / (b * math.sqrt(lam) * k)
+        h5 = complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
+        sidelength = 2.0 * a * math.sqrt(lam) * (k - bc2 * c2 / (ac2 * b * b) * h5) / (b * k)
         ca = cg._ca(table, caustic)
         q = a * a * bc2 + lam * b * b
         r3 = q * q * ac2
