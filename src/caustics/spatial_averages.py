@@ -20,13 +20,12 @@ average pairs its sample with Z and converges, or fails, on
 its own.  The samples are pi-periodic, so the grid holds the chords at u in
 [0, pi), each once.  Its first integrand call evaluates every level from 16
 nodes up to the grid that the caustic's analyticity strip, atanh(b_c/a_c),
-predicts: 256 nodes, or 512, 1024 or 2048 where the strip is narrower, on
-nodes and trigonometry taken once at import, and every bulk-sweep caustic
-converges within its levels, 89% within 256.  Each level's sums are one numpy
-reduction over a strided view of that grid, taken to Python floats only when
-the readout reaches that level; the doubling recurrence, the defects and the
-closing of each group are plain float arithmetic, read level by level until
-every group has closed.
+predicts: 256 nodes, or 512, 1024 or 2048 where the strip is narrower, and
+every bulk-sweep caustic converges within its levels, 89% within 256.  The
+first grids are prefixes of one node table in level order, taken once at
+import with its trigonometry, so each level's new nodes are one contiguous
+block of it; one loop reads the levels, each a numpy sum taken to Python
+floats, and closes each group in plain float arithmetic.
 """
 from __future__ import annotations
 
@@ -58,14 +57,9 @@ _QUAD_TOL = 1e-12
 _MAX_NODES = 2**20
 # periodic_quadrature's first integrand call evaluates a grid of at least
 # this many nodes, which holds levels 16 through 256.  A call has a fixed
-# cost (numpy dispatch) that its nodes add to: in one sitting the bulk-sweep
-# integrand took 72 us at 16 nodes, 80 at 256, 93 at 512, 112 at 1,024 and
-# 145 at 2,048 (41, 49, 61, 75 and 107 in a quieter one; thread CPU, 2-vCPU
-# x86_64, BENCH_28.json), so evaluating ahead to 256 wastes little and saves
-# the level-by-level calls.  Of the 12,288
-# caustics of twelve bulk-sweep pools the strip law starts 89% on 256 nodes,
-# 8.5% on 512 and 2.1% beyond, and every one converges on that first call; a
-# floor of 128 would give 13 of 2,048 a second call.
+# cost (numpy dispatch) that its nodes add to, so evaluating ahead to 256
+# wastes little and saves the level-by-level calls; a floor of 128 would
+# give 13 of 2,048 bulk-sweep caustics a second call.
 _FIRST_GRID = 256
 # An integrand analytic in the strip |Im v| < s has a trapezoid error like
 # e^(-s n), so the defect between n and n/2 nodes falls like e^(-s n/2), and
@@ -78,19 +72,24 @@ _FIRST_GRID = 256
 # its peak memory.
 _STRIP_EXPONENT = 29.0
 _FIRST_CAP = 2048
-# Each first grid's nodes, and cos u and sin u at u = v/2 for
-# _quadrature_averages, are taken once, read-only.  Each level's new nodes
-# on it, level 16's and then each next level's midpoints, are the strided
-# view (start, step) in _FIRST_LEVELS.
-_FIRST_NODES = {
-    n: np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    for n in (_FIRST_GRID << k for k in range((_FIRST_CAP // _FIRST_GRID).bit_length()))
-}
-_FIRST_TRIG = {n: np.array([np.cos(0.5 * v), np.sin(0.5 * v)]) for n, v in _FIRST_NODES.items()}
-for _constant in (*_FIRST_NODES.values(), *_FIRST_TRIG.values()):
-    _constant.flags.writeable = False
-_FIRST_LEVELS = {n: ((0, n // 16),) + tuple((n >> k, n >> (k - 1)) for k in range(5, n.bit_length()))
-                 for n in _FIRST_NODES}
+
+
+def _new_nodes(level):
+    """The nodes k 2pi/level that a level of the doubling adds: k = 0..15 at
+    level 16, the odd k after it, which are the level's midpoints,
+    np.linspace(0, 2pi, level, endpoint=False)[1::2] bit for bit, with no
+    array of the level's size."""
+    step = 1 if level == 16 else 2
+    return np.arange(step - 1, level, step) * (2.0 * math.pi / level)
+
+
+# The nodes of the largest first grid in level order, level 16's and then
+# each next level's new nodes, so that every first grid of n nodes is the
+# prefix [:n] and level m's new nodes are [m/2, m); with cos u and sin u at
+# u = v/2 for _quadrature_averages.  Taken once, read-only.
+_FIRST_NODES = np.concatenate([_new_nodes(16 << k) for k in range((_FIRST_CAP // 16).bit_length())])
+_FIRST_TRIG = np.array([np.cos(0.5 * _FIRST_NODES), np.sin(0.5 * _FIRST_NODES)])
+_FIRST_NODES.flags.writeable = _FIRST_TRIG.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -134,33 +133,26 @@ def periodic_quadrature(f, strip=math.inf):
     _STRIP_EXPONENT, where the defect is predicted to pass; the defects alone
     decide every level, so the result is the same whatever strip says.
 
-    The first call, on _FIRST_NODES[n] itself, sums each level from 16 to n
-    over its new nodes, a strided view (the nodes of nested power-of-two
-    grids coincide), and each later call sums the next level's midpoints, as
-    one call per level would, bit for bit.  A level of the first call is
-    summed, and its sums taken to Python floats, only when the readout
-    reaches it, so a caustic that closes below n skips the levels above:
-    the recurrence, the defects and the closing of groups are a few float
-    operations per level, read until every group has closed.
+    The first call is on _FIRST_NODES[:n], n nodes in level order (the
+    nodes of nested power-of-two grids coincide), whose columns [m/2, m)
+    are level m's new nodes; each level past n is one call on its own new
+    nodes.  Each level's sums are those of one call per level, bit for bit,
+    taken to Python floats, and the recurrence, the defects and the closing
+    of groups are a few float operations per level, read until every group
+    has closed, so a caustic that closes below n sums no level above it.
     """
     n = _FIRST_GRID
     while n < _FIRST_CAP and 0.5 * n * strip < _STRIP_EXPONENT:
         n *= 2
-    grid = f(_FIRST_NODES[n])
-    levels = (np.add.reduce(grid[:, start::step], axis=-1).tolist() for start, step in _FIRST_LEVELS[n])
-    estimates = [s / 16.0 * 2.0 * math.pi for s in next(levels)]
+    grid = f(_FIRST_NODES[:n])
+    estimates = [s / 16.0 * 2.0 * math.pi for s in np.add.reduce(grid[:, :16], axis=-1).tolist()]
     values, defects = [None] * (len(grid) - 1), [None] * (len(grid) - 1)
-    still_open, new = range(len(values)), 16  # new: the next level's new nodes
-    while still_open:
-        sums = next(levels, None)
-        if sums is None:
-            if n == _MAX_NODES:
-                break
-            midpoints = np.arange(1, 2 * n, 2) * (2.0 * math.pi / (2 * n))  # linspace's bits, no 2n array
-            sums = np.add.reduce(f(midpoints), axis=-1).tolist()
-            n *= 2
-        last, estimates = estimates, [s / new * math.pi + 0.5 * e for s, e in zip(sums, estimates)]
-        new *= 2
+    still_open, level = range(len(values)), 32
+    while still_open and level <= _MAX_NODES:
+        new = grid[:, level // 2:level] if level <= n else f(_new_nodes(level))
+        sums = np.add.reduce(new, axis=-1).tolist()
+        last, estimates = estimates, [s / (level // 2) * math.pi + 0.5 * e for s, e in zip(sums, estimates)]
+        level *= 2
         z, change = estimates[0], abs(estimates[0] - last[0])
         kept = []
         for i in still_open:
@@ -237,9 +229,8 @@ def _quadrature_averages(table, caustic):
     rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
 
     def weighted(v):
-        if v is _FIRST_NODES.get(len(v)):
-            trig = _FIRST_TRIG[len(v)]
-            cos_u, sin_u = trig[0], trig[1]
+        if v.base is _FIRST_NODES:
+            cos_u, sin_u = _FIRST_TRIG[0, :len(v)], _FIRST_TRIG[1, :len(v)]
         else:
             u = 0.5 * v
             cos_u, sin_u = np.cos(u), np.sin(u)
@@ -306,9 +297,11 @@ def _closed_forms(table, caustic):
     r3 = q * q * ac2
     n1 = bc2 * (q * q + 4.0 * lam * a * a * b * b * c2) / r3
     coefficient = 2.0 * lam * c2 * bc2 * ca * (a * a * b * b + lam * c2) / (q * r3)  # (r2 r3 - r1 r4)/r3^2
-    cosine = r1 / r3 + coefficient * complete_pi_minus_k_m1(n1, m1) / k
+    term = coefficient * complete_pi_minus_k_m1(n1, m1) / k
+    cosine = r1 / r3 + term
     j = cg.joachimsthal(table, caustic)
-    curvature23 = (a * b) ** (-4.0 / 3.0) * (1.0 + cosine) / (2.0 * j * j)
+    one_plus_cosine = 2.0 * lam * b * b / q + term if ca > 0.0 else 1.0 + cosine  # (r1 + r3)/r3 = 2 lam b^2/q
+    curvature23 = (a * b) ** (-4.0 / 3.0) * one_plus_cosine / (2.0 * j * j)
     return sidelength, cosine, curvature23, None
 
 
@@ -363,7 +356,11 @@ def mean_curvature23(table, caustic, method: str = "quadrature") -> AverageResul
 
     quadrature route integrates the mean of curvature23 at the two endpoints of
     the chord at u.  closed_form uses the linear identity
-    kappa23bar = (a b)^(-4/3) (1 + Cbar) / (2 J^2) with the closed-form Cbar.
+    kappa23bar = (a b)^(-4/3) (1 + Cbar) / (2 J^2) with the closed-form Cbar
+    of _closed_forms.  As lam -> 0, Cbar -> -1 and 1 + Cbar cancels, so
+    where ca > 0 it is formed as 2 lam b^2/q + (r2 r3 - r1 r4)/r3^2 *
+    H(s2, s3)/K(s3), two positive terms, since r1 + r3 = 2 lam b^2 a_c^2 q;
+    where ca <= 0, Cbar >= 0 and 1 + Cbar is formed as it reads.
     """
     return _average(table, caustic, method, "curvature23")
 
