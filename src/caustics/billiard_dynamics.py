@@ -144,6 +144,8 @@ def _sums(shifts, points):
     maps OpenBLAS's buffer."""
     ss, cs, ds = shifts
     sp, cp, dp = points
+    # written with out=, as _advances is: without it perfbench's ergodic-orbits
+    # ran fewer ops in 4 of 4 pairs (826-980 against 852-1,020 ops/s; 8 s, 2 vCPUs)
     lhs, rhs = np.empty((len(ss), 2)), np.empty((2, len(sp)))
     np.multiply(cs, ds, out=lhs[:, 0])
     lhs[:, 1] = ss
@@ -194,8 +196,8 @@ def _composed_sequence(table, caustic, u0, n):
     cm /= h
     tops = _addition_chain((ss[-1], cs[-1], ds[-1]), -(-(n + 1) // (r * r)) - 1, s3, kp2)
     sn, cn = _sums(tops, (sm, cm, np.sqrt(kp2 + s3 * cm * cm)))
-    # shrunk in place to the n+1 points, so that the orbit's long arrays are all
-    # one size: verify peaks at 176.8 MB, against 177.0 with the spare points kept
+    # shrunk in place to the n+1 points: read through slices, ergodic-orbits'
+    # op_tail was 1.39-1.47 against 1.10-1.16 ms (4 of 4 8 s pairs, 2 vCPUs)
     sn.resize(n + 1, refcheck=False)
     cn.resize(n + 1, refcheck=False)
     cos_u, sin_u = np.negative(sn, out=sn), cn
@@ -281,7 +283,7 @@ def _advances(steps):
     on [-2pi, -pi] the sum d + 2pi is exact (Sterbenz's lemma), and elsewhere
     rounding cannot carry it across an end of (0, pi).  NaN fails."""
     ok = steps > 0.0
-    test = steps >= -math.pi
+    test = steps >= -math.pi  # reused with out=, for the reason _sums gives
     np.equal(ok, test, out=ok)  # forward, or back by more than pi: a turn
     ok &= np.less(steps, math.pi, out=test)
     ok &= np.greater(steps, -_TAU, out=test)

@@ -128,7 +128,7 @@ def cmd_sweep(args) -> int:
         caustic = cg.CausticSpec(lam)
         values, tags, devs = _spatial_row_values(table, caustic, quantities, args.method)
         for name, dev in devs.items():
-            if dev > _DUAL_ROUTE_REL:
+            if not dev <= _DUAL_ROUTE_REL:  # NaN fails too
                 raise NumericalError(
                     f"{name} routes disagree at lam={caustic.lam}: "
                     f"relative deviation {dev:.3e} > {_DUAL_ROUTE_REL:g}"
@@ -218,8 +218,14 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+def _worst(values):
+    """The largest of a check's deviations, NaN if any of them is NaN, which
+    Python's max drops unless it comes first."""
+    return float(np.max(values))
+
+
 def _relative_spread(values, floor):
-    """Spread across seeds relative to the values' own scale.
+    """Spread across seeds relative to the values' own scale; NaN if a value is.
 
     `floor` is the quantity's roundoff floor: when every value sits below it
     the quantity vanishes identically on that orbit family and the spread is
@@ -274,7 +280,7 @@ def run_battery(tables, quick=False):
             z = sa.normalization(table, caustic)
             z_devs = [abs(quad_z / z - 1.0)
                       for *_, quad_z in sa._quadrature_averages(table, caustic) if quad_z is not None]
-            worst = max(worst, *z_devs, *devs.values())
+            worst = _worst([worst, *z_devs, *devs.values()])
         checks.append(Check(f"dual-route closed form vs quadrature [{tag}]", "worst rel dev",
                             worst, _DUAL_ROUTE_REL, time.perf_counter() - t0))
 
@@ -286,7 +292,7 @@ def run_battery(tables, quick=False):
                 ref = sa._average(table, caustic, "quadrature", quantity).value
                 t = time_average(table, caustic, quantity, n_bounces).value
                 name = "cosine" if quantity == "interior_cosine" else quantity
-                worst = max(worst, _route_dev(name, t, ref))
+                worst = _worst([worst, _route_dev(name, t, ref)])
         checks.append(Check(f"ergodic time average vs spatial ({n_bounces} bounces) [{tag}]",
                             "worst rel dev", worst, _ERGODIC_REL, time.perf_counter() - t0))
 
@@ -301,24 +307,23 @@ def run_battery(tables, quick=False):
             # the closed-form row that `sweep --mark-periodics` prints at lambda_N
             caustic = cg.CausticSpec(orbits[0].lam)
             row, _, _ = _spatial_row_values(table, caustic, _SWEEP_QUANTITIES, "closed")
-            worst_match = max(
+            worst_match = _worst([
                 worst_match,
                 *(_route_dev(name, value(r, n), row[name])
                   for r in reports for name, (_, value) in _AVERAGES.items()),
-            )
-            worst_identity = max(
-                worst_identity,
-                max(r.identity_residuals["sum_cos_identity"] for r in reports),
+            ])
+            worst_identity = _worst(
+                [worst_identity, *(r.identity_residuals["sum_cos_identity"] for r in reports)]
             )
             # sum_cos and the outer product vanish identically on the ca = 0
             # family (N = 4); below their roundoff floors the spread is vacuous
-            worst_spread = max(
+            worst_spread = _worst([
                 worst_spread,
                 _relative_spread([r.perimeter for r in reports], 0.0),
                 _relative_spread([r.sum_cos for r in reports], 1e-9),
                 _relative_spread([r.product_outer_cos for r in reports], 1e-12),
                 _relative_spread([r.sum_kappa23 for r in reports], 0.0),
-            )
+            ])
         elapsed = time.perf_counter() - t0
         checks.append(Check(f"N-periodic invariants vs spatial averages (N=3..7) [{tag}]",
                             "worst dev", worst_match, _PERIODIC_MATCH, elapsed))

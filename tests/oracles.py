@@ -9,9 +9,10 @@ with one integrand call per doubling level; lam_space_period_solve is
 find_caustic_for_period's root as scipy.optimize.brentq found it in lam;
 row_wise_invariants is evaluate_invariants on the rows of the vertex array;
 patch_complete_integrals swaps out every complete elliptic integral;
-outer_product_sums and EXPRESSION_FORMS are billiard_dynamics._sums and
-the four conic_geometry per-point forms that an orbit reads as they were
-written before they worked in place, one numpy expression each;
+outer_product_sums is billiard_dynamics._sums as it was written before its
+einsum contractions; EXPRESSION_FORMS are the four conic_geometry per-point
+forms that an orbit reads, one numpy expression each in the order of
+operations that pins their bits;
 masked_wrap_advances is billiard_dynamics._advances as _orbit's step check
 was written before it compared raw differences.
 """

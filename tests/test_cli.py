@@ -28,6 +28,8 @@ Proves:
    - a closed form off by 1e-6 fails the dual-route comparison: sweep
      --method both exits 3 naming the quantity, and the battery records a
      failing dual-route check (kappa^(2/3) included)
+   - a NaN closed-form cosine fails too: sweep --method both exits 3, the
+     battery's dual-route and N-periodic checks fail and verify exits 1
    - the ergodic check passes on a table whose mean interior cosine
      vanishes at one of its caustics
    - the battery integrates each caustic once: the dual-route Z check reads
@@ -302,6 +304,30 @@ def test_battery_compares_kappa23_routes(monkeypatch):
     checks = cli.run_battery([(2.0, 1.0)], quick=True)
     dual = [c for c in checks if c.name.startswith("dual-route")]
     assert len(dual) == 1 and not dual[0].passed
+
+
+def test_a_nan_closed_form_fails_the_sweep_and_the_battery(capsys, monkeypatch):
+    # NaN > tol is false, and Python's max drops a NaN that is not its first
+    # argument: neither may let a NaN deviation pass
+    honest = sa._closed_forms
+
+    def nan_cosine(table, caustic):
+        sidelength, _, curvature23, outer = honest(table, caustic)
+        return sidelength, math.nan, curvature23, outer
+
+    monkeypatch.setattr(sa, "_closed_forms", nan_cosine)
+    code, out, err = run_cli(capsys, "sweep", "--a", "2", "--steps", "3", "--method", "both")
+    assert code == 3 and "cosine routes disagree" in err
+    assert parse_csv(out)[1] == []
+    code, out, _ = run_cli(capsys, "verify", "--a", "2", "--quick")
+    failed = [line.split(" [")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1 and failed == [
+        "FAIL dual-route closed form vs quadrature",
+        "FAIL N-periodic invariants vs spatial averages (N=3..7)",
+    ]
+    # the identity and seed-spread checks fold their values the same way
+    assert math.isnan(cli._worst([0.0, 1.0, math.nan, 2.0]))
+    assert math.isnan(cli._relative_spread([1.0, math.nan], 1e-9))
 
 
 def test_battery_ergodic_check_where_the_mean_cosine_vanishes():

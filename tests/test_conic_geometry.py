@@ -30,10 +30,9 @@ Proves:
  Group 4 - Measure density and symmetry
    - explicit density values, circle constancy, u -> -u and u -> u+pi symmetry
    - ranges: cosines in [-1, 1], lengths and density positive
- Group 5 - The per-point forms in place
-   - each of the four private per-point forms an orbit reads, which
-     allocate their result and finish in place, is bit for bit its
-     one-expression form (tests/oracles.py) on the read-only arrays a scalar
+ Group 5 - The per-point forms bit for bit
+   - each of the four private per-point forms an orbit reads is bit for bit
+     its expression in tests/oracles.py on the read-only arrays a scalar
      and a composed orbit hand out, on a quadrature grid's (2, n) rows and
      on 0-d arrays and numpy scalars, at the circle, at ca = 0 and near the
      guard, and leaves its inputs as they were; the public functions of a
@@ -620,7 +619,7 @@ def _form_inputs(table, caustic):
 
 @pytest.mark.parametrize("name", sorted(EXPRESSION_FORMS))
 @pytest.mark.parametrize("table, frac", [(CIRCLE, 0.42), (T2, 0.37), (T2, 0.8), (T5, 1.0 - 1e-9)])
-def test_per_point_forms_in_place_are_their_expressions_bit_for_bit(name, table, frac):
+def test_per_point_forms_are_their_expressions_bit_for_bit(name, table, frac):
     """T2 at lam = 0.8 is ca = 0, where the outer cosine is 0 everywhere."""
     form, (expression, kind) = getattr(cg, name), EXPRESSION_FORMS[name]
     caustic = cg.CausticSpec(frac * table.b**2)
