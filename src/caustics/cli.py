@@ -21,7 +21,7 @@ from . import conic_geometry as cg
 from . import spatial_averages as sa
 from .billiard_dynamics import TIME_AVERAGE_QUANTITIES, iterate_orbit, time_average
 from .errors import DomainError, NumericalError
-from .invariant_suite import _dots, build_periodic_orbit, evaluate_invariants
+from .invariant_suite import _polygon, build_periodic_orbit, evaluate_invariants
 
 _DUAL_ROUTE_REL = 1e-9
 _PERIODIC_MATCH = 1e-6
@@ -102,7 +102,7 @@ def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise DomainError(f"--steps must be >= 1; got {args.steps}")
     quantities = _parse_quantities(args.quantities)
-    marks = _parse_int_list(args.mark_periodics)
+    marks = _parse_periods(args.mark_periodics)
 
     _print_meta(
         "sweep",
@@ -157,11 +157,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_periodic(args) -> int:
     table = cg.BilliardTable(args.a, args.b)
-    periods = _parse_int_list(args.n)
+    periods = _parse_periods(args.n)
     if not periods:
         raise DomainError("--n requires at least one period")
-    if min(periods) < 3:
-        raise DomainError(f"periods must be >= 3; got {min(periods)}")
     _print_meta("periodic", [("a", args.a), ("b", args.b), ("n", ",".join(map(str, periods)))])
     print(
         "n,lambda,b_c,perimeter,joachimsthal,sum_cos,product_outer_cos,sum_kappa23,"
@@ -202,13 +200,11 @@ def cmd_orbit(args) -> int:
         "orbit",
         [("a", args.a), ("b", args.b), ("lambda", args.lam), ("u0", args.u0), ("n", args.n)],
     )
-    print("# joachimsthal_residual: ||<A P, unit edge>| - J| on the outgoing edge (incoming for the last row)")
+    print("# joachimsthal_residual: |<A P, unit incoming edge> - J|, row 0 |<A P, unit outgoing edge> + J|")
     print("index,x,y,u_lifted,joachimsthal_residual")
     verts, us = sample.vertex_sequence, sample.u_sequence
-    edges = np.diff(verts, axis=0)
-    edges /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
-    normals = verts / np.array([table.a**2, table.b**2])
-    residuals = np.abs(np.abs(_dots(normals.T, np.vstack([edges, edges[-1:]]).T)) - j)
+    # vertex 1 put before vertex 0 makes row 0's departure an arrival on the reversed edge
+    *_, residuals = _polygon(table, j, np.concatenate((verts[1:2], verts)).T)
     for i in range(args.n + 1):
         print(
             ",".join(
@@ -360,13 +356,15 @@ def _parse_quantities(text):
     return names
 
 
-def _parse_int_list(text):
-    if not text:
-        return []
+def _parse_periods(text):
+    """A comma-separated list of periods, each an integer >= 3."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        periods = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise DomainError(f"expected a comma-separated integer list: {exc}") from None
+    if periods and min(periods) < 3:
+        raise DomainError(f"periods must be >= 3; got {min(periods)}")
+    return periods
 
 
 def build_parser() -> argparse.ArgumentParser:

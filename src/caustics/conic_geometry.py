@@ -53,6 +53,8 @@ class BilliardTable:
             raise DomainError(
                 f"semi-axes must satisfy a >= b > 0; got a={self.a}, b={self.b}"
             )
+        if not math.isfinite(self.a):
+            raise DomainError(f"semi-axis a must be finite; got a={self.a}")
 
     @property
     def c2(self) -> float:

@@ -69,36 +69,43 @@ def evaluate_invariants(orbit: PeriodicOrbit) -> InvariantReport:
     """
     table = orbit.table
     n = orbit.n
+    j = cg.joachimsthal(table, cg.CausticSpec(orbit.lam))
     # the polygon closed once on each side, as rows x and y: column k + 1 is
     # vertex k, column 0 vertex n - 1 and column n + 1 vertex 0
     v = np.concatenate((orbit.vertices[-1:], orbit.vertices, orbit.vertices[:1])).T
-    edges = v[:, 1:] - v[:, :-1]  # edges[:, k + 1] runs from vertex k to vertex k + 1
-    edge_len = np.hypot(edges[0], edges[1])
+    edge_len, to_next, gradients, arrival_residuals = _polygon(table, j, v)
     perimeter = float(edge_len[1:].sum())
-    j = cg.joachimsthal(table, cg.CausticSpec(orbit.lam))
 
     # at vertex k the unit direction to vertex k - 1 is exactly minus the one
     # from vertex k - 1 to vertex k
-    to_next = edges / edge_len
     sum_cos = -float(_dots(to_next[:, 1:], to_next[:, :-1]).sum())
 
-    gradients = v[:, 1:] / np.array([[table.a**2], [table.b**2]])
     normals = gradients / np.hypot(gradients[0], gradients[1])
-    product_outer = float(_dots(normals[:, :-1], normals[:, 1:]).prod())
+    product_outer = float(_dots(normals[:, 1:-1], normals[:, 2:]).prod())
 
     x, y = v[0, 1:-1], v[1, 1:-1]
     boundary_max = cg._boundary_residual(table, x, y)
     sum_kappa23 = float(cg._curvature23_at(table, x, y).sum())
 
-    # <A P, v> with v the unit incoming direction equals +J at every vertex
-    arrivals = _dots(gradients[:, 1:], to_next[:, 1:])
     residuals = {
         "sum_cos_identity": abs(sum_cos - (j * perimeter - n)),
-        "joachimsthal_spread": float(np.abs(arrivals - j).max()),
+        "joachimsthal_spread": float(arrival_residuals.max()),
         "boundary_max": boundary_max,
         "closure_defect": orbit.closure_defect,
     }
     return InvariantReport(perimeter, j, sum_cos, product_outer, sum_kappa23, residuals)
+
+
+def _polygon(table, j, v):
+    """Edge lengths, unit edges and gradients A P = (x/a^2, y/b^2) of a polygon
+    given as vertex columns v = [x, y], open or closed, and each edge's
+    Joachimsthal residual |<A P, e> - J| at its arrival vertex P, e the unit
+    edge: edge k runs from vertex k to vertex k + 1, and <A P, e> = +J there."""
+    edges = v[:, 1:] - v[:, :-1]
+    edge_len = np.hypot(edges[0], edges[1])
+    to_next = edges / edge_len
+    gradients = v / np.array([[table.a**2], [table.b**2]])
+    return edge_len, to_next, gradients, np.abs(_dots(gradients[:, 1:], to_next) - j)
 
 
 def _dots(p, q):

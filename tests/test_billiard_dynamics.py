@@ -729,7 +729,7 @@ def test_rotation_number_up_to_the_largest_table(a):
     assert float(rel) <= 1e-15
 
 
-@pytest.mark.parametrize("a", [1e200, math.inf])
+@pytest.mark.parametrize("a", [1e200])  # BilliardTable refuses a = inf itself
 def test_rotation_number_raises_where_it_is_not_finite(a):
     with pytest.raises(NumericalError, match="rotation number"):
         rotation_number(cg.BilliardTable(a, 1.0), cg.CausticSpec(0.5))

@@ -17,19 +17,25 @@ Proves:
    - circle square row: lambda = 0.5, L = 4 sqrt(2)
    - identity residual below 1e-9; n=100 resolves to a valid row
  Group 3 - orbit
-   - circle square vertex dump; residual column below 1e-9
+   - circle square vertex dump; residual column below 1e-9, and bit for bit
+     evaluate_invariants' arrival check: each row's unit incoming edge, row
+     0's outgoing edge as a departure
  Group 4 - verify and exit codes
    - quick circle battery passes with exit 0; one failing check exits 1
      with its FAIL line and the failure count
    - usage errors exit 2 (bad lambda, bad steps, unknown quantity,
      missing flags, verify --b without --a); unbracketable period exits 3
    - a sweep whose --lambda-max lies past the degeneracy guard exits 2
-     before it prints anything, as does an orbit whose --u0 is nan or +-inf
+     before it prints anything, as do a period below 3 (sweep
+     --mark-periodics, periodic --n), an infinite --a (every command) and an
+     orbit whose --u0 is nan or +-inf
    - a closed form off by 1e-6 fails the dual-route comparison: sweep
      --method both exits 3 naming the quantity, and the battery records a
      failing dual-route check (kappa^(2/3) included)
    - a NaN closed-form cosine fails too: sweep --method both exits 3, the
      battery's dual-route and N-periodic checks fail and verify exits 1
+   - negative control: with sum kappa in place of sum kappa^(2/3) exactly
+     the seed-invariance and N-periodic checks fail
    - the ergodic check passes on a table whose mean interior cosine
      vanishes at one of its caustics
    - the battery integrates each caustic once: the dual-route Z check reads
@@ -43,9 +49,10 @@ import math
 import numpy as np
 import pytest
 
+import caustics.conic_geometry as cg
 import caustics.spatial_averages as sa
 from caustics import cli
-from caustics.cli import Check, main
+from caustics.cli import Check, _fmt, main
 from oracles import patch_complete_integrals
 
 
@@ -214,6 +221,19 @@ def test_orbit_residual_column(capsys):
     _, rows = parse_csv(out)
     assert len(rows) == 1001
     assert max(float(r["joachimsthal_residual"]) for r in rows) < 1e-9
+    # evaluate_invariants' arrival check, bit for bit: row k >= 1 reads
+    # <A P, e> = +J on its unit incoming edge e; row 0 has none and reads its
+    # unit outgoing edge e as a departure, <A P, e> = -J
+    assert "# joachimsthal_residual: |<A P, unit incoming edge> - J|, row 0 |<A P, unit outgoing edge> + J|" in out
+    p = np.array([[float(r["x"]), float(r["y"])] for r in rows])
+    edges = p[1:] - p[:-1]
+    units = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    ap = p / np.array([4.0, 1.0])
+    j = cg.joachimsthal(cg.BilliardTable(2.0, 1.0), cg.CausticSpec(0.37))
+    arrivals = np.abs(ap[1:, 0] * units[:, 0] + ap[1:, 1] * units[:, 1] - j)
+    departure = abs(ap[0, 0] * units[0, 0] + ap[0, 1] * units[0, 1] + j)
+    expected = [_fmt(departure)] + [_fmt(r) for r in arrivals]
+    assert [r["joachimsthal_residual"] for r in rows] == expected
 
 
 # ----------------------------------------------------------------- group 4
@@ -265,6 +285,23 @@ def test_sweep_rejects_a_lambda_max_past_the_guard_before_printing(capsys):
     )
     assert code == 2 and out == ""
     assert "lambda-max <= b^2 (1 - 1e-9)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--a", "2", "--steps", "1", "--mark-periodics", "2"), "periods must be >= 3; got 2"),
+        (("periodic", "--a", "2", "--n", "2"), "periods must be >= 3; got 2"),
+        (("orbit", "--a", "inf", "--lambda", "0.5", "--n", "3"), "semi-axis a must be finite"),
+        (("sweep", "--a", "inf"), "semi-axis a must be finite"),
+        (("periodic", "--a", "inf", "--n", "3"), "semi-axis a must be finite"),
+        (("verify", "--a", "inf", "--quick"), "semi-axis a must be finite"),
+    ],
+)
+def test_usage_errors_exit_two_before_printing(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("u0", ["nan", "inf", "-inf"])
@@ -328,6 +365,28 @@ def test_a_nan_closed_form_fails_the_sweep_and_the_battery(capsys, monkeypatch):
     # the identity and seed-spread checks fold their values the same way
     assert math.isnan(cli._worst([0.0, 1.0, math.nan, 2.0]))
     assert math.isnan(cli._relative_spread([1.0, math.nan], 1e-9))
+
+
+def test_seed_invariance_check_fails_on_a_sum_that_moves_with_the_seed(monkeypatch):
+    # a negative control: sum kappa, unlike sum kappa^(2/3), is no invariant of
+    # a Poncelet family; its worst spread over N = 3..7 here is 1.2e-1 against
+    # the check's 1e-8, but in a single (table, N) cell it can fall to 6.2e-10
+    # (a = 1.2, N = 7), so the control, like the check, reads the worst over N
+    honest = cli.evaluate_invariants
+
+    def sum_kappa(orbit):
+        x, y = orbit.vertices.T
+        kappa = cg._curvature23_at(orbit.table, x, y) ** 1.5
+        return dataclasses.replace(honest(orbit), sum_kappa23=float(kappa.sum()))
+
+    monkeypatch.setattr(cli, "evaluate_invariants", sum_kappa)
+    checks = cli.run_battery([(2.0, 1.0)], quick=True)
+    failed = [c for c in checks if not c.passed]
+    assert [c.name.split(" (")[0] for c in failed] == [
+        "N-periodic invariants vs spatial averages",
+        "seed-invariance of periodic invariants",
+    ]
+    assert failed[1].worst > 1e5 * failed[1].tol
 
 
 def test_battery_ergodic_check_where_the_mean_cosine_vanishes():

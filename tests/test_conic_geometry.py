@@ -3,7 +3,8 @@ on the billiard boundary, and the pointwise quantities built from them.
 
 Proves:
  Group 1 - Construction and validation
-   - table/caustic validation rejects bad axes and out-of-range lambda
+   - table/caustic validation rejects bad axes, an infinite a among them, and
+     out-of-range lambda
    - caustic_axes values and the identity a_c^2 - b_c^2 = c^2
  Group 2 - Chord endpoints against an independent oracle
    - endpoints from the tangent-line/ellipse quadratic match endpoint_coordinates
@@ -180,6 +181,10 @@ def test_table_validation():
         cg.BilliardTable(1.0, 0.0)
     with pytest.raises(DomainError):
         cg.BilliardTable(-2.0, -1.0)
+    # a >= b > 0 holds for (inf, 1) and (inf, inf); the chords there are nan
+    for b in (1.0, math.inf):
+        with pytest.raises(DomainError, match="semi-axis a must be finite; got a=inf"):
+            cg.BilliardTable(math.inf, b)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 0.0, 1.0, 1.5])

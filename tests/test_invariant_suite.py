@@ -7,7 +7,10 @@ Proves:
    - circle hexagon: regular vertices, exact spacing
    - closure certificates and boundary residuals on generic tables
    - two seeds give distinct polygons with equal perimeter (Poncelet)
-   - period < 3 rejected; construction records lambda and the seed
+   - period < 3 rejected; construction records lambda and the seed, which
+     is 0.0 by default
+   - the closure certificate refuses a gap of 1e-6 and passes one an ulp
+     below it
  Group 2 - Exact circle invariants
    - square: L = 4 sqrt(2), J = sqrt(1/2), sum_cos = 0, product = 0
    - triangle: L = 3 sqrt(3), sum_cos = 3/2, product = -1/8
@@ -27,13 +30,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import caustics.conic_geometry as cg
+import caustics.invariant_suite as invariant_suite
 from caustics.billiard_dynamics import find_caustic_for_period
-from caustics.errors import DomainError
+from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import InvariantReport, build_periodic_orbit, evaluate_invariants
 from oracles import row_wise_invariants
 
@@ -76,6 +81,26 @@ def test_poncelet_same_perimeter_different_triangles():
 def test_period_validation():
     with pytest.raises(DomainError):
         build_periodic_orbit(T2, 2)
+
+
+def test_default_seed_is_zero():
+    assert build_periodic_orbit(T2, 5).seed_u == 0.0
+
+
+@pytest.mark.parametrize("gap", [1e-6, float(np.nextafter(1e-6, 0.0))])
+def test_closure_certificate_refuses_a_gap_of_1e_6(monkeypatch, gap):
+    # vertex 0 at the origin and vertex n at (gap, 0): hypot reads the gap exactly
+    def gapped(table, caustic, u0, n):
+        vertices = np.zeros((n + 1, 2))
+        vertices[n, 0] = gap
+        return SimpleNamespace(vertex_sequence=vertices)
+
+    monkeypatch.setattr(invariant_suite, "iterate_orbit", gapped)
+    if gap < 1e-6:
+        assert build_periodic_orbit(T2, 5).closure_defect == gap
+    else:
+        with pytest.raises(NumericalError, match="failed to close: defect 1.000e-06"):
+            build_periodic_orbit(T2, 5)
 
 
 # ----------------------------------------------------------------- group 2
