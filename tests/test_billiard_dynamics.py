@@ -729,9 +729,14 @@ def test_rotation_number_up_to_the_largest_table(a):
     assert float(rel) <= 1e-15
 
 
-@pytest.mark.parametrize("a", [1e200])  # BilliardTable refuses a = inf itself
-def test_rotation_number_raises_where_it_is_not_finite(a):
-    with pytest.raises(NumericalError, match="rotation number"):
+@pytest.mark.parametrize("a, error, match", [
+    (1e200, NumericalError, "rotation number"),
+    (math.inf, DomainError, "semi-axis a must be finite; got a=inf"),
+], ids=["1e+200", "inf"])
+def test_rotation_number_raises_where_it_is_not_finite(a, error, match):
+    """At a = 1e200 the rotation number itself is not finite; a = inf is
+    refused by the table before the rotation number is reached."""
+    with pytest.raises(error, match=match):
         rotation_number(cg.BilliardTable(a, 1.0), cg.CausticSpec(0.5))
 
 
