@@ -29,7 +29,7 @@ import numpy as np
 
 from . import conic_geometry as cg
 from .errors import DomainError, NumericalError
-from .spatial_averages import _CHORD_QUANTITIES, _DEGENERACY_GUARD, AverageResult, _chord_samples
+from .spatial_averages import _CHORD_POWERS, _CHORD_QUANTITIES, _DEGENERACY_GUARD, AverageResult, _chord_samples
 
 __all__ = [
     "OrbitSample",
@@ -60,8 +60,8 @@ class OrbitSample:
     by up to 5.0e-12 at a = 20, lam = b^2 (1 - 1e-6), against the orbit's own
     error of 2.5e-9 there (1,500 bounces, 40-digit reference).  Both arrays have
     length n+1 for an n-step orbit and are read-only: vertex_sequence, of
-    shape (n+1, 2), is the transposed view of the orbit's cached vertices,
-    which are kept as two contiguous rows x and y.  u_sequence, built on
+    shape (n+1, 2), is the transpose of the orbit's cached unit-table
+    vertices, two contiguous rows x and y, times b.  u_sequence, built on
     first access, is their monotone lift from u0: u0 + (angles - angles[0])
     + 2pi (whole turns so far), a turn being a step that lowers the angle.
     """
@@ -76,22 +76,21 @@ class OrbitSample:
         return self.u0 + ((self.angles - self.angles[0]) + _TAU * turns)
 
 
-def _advance_sequence(table, caustic, u0, n):
-    """Scalar iteration of the map: the n+1 tangency angles from u0, kept in [0, 2pi)."""
-    a, b = table.a, table.b
-    ac, bc = cg.caustic_axes(table, caustic)
+def _advance_sequence(a, lam, u0, n):
+    """Scalar iteration of the map on the unit table: the n+1 tangency angles
+    from u0, kept in [0, 2pi)."""
+    ac, bc = cg._axes(a, lam)
     ac2, bc2 = ac * ac, bc * bc
-    lam = caustic.lam
     # tan(delta) = sqrt(R^2 - 1), R^2 = x^2/a_c^2 + y^2/b_c^2 at P1(u) = (x, y).
     # With P1 from endpoint_coordinates and C, S = cos u, sin u this is
-    #   tan(delta) = sqrt(lam) hypot(a b_c^2 C - b z S, b a_c^2 S + a z C) / d,
+    #   tan(delta) = sqrt(lam) hypot(a b_c^2 C - z S, a_c^2 S + a z C) / d,
     #   z = sqrt(lam w),  d = D,
     # in the chord factors of conic_geometry._endpoints, w = b_c^2 C^2 + a_c^2 S^2
-    # and D = a^2 b_c^2 C^2 + b^2 a_c^2 S^2.  This keeps its relative accuracy
+    # and D = a^2 b_c^2 C^2 + a_c^2 S^2.  This keeps its relative accuracy
     # as lam -> 0, where R -> 1 and acos(1/R) would not.  _orbit certifies
     # every step against the chord endpoints.
-    sqrt_lam, abc2, bac2 = math.sqrt(lam), a * bc2, b * ac2
-    a2bc2, b2ac2 = a * abc2, b * bac2
+    sqrt_lam, abc2 = math.sqrt(lam), a * bc2
+    a2bc2 = a * abc2
     cos, sin, sqrt, atan, hypot = math.cos, math.sin, math.sqrt, math.atan, math.hypot
     tau = _TAU
     us = np.empty(n + 1)
@@ -100,8 +99,8 @@ def _advance_sequence(table, caustic, u0, n):
         us[i] = u
         C, S = cos(u), sin(u)
         z = sqrt(lam * (bc2 * C * C + ac2 * S * S))
-        d = a2bc2 * C * C + b2ac2 * S * S
-        u = u + 2.0 * atan(sqrt_lam * hypot(abc2 * C - b * z * S, bac2 * S + a * z * C) / d)
+        d = a2bc2 * C * C + ac2 * S * S
+        u = u + 2.0 * atan(sqrt_lam * hypot(abc2 * C - z * S, ac2 * S + a * z * C) / d)
         if u >= tau:  # a step is below pi, so one turn at most; u - 2pi is exact
             u -= tau
     us[n] = u
@@ -161,12 +160,13 @@ def _sums(shifts, points):
     return sn, cn
 
 
-def _composed_sequence(table, caustic, u0, n):
-    """(angles, cos u, sin u) of the n+1 tangency points from u0, composed
-    in three levels from two short runs; the angles lie in [-pi, pi].
+def _composed_sequence(a, lam, u0, n):
+    """(angles, cos u, sin u) of the n+1 tangency points from u0 on the unit
+    table, composed in three levels from two short runs; the angles lie in
+    [-pi, pi].
 
-    In t = F(u - pi/2 | s3), s3 = c^2/a_c^2, the map is the rotation
-    t -> t + Delta, and the chord at u has (sn t, cn t, dn t) =
+    In t = F(u - pi/2 | s3), s3 = c^2/a_c^2, c^2 = a^2 - 1, the map is the
+    rotation t -> t + Delta, and the chord at u has (sn t, cn t, dn t) =
     (-cos u, sin u, sqrt(b_c^2 + c^2 sin^2 u)/a_c).  With r the whole part
     of the cube root of n+1 plus one, so r^3 >= n+1, two runs of the scalar
     loop give the base u_0 ... u_{r-1} and, from u = pi/2 (t = 0), the jump
@@ -181,12 +181,12 @@ def _composed_sequence(table, caustic, u0, n):
     are never taken again.  In all, 2r - 1 scalar steps and r + T - 1 links,
     at most 4r - 2 Python steps against about 3 sqrt(n) for two levels.
     """
-    ac, bc = cg.caustic_axes(table, caustic)
-    s3, kp2 = table.c2 / (ac * ac), (bc * bc) / (ac * ac)
+    ac, bc = cg._axes(a, lam)
+    s3, kp2 = (a * a - 1.0) / (ac * ac), (bc * bc) / (ac * ac)
     r = int((n + 1) ** (1.0 / 3.0)) + 1  # r^3 >= n + 1, so the top chain takes at most r states
-    base = _advance_sequence(table, caustic, u0, r - 1)
+    base = _advance_sequence(a, lam, u0, r - 1)
     sb, cb = -np.cos(base), np.sin(base)
-    v = float(_advance_sequence(table, caustic, 0.5 * math.pi, r)[-1])
+    v = float(_advance_sequence(a, lam, 0.5 * math.pi, r)[-1])
     cj = math.sin(v)
     ss, cs, ds = _addition_chain((-math.cos(v), cj, math.sqrt(kp2 + s3 * cj * cj)), r, s3, kp2)
     sm, cm = _sums((ss[:-1], cs[:-1], ds[:-1]), (sb, cb, np.sqrt(kp2 + s3 * cb * cb)))
@@ -212,17 +212,17 @@ def _composed_sequence(table, caustic, u0, n):
 
 
 @functools.lru_cache(maxsize=2)
-def _orbit(table, caustic, u0, n):
-    """The certified n-step orbit from u0 mod 2pi: read-only (angles,
-    vertices, w) of its n+1 tangency points, w the endpoint pass's chord
-    factor b_c^2 cos^2 u + a_c^2 sin^2 u.
+def _orbit(a, lam, u0, n, tol):
+    """The certified n-step orbit from u0 mod 2pi on the unit table: read-only
+    (angles, vertices, w) of its n+1 tangency points, w the endpoint pass's
+    chord factor b_c^2 cos^2 u + a_c^2 sin^2 u.
 
     From _COMPOSE_MIN bounces the points are composed (_composed_sequence),
     each with its angle, its rounded atan2 read; below it the scalar loop runs
     and its angles are the points.  Either way they are certified as computed,
     never lifted, so each is rounded at ulp(2pi) at most and a far seed costs
     no precision: the chord at point k+1 must start where the chord at point k
-    ends, P2 = P1 to _SHARE_TOL (compared squared), and u_{k+1} - u_k mod 2pi
+    ends, P2 = P1 to tol (compared squared), and u_{k+1} - u_k mod 2pi
     must lie in (0, pi), which _advances asks of the raw difference by plain
     comparisons, exactly as a wrap of a negative one by 2pi would; otherwise
     NumericalError.  The vertices are planar, (2, n+1) rows x and y, so the
@@ -230,7 +230,8 @@ def _orbit(table, caustic, u0, n):
     k+1 is P1 at point k (OrbitSample says how far a vertex read at the
     rounded angle moves).  w of the points is kept for the samples that read
     it, so no caller forms it or takes a sine again.  Callers share the
-    cached arrays, so they are handed out read-only.
+    cached arrays, so they are handed out read-only.  NumericalError past
+    cg._MAX_ASPECT, where the composed points underflow.
 
     The maxsize=2 cache also holds up ergodic throughput: its arrays keep
     glibc's heap grown between ops, and without it perfbench's
@@ -238,13 +239,14 @@ def _orbit(table, caustic, u0, n):
     against 902-933; 8 s pairs, 2 vCPUs).  It costs memory: the two cached
     10^6-bounce orbits are 61 MB of verify's 176 MB peak (115 MB without it).
     """
+    cg._check_aspect(a)
     r0 = u0 % _TAU % _TAU  # the second % maps 2 pi, rounded from a tiny negative u0, to 0
     if n >= _COMPOSE_MIN:
-        angles, cos_u, sin_u = _composed_sequence(table, caustic, r0, n)
+        angles, cos_u, sin_u = _composed_sequence(a, lam, r0, n)
     else:
-        angles = _advance_sequence(table, caustic, r0, n)
+        angles = _advance_sequence(a, lam, r0, n)
         cos_u, sin_u = np.cos(angles), np.sin(angles)
-    ends, w = cg._endpoints(table, caustic, cos_u, sin_u)  # rows x, y of (P1, P2)
+    ends, w = cg._endpoints(a, lam, cos_u, sin_u)  # rows x, y of (P1, P2)
     del cos_u, sin_u
     # allocated once the endpoint pass has freed its temporaries: verify then
     # peaks at 177 MB, against 184 MB with it allocated before the pass
@@ -258,14 +260,14 @@ def _orbit(table, caustic, u0, n):
     gap = np.add(delta[0], delta[1], out=delta[0])
     steps = angles[1:] - angles[:-1]
     ok = _advances(steps)
-    if not (ok.all() and np.maximum.reduce(gap) <= _SHARE_TOL**2):  # NaN fails too
-        ok &= gap <= _SHARE_TOL**2
+    if not (ok.all() and np.maximum.reduce(gap) <= tol**2):  # NaN fails too
+        ok &= gap <= tol**2
         k = int(np.argmin(ok))  # the first failing step
         step = float(steps[k])
         if step < 0.0:  # both angles lie in one interval of length 2pi
             step += _TAU
         raise NumericalError(
-            f"billiard step {k} failed at u={angles[k]}, lam={caustic.lam}: "
+            f"billiard step {k} failed at u={angles[k]}, lam={lam}: "
             f"endpoint-sharing residual {math.sqrt(gap[k]):.3e}, advance {step!r}"
         )
     for array in (angles, vertices, w):
@@ -313,12 +315,23 @@ def iterate_orbit(table, caustic, u0: float, n: int) -> OrbitSample:
     Returns an OrbitSample with n+1 angles and n+1 vertices; vertex 0 is the
     backward endpoint P2(u0), vertex i+1 the forward endpoint P1(u_i), so the
     sample describes n chords.  The arrays are read-only; vertex_sequence is
-    the (n+1, 2) transposed view of the cached orbit's two vertex rows.
+    the (n+1, 2) transpose of the cached unit orbit's two vertex rows times b.
     DomainError unless u0 is finite and n a whole number >= 1.
     """
     u0 = _seed(u0)
-    angles, verts, _ = _orbit(table, caustic, u0, _whole(n, 1, "orbit length"))
+    a, lam, b = cg._unit(table, caustic)
+    angles, verts, _ = _orbit(a, lam, u0, _whole(n, 1, "orbit length"), _gap_tol(b))
+    verts = verts * b
+    verts.flags.writeable = False
     return OrbitSample(u0, angles, verts.T)
+
+
+def _gap_tol(b):
+    """The unit table's endpoint-gap tolerance, _SHARE_TOL/max(1, b): the
+    table's gap is held to min(_SHARE_TOL, _SHARE_TOL b), never looser than
+    _SHARE_TOL, and to the same relative gap on every table smaller than
+    b = 1."""
+    return _SHARE_TOL / max(1.0, b)
 
 
 def rotation_number(table, caustic) -> float:
@@ -349,19 +362,24 @@ def rotation_number(table, caustic) -> float:
     rho is not finite (a^2 overflows) or the mean does not settle within
     _AGM_STEPS steps.
     """
-    ac, bc = cg.caustic_axes(table, caustic)
-    a_t, b_t = table.a, table.b
+    return _rotation(*cg._unit(table, caustic)[:2])
+
+
+def _rotation(a_t, lam):
+    """rotation_number of the unit table (a_t, 1) and caustic lam, which its
+    messages name; a and g are the mean's."""
+    ac, bc = cg._axes(a_t, lam)
     g = bc / ac
     if not g > 0.0:  # a_c overflowed with a^2
-        raise NumericalError(f"rotation number is not finite at a={a_t}, b={b_t}, lam={caustic.lam}")
+        raise NumericalError(f"rotation number is not finite at a={a_t}, b=1.0, lam={lam}")
     c = 0.5 * (1.0 - g)
-    x, y = bc, math.sqrt(caustic.lam)
+    x, y = bc, math.sqrt(lam)
     a, turns, n = 1.0, 0, 0
     sqrt = math.sqrt
     while c > _AGM_TOL * a:
         if n == _AGM_STEPS:
             raise NumericalError(
-                f"rotation number: the mean did not settle at a={a_t}, b={b_t}, lam={caustic.lam}"
+                f"rotation number: the mean did not settle at a={a_t}, b=1.0, lam={lam}"
             )
         xx, yy = x * x, y * y
         h = 1.0 / (xx + yy)
@@ -379,7 +397,7 @@ def rotation_number(table, caustic) -> float:
     angle = math.atan2(y, x) - math.atan2(c * x * y, a * x * x + g * y * y)
     rho = (turns + angle / math.pi) / (1 << n)
     if not math.isfinite(rho):
-        raise NumericalError(f"rotation number {rho} at a={a_t}, b={b_t}, lam={caustic.lam}")
+        raise NumericalError(f"rotation number {rho} at a={a_t}, b=1.0, lam={lam}")
     return rho
 
 
@@ -459,55 +477,57 @@ def find_caustic_for_period(table, n: int) -> cg.CausticSpec:
     of the solve: the n-step orbit from u_0 = 0 must close after one turn,
     |u_n - u_0 - 2 pi| <= 1e-10, read off its angles and their count of
     wraps (by Poncelet it then closes from every seed).  On the circle
-    lam_n = b^2 sin^2(pi/n) exactly.  The last two (table, n) solved are
-    kept, so a caller that builds several seeds of one period solves it once.
+    lam_n = b^2 sin^2(pi/n) exactly.  The solve runs on the unit table and
+    lam_n is its root times b^2.  The last two (a/b, n) solved are kept, so
+    a caller that builds several seeds of one period solves it once.
     """
-    return _caustic_for_period(table, _whole(n, 3, "period"))
+    n, b = _whole(n, 3, "period"), table.b
+    return cg.CausticSpec(_caustic_for_period(table.a / b, n, _gap_tol(b)) * (b * b))
 
 
 @functools.lru_cache(maxsize=2)
-def _caustic_for_period(table, n):
-    """find_caustic_for_period's bracket, root solve and closure certificate."""
-    b2 = table.b * table.b
-    lo, hi = 1e-9 * b2, _DEGENERACY_GUARD * b2
-    phi_lo, phi_hi = (math.atan2(math.sqrt(lam), math.sqrt(b2 - lam)) for lam in (lo, hi))
+def _caustic_for_period(a, n, tol):
+    """find_caustic_for_period's bracket, root solve and closure certificate
+    on the unit table: lam_n/b^2, its orbit certified to the gap tol."""
+    lo, hi = 1e-9, _DEGENERACY_GUARD
+    phi_lo, phi_hi = (math.atan2(math.sqrt(lam), math.sqrt(1.0 - lam)) for lam in (lo, hi))
 
-    def lam_at(phi):  # lo and hi at the ends of the bracket, where b^2 sin^2 may round off them
+    def lam_at(phi):  # lo and hi at the ends of the bracket, where sin^2 may round off them
         if phi <= phi_lo or phi >= phi_hi:
             return lo if phi <= phi_lo else hi
-        return min(max(b2 * math.sin(phi) ** 2, lo), hi)
+        return min(max(math.sin(phi) ** 2, lo), hi)
 
-    def tol(phi):
+    def width(phi):
         # 8.9e-16 phi, or where that is finer than lam resolves, the phi-width of
         # 2.2e-16 lam (d lam/d phi = b^2 sin 2 phi): each keeps lam within the
-        # tolerance of a solve in lam, 1e-15 b^2 + 8.9e-16 lam
+        # tolerance of a solve in lam, 1e-15 + 8.9e-16 lam
         return max(8.9e-16 * phi, 1.1e-16 * math.tan(phi))
 
     def excess(phi):
-        return rotation_number(table, cg.CausticSpec(lam_at(phi))) - 1.0 / n
+        return _rotation(a, lam_at(phi)) - 1.0 / n
 
     try:
-        phi_n = brentq(excess, phi_lo, phi_hi, math.pi / n, (0.0, -1.0 / n), tol)
+        phi_n = brentq(excess, phi_lo, phi_hi, math.pi / n, (0.0, -1.0 / n), width)
     except ValueError:
         raise NumericalError(
-            f"failed to bracket the {n}-periodic caustic in (0, b^2) for a={table.a}, b={table.b}"
+            f"failed to bracket the {n}-periodic caustic in (0, b^2) for a={a}, b=1.0"
         ) from None
-    caustic = cg.CausticSpec(lam_at(phi_n))
-    angles = _orbit(table, caustic, 0.0, n)[0]
+    lam = lam_at(phi_n)
+    angles = _orbit(a, lam, 0.0, n, tol)[0]
     wraps = int(np.count_nonzero(angles[1:] < angles[:-1]))  # a Python int: numpy scalar math is slow
     residual = abs(angles[-1] - angles[0] + _TAU * (wraps - 1))
     if residual > 1e-10:
         raise NumericalError(
-            f"{n}-periodic closure defect {residual:.3e} at lam={caustic.lam}"
+            f"{n}-periodic closure defect {residual:.3e} at lam={lam}"
         )
-    return caustic
+    return lam
 
 
 TIME_AVERAGE_QUANTITIES = _CHORD_QUANTITIES
 
 
 @functools.lru_cache(maxsize=2)
-def _orbit_means(table, caustic, u0, n):
+def _orbit_means(a, lam, u0, n, tol):
     """(mean over the first n chords, mean over the first half of them) of
     each per-chord sample, in TIME_AVERAGE_QUANTITIES order, from one pass of
     _chord_samples over the certified orbit.  Chord k joins vertex k to
@@ -515,9 +535,9 @@ def _orbit_means(table, caustic, u0, n):
     vertex's inverse focal product and kappa^(2/3) are evaluated once and
     read by both of its chords, with the points' w: no endpoint, no
     boundary check and no trigonometric function is evaluated again."""
-    _, (x, y), w = _orbit(table, caustic, u0, n)
-    q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
-    samples = _chord_samples(table, caustic, w[:n], q[1:], q[:-1], k[1:], k[:-1])
+    _, (x, y), w = _orbit(a, lam, u0, n, tol)
+    q, k = cg._inverse_focal_product(a, y), cg._curvature23_at(a, x, y)
+    samples = _chord_samples(a, lam, w[:n], q[1:], q[:-1], k[1:], k[:-1])
     m = max(1, n // 2)
     full = (np.add.reduce(samples, axis=-1) / n).tolist()  # np.mean's sum and division
     half = (np.add.reduce(samples[:, :m], axis=-1) / m).tolist()
@@ -537,8 +557,10 @@ def time_average(table, caustic, quantity: str, n: int, u0: float = 0.1) -> Aver
         raise DomainError(
             f"unknown quantity {quantity!r}; expected one of {TIME_AVERAGE_QUANTITIES}"
         )
-    means = _orbit_means(table, caustic, _seed(u0), _whole(n, 1, "orbit length"))
-    value, half = means[TIME_AVERAGE_QUANTITIES.index(quantity)]
+    a, lam, b = cg._unit(table, caustic)
+    i = TIME_AVERAGE_QUANTITIES.index(quantity)
+    value, half = _orbit_means(a, lam, _seed(u0), _whole(n, 1, "orbit length"), _gap_tol(b))[i]
     # equal means drift by 0, also where both are -inf (log|outer cosine| at ca = 0)
     err = abs(value - half) if value != half else 0.0
-    return AverageResult(value, "time_average", err, caustic.lam)
+    scale = b ** _CHORD_POWERS[i]
+    return AverageResult(value * scale, "time_average", err * scale, caustic.lam)

@@ -195,7 +195,7 @@ def cmd_orbit(args) -> int:
     table = cg.BilliardTable(args.a, args.b)
     caustic = cg.CausticSpec(args.lam)
     sample = iterate_orbit(table, caustic, args.u0, args.n)
-    j = cg.joachimsthal(table, caustic)
+    a, lam, b = cg._unit(table, caustic)
     _print_meta(
         "orbit",
         [("a", args.a), ("b", args.b), ("lambda", args.lam), ("u0", args.u0), ("n", args.n)],
@@ -203,12 +203,13 @@ def cmd_orbit(args) -> int:
     print("# joachimsthal_residual: |<A P, unit incoming edge> - J|, row 0 |<A P, unit outgoing edge> + J|")
     print("index,x,y,u_lifted,joachimsthal_residual")
     verts, us = sample.vertex_sequence, sample.u_sequence
-    # vertex 1 put before vertex 0 makes row 0's departure an arrival on the reversed edge
-    *_, residuals = _polygon(table, j, np.concatenate((verts[1:2], verts)).T)
+    # vertex 1 put before vertex 0 makes row 0's departure an arrival on the
+    # reversed edge; the residuals, of the unit polygon, scale like 1/b
+    *_, residuals = _polygon(a, cg._joachimsthal(a, lam), np.concatenate((verts[1:2], verts)).T / b)
     for i in range(args.n + 1):
         print(
             ",".join(
-                [str(i), _fmt(verts[i, 0]), _fmt(verts[i, 1]), _fmt(us[i]), _fmt(residuals[i])]
+                [str(i), _fmt(verts[i, 0]), _fmt(verts[i, 1]), _fmt(us[i]), _fmt(residuals[i] / b)]
             )
         )
     return 0
@@ -272,10 +273,12 @@ def run_battery(tables, quick=False):
         for frac in np.arange(0.05, 0.9501, 0.05):
             caustic = cg.CausticSpec(float(frac) * b2)
             _, _, devs = _spatial_row_values(table, caustic, _SWEEP_QUANTITIES, "both")
-            # the Z that each average's quadrature pair integrated, off the same grid
-            z = sa.normalization(table, caustic)
+            # the Z that each average's quadrature pair integrated on the unit
+            # table, off the same grid; Z scales like b^(1/3)
+            z = sa.normalization(table, caustic) * b ** (-1.0 / 3.0)
             z_devs = [abs(quad_z / z - 1.0)
-                      for *_, quad_z in sa._quadrature_averages(table, caustic) if quad_z is not None]
+                      for *_, quad_z in sa._quadrature_averages(*cg._unit(table, caustic)[:2])
+                      if quad_z is not None]
             worst = _worst([worst, *z_devs, *devs.values()])
         checks.append(Check(f"dual-route closed form vs quadrature [{tag}]", "worst rel dev",
                             worst, _DUAL_ROUTE_REL, time.perf_counter() - t0))

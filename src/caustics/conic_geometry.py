@@ -6,9 +6,18 @@ The outer ellipse x^2/a^2 + y^2/b^2 = 1 is the billiard boundary; the inner
 by the angular parameter u of its tangency point.  This module computes the
 chord endpoints, lengths, vertex cosines, outer-normal cosines, curvature and
 the invariant measure density, all as plain functions of (table, caustic, u).
+
+Scale convention: b is only a unit of length.  The private forms compute on
+the unit table (a/b, 1) and the caustic lam/b^2, given as the two floats
+(a, lam), and never see b; _unit converts a (table, caustic) pair, and each
+public function converts on the way in and multiplies its result by b to
+its quantity's power on the way out: lengths, vertices, a_c and b_c by b,
+kappa^(2/3) by b^(-2/3), rho(u) and Z by b^(1/3), J by 1/b and lam by b^2,
+while cosines and the rotation number are scale-free.  At b = 1 every
+factor is 1.0 and the result is the unit table's, bit for bit.
 Each formula is written once, in the values it needs: both endpoints in one
 pass over (cos u, sin u), from the chord factors w = b_c^2 cos^2 u +
-a_c^2 sin^2 u and D = a^2 b_c^2 cos^2 u + b^2 a_c^2 sin^2 u (_endpoints),
+a_c^2 sin^2 u and D = a^2 b_c^2 cos^2 u + a_c^2 sin^2 u (_endpoints),
 which hands out w; the chord length, outer cosine and density in that w
 (_chord_length_at, _outer_cosine_at, _measure_density_at); and kappa^(2/3)
 and the inverse focal product 1/(d1 d2) at boundary points, both endpoints'
@@ -69,21 +78,48 @@ class CausticSpec:
     lam: float
 
 
+def _unit(table: BilliardTable, caustic: CausticSpec) -> tuple[float, float, float]:
+    """(a/b, lam/b^2, b): the unit table and caustic that the private forms
+    compute on, and the scale that the public functions put back.
+
+    Raises DomainError unless 0 < lam < b^2 (elliptic caustic strictly inside
+    the billiard), checked as 0 < lam/b^2 < 1.
+    """
+    b = table.b
+    lam = caustic.lam / b / b
+    if not lam > 0.0:
+        raise DomainError(f"caustic parameter must satisfy lam > 0; got lam={caustic.lam}")
+    if not lam < 1.0:
+        raise DomainError(f"caustic parameter must satisfy lam < b^2 = {b * b}; got lam={caustic.lam}")
+    return table.a / b, lam, b
+
+
+# The largest a/b that the averages and orbits compute at.  Their products
+# stay finite below it: the closed forms' q r3 is at most a^8, the
+# quadrature's kappa^(2/3) forms a^4, and the composed orbit's denominators
+# are at least b_c^2/a_c^2 >= 2^-53/a^2, whose square it takes.
+_MAX_ASPECT = 2.0**127
+
+
+def _check_aspect(a):
+    """NumericalError naming a/b where a exceeds _MAX_ASPECT (1.7e38)."""
+    if not a <= _MAX_ASPECT:
+        raise NumericalError(f"aspect ratio a/b={a} exceeds 2^127, past which the routes overflow")
+
+
+def _axes(a, lam):
+    """The unit caustic's semi-axes (sqrt(a^2 - lam), sqrt(1 - lam)), unchecked."""
+    return math.sqrt(a * a - lam), math.sqrt(1.0 - lam)
+
+
 def caustic_axes(table: BilliardTable, caustic: CausticSpec) -> tuple[float, float]:
     """Semi-axes (a_c, b_c) = (sqrt(a^2-lam), sqrt(b^2-lam)) of the caustic.
 
     Raises DomainError unless 0 < lam < b^2 (elliptic caustic strictly inside
     the billiard).  Note a_c^2 - b_c^2 = c^2: the pair is confocal.
     """
-    lam = caustic.lam
-    b2 = table.b * table.b
-    if not lam > 0.0:
-        raise DomainError(f"caustic parameter must satisfy lam > 0; got lam={lam}")
-    if not lam < b2:
-        raise DomainError(
-            f"caustic parameter must satisfy lam < b^2 = {b2}; got lam={lam}"
-        )
-    return math.sqrt(table.a * table.a - lam), math.sqrt(b2 - lam)
+    a, lam, b = _unit(table, caustic)
+    return tuple(axis * b for axis in _axes(a, lam))
 
 
 def joachimsthal(table: BilliardTable, caustic: CausticSpec) -> float:
@@ -92,8 +128,12 @@ def joachimsthal(table: BilliardTable, caustic: CausticSpec) -> float:
     Equals <A P, v> at each vertex P with unit incoming direction v, where
     A = diag(1/a^2, 1/b^2); the outgoing direction gives -J.
     """
-    caustic_axes(table, caustic)  # domain check
-    return math.sqrt(caustic.lam) / (table.a * table.b)
+    return _joachimsthal(*_unit(table, caustic)[:2]) / table.b
+
+
+def _joachimsthal(a, lam):
+    """J = sqrt(lam)/a of the unit table and caustic."""
+    return math.sqrt(lam) / a
 
 
 def endpoint_coordinates(table, caustic, u):
@@ -102,12 +142,13 @@ def endpoint_coordinates(table, caustic, u):
     P1 is the endpoint ahead of the tangency point in the counterclockwise
     direction, P2 the one behind, so consecutive chords share P1(u) = P2(u+).
     """
+    a, lam, b = _unit(table, caustic)
     u = np.asarray(u, dtype=float)
-    ((x1, x2), (y1, y2)), _ = _endpoints(table, caustic, np.cos(u), np.sin(u))
-    return x1, y1, x2, y2
+    ((x1, x2), (y1, y2)), _ = _endpoints(a, lam, np.cos(u), np.sin(u))
+    return x1 * b, y1 * b, x2 * b, y2 * b
 
 
-def _endpoints(table, caustic, cos_u, sin_u):
+def _endpoints(a, lam, cos_u, sin_u):
     """Both endpoints of the chords tangent at the angles u with the given
     cos u and sin u (arrays), which the caller has at hand: an orbit or a
     quadrature grid takes them once for every sample it needs.  They come
@@ -117,20 +158,19 @@ def _endpoints(table, caustic, cos_u, sin_u):
 
     Both read the chord factors, homogeneous in (C, S) = (cos u, sin u),
 
-        w = b_c^2 C^2 + a_c^2 S^2,    D = a^2 b_c^2 C^2 + b^2 a_c^2 S^2,
+        w = b_c^2 C^2 + a_c^2 S^2,    D = a^2 b_c^2 C^2 + a_c^2 S^2,
 
-    as x = a a_c (a b_c^2 C -/+ sqrt(lam) b sqrt(w) S)/D and
-    y = b b_c (b a_c^2 S +/- sqrt(lam) a sqrt(w) C)/D, upper signs at P1.
+    as x = a a_c (a b_c^2 C -/+ sqrt(lam) sqrt(w) S)/D and
+    y = b_c (a_c^2 S +/- sqrt(lam) a sqrt(w) C)/D, upper signs at P1.
     They are the billiard step's z^2/lam and d; the chord length is
-    2 a b sqrt(lam) w/D and rho is (a_c b_c)^(2/3)/sqrt(w), each written in
+    2 a sqrt(lam) w/D and rho is (a_c b_c)^(2/3)/sqrt(w), each written in
     w below.  psi = a_c^2 b_c^2 D is the chord's denominator:
     NumericalError where D is not positive, as at a NaN angle or at
     (C, S) = (0, 0), which is no point of the circle.  A call holds seven
     arrays of u's size, its result included: sqrt(w) is taken into the row
     of D's terms, so w survives for the caller.
     """
-    a, b = table.a, table.b
-    ac, bc = caustic_axes(table, caustic)
+    ac, bc = _axes(a, lam)
     ac2, bc2 = ac * ac, bc * bc
     shape = cos_u.shape
     c, s = cos_u.reshape(-1), sin_u.reshape(-1)  # so that every row below is an array
@@ -145,7 +185,6 @@ def _endpoints(table, caustic, cos_u, sin_u):
     f1 *= ac2
     w = f0 + f1
     f0 *= a * a
-    f1 *= b * b
     d = np.add(f0, f1, out=f0)
     if not d.min(initial=math.inf) > 0.0:  # NaN fails too
         k = int(np.argmin(d > 0.0))  # the first failing index
@@ -153,7 +192,7 @@ def _endpoints(table, caustic, cos_u, sin_u):
         raise NumericalError(f"degenerate chord denominator psi <= 0 at index {k}, u={u!r}")
     inv_d = np.reciprocal(d, out=d)
     root_w = np.sqrt(w, out=f1)
-    rl = math.sqrt(caustic.lam)
+    rl = math.sqrt(lam)
     ends = np.empty((2, 2, len(c)))  # x (P1, P2), y (P1, P2)
     # P2 first holds C/D and S/D, then the terms common to both endpoints;
     # f, whose 1/D and then sqrt(w) are spent, the ones that P1 adds and P2
@@ -164,42 +203,42 @@ def _endpoints(table, caustic, cos_u, sin_u):
     np.multiply(y2, root_w, out=f0)
     np.multiply(x2, root_w, out=f1)
     x2 *= a * ac * a * bc2
-    y2 *= b * bc * b * ac2
-    f0 *= -(a * ac * rl * b)
-    f1 *= b * bc * rl * a
+    y2 *= bc * ac2
+    f0 *= -(a * ac * rl)
+    f1 *= bc * rl * a
     mid = ends[:, 1]
     np.add(mid, f, out=ends[:, 0])
     mid -= f
     return ends.reshape((2, 2) + shape), w.reshape(shape)
 
 
-def _pointwise(formula, table, caustic, u):
-    """formula(table, caustic, w) at u, a float where u is a scalar, with the
-    chord factor w formed as _endpoints forms it, so that a public function
-    of u is bit for bit its private form on an endpoint pass's w."""
-    ac, bc = caustic_axes(table, caustic)
+def _pointwise(formula, a, lam, u):
+    """formula(a, lam, w) at u, a float where u is a scalar, with the chord
+    factor w formed as _endpoints forms it, so that a public function of u
+    is bit for bit its private form on an endpoint pass's w."""
+    ac, bc = _axes(a, lam)
     u = np.asarray(u, dtype=float)
     c, s = np.cos(u), np.sin(u)
-    val = formula(table, caustic, c * c * (bc * bc) + s * s * (ac * ac))
+    val = formula(a, lam, c * c * (bc * bc) + s * s * (ac * ac))
     return float(val) if val.ndim == 0 else val
 
 
 def chord_length(table, caustic, u):
     """Length of the chord tangent at u; u may be an array (_chord_length_at)."""
-    return _pointwise(_chord_length_at, table, caustic, u)
+    a, lam, b = _unit(table, caustic)
+    return _pointwise(_chord_length_at, a, lam, u) * b
 
 
-def _chord_length_at(table, caustic, w):
-    """chord_length at the chord factor w of _endpoints: 2 a b sqrt(lam) w/D,
+def _chord_length_at(a, lam, w):
+    """chord_length at the chord factor w of _endpoints: 2 a sqrt(lam) w/D,
     with D = a_c^2 b_c^2 + lam w on the circle C^2 + S^2 = 1, as
 
-        2 a b sqrt(lam)/(lam + a_c^2 b_c^2/w);
+        2 a sqrt(lam)/(lam + a_c^2 b_c^2/w);
 
-    its terms are all non-negative, so nothing cancels as lam -> b^2.
+    its terms are all non-negative, so nothing cancels as lam -> 1.
     """
-    ac, bc = caustic_axes(table, caustic)
-    lam = caustic.lam
-    return 2.0 * table.a * table.b * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
+    ac, bc = _axes(a, lam)
+    return 2.0 * a * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
 
 
 def interior_cosine(table, caustic, u):
@@ -207,26 +246,26 @@ def interior_cosine(table, caustic, u):
 
     At a vertex (x, y) of any orbit tangent to the caustic, the cosine of the
     angle between the rays toward its two neighbors is 2 lam/(d1 d2) - 1, with
-    d1 d2 = b^2 + c^2 y^2/b^2 its focal distances' product (no cancellation).
+    d1 d2 = 1 + c^2 y^2 its focal distances' product (no cancellation).
     The constant 2 lam (and not lam/2) is forced by the circle degenerations
     (square family -> 0, triangle family -> 1/2) and by the periodic-orbit
     identity sum(cos theta_i) = J L - N.  u may be an array.
     """
-    _, y1, _, y2 = endpoint_coordinates(table, caustic, u)
-    q1, q2 = _inverse_focal_product(table, y1), _inverse_focal_product(table, y2)
-    val = caustic.lam * (q1 + q2) - 1.0
+    a, lam, _ = _unit(table, caustic)
+    u = np.asarray(u, dtype=float)
+    (_, (y1, y2)), _ = _endpoints(a, lam, np.cos(u), np.sin(u))
+    val = lam * (_inverse_focal_product(a, y1) + _inverse_focal_product(a, y2)) - 1.0
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _inverse_focal_product(table, y):
-    """1/(d1 d2) = 1/(b^2 + c^2 y^2/b^2) at the boundary points of ordinate y."""
-    return 1.0 / (table.b * table.b + table.c2 / table.b**2 * y * y)
+def _inverse_focal_product(a, y):
+    """1/(d1 d2) = 1/(1 + c^2 y^2) at the boundary points of ordinate y."""
+    return 1.0 / (1.0 + (a * a - 1.0) * y * y)
 
 
-def _ca(table, caustic):
-    """ca = a^2 b^2 - lam (a^2 + b^2); the outer cosine has the sign of ca."""
-    a, b = table.a, table.b
-    return a * a * b * b - caustic.lam * (a * a + b * b)
+def _ca(a, lam):
+    """ca = a^2 - lam (a^2 + 1); the outer cosine has the sign of ca."""
+    return a * a - lam * (a * a + 1.0)
 
 
 def outer_cosine(table, caustic, u):
@@ -236,25 +275,24 @@ def outer_cosine(table, caustic, u):
     finite when ca is within roundoff of zero.  u may be an array
     (_outer_cosine_at).
     """
-    return _pointwise(_outer_cosine_at, table, caustic, u)
+    return _pointwise(_outer_cosine_at, *_unit(table, caustic)[:2], u)
 
 
-def _outer_cosine_at(table, caustic, w):
+def _outer_cosine_at(a, lam, w):
     """outer_cosine at the chord factor w of _endpoints, in the factored form
 
-        ca/sqrt(ca^2 + E/w),  E = 4 lam a^2 b^2 a_c^2 b_c^2,
+        ca/sqrt(ca^2 + E/w),  E = 4 lam a^2 a_c^2 b_c^2,
 
     of the normalized dot product of the gradients A P1, A P2
-    (A = diag(1/a^2, 1/b^2)), with ca = a^2 b^2 - lam (a^2 + b^2).  It is
+    (A = diag(1/a^2, 1)), with ca = a^2 - lam (a^2 + 1).  It is
     ca sqrt(w)/sqrt(r3 + r4 - r4 s) with r3, r4 the denominator coefficients
     of the interior cosine's rational form (spatial_averages._closed_forms),
     since r3 + r4 - r4 s = E + ca^2 w at s = sin^2 u, where w = b_c^2 + c^2 s;
-    every term is non-negative, so nothing cancels as lam -> b^2.
+    every term is non-negative, so nothing cancels as lam -> 1.
     """
-    a, b = table.a, table.b
-    ac, bc = caustic_axes(table, caustic)
-    ca = _ca(table, caustic)
-    e = 4.0 * caustic.lam * (a * a) * (b * b) * (ac * ac) * (bc * bc)
+    ac, bc = _axes(a, lam)
+    ca = _ca(a, lam)
+    e = 4.0 * lam * (a * a) * (ac * ac) * (bc * bc)
     return ca / np.sqrt(ca * ca + e / w)
 
 
@@ -265,12 +303,13 @@ def measure_density(table, caustic, u):
     orbit; it is 2pi-periodic and symmetric under u -> -u and u -> pi - u.
     u may be an array (_measure_density_at).
     """
-    return _pointwise(_measure_density_at, table, caustic, u)
+    a, lam, b = _unit(table, caustic)
+    return _pointwise(_measure_density_at, a, lam, u) * b ** (1.0 / 3.0)
 
 
-def _measure_density_at(table, caustic, w):
+def _measure_density_at(a, lam, w):
     """measure_density at the chord factor w of _endpoints: (a_c b_c)^(2/3)/sqrt(w)."""
-    ac, bc = caustic_axes(table, caustic)
+    ac, bc = _axes(a, lam)
     return (ac * bc) ** (2.0 / 3.0) / np.sqrt(w)
 
 
@@ -287,23 +326,23 @@ def curvature23(table, p):
     p has shape (2,) or (..., 2); raises DomainError off the boundary
     (_boundary_residual), which _curvature23_at does not check.
     """
-    p = np.asarray(p, dtype=float)
+    a, b = table.a / table.b, table.b
+    p = np.asarray(p, dtype=float) / b
     x, y = p[..., 0], p[..., 1]
-    _boundary_residual(table, x, y)
-    val = _curvature23_at(table, x, y)
+    _boundary_residual(a, x, y)
+    val = _curvature23_at(a, x, y) * b ** (-2.0 / 3.0)
     return float(val) if p.ndim == 1 else val
 
 
-def _curvature23_at(table, x, y):
+def _curvature23_at(a, x, y):
     """curvature23 at the boundary points (x, y), which are not checked."""
-    a, b = table.a, table.b
-    return (a * b) ** (-4.0 / 3.0) / (x * x / a**4 + y * y / b**4)
+    return a ** (-4.0 / 3.0) / (x * x / a**4 + y * y)
 
 
-def _boundary_residual(table, x, y):
-    """The largest |x^2/a^2 + y^2/b^2 - 1| of the points (x, y); DomainError
+def _boundary_residual(a, x, y):
+    """The largest |x^2/a^2 + y^2 - 1| of the points (x, y); DomainError
     if a point's exceeds 1e-8."""
-    res = np.abs(x * x / table.a**2 + y * y / table.b**2 - 1.0)
+    res = np.abs(x * x / a**2 + y * y - 1.0)
     worst = float(res.max())
     # a NaN residual is the largest; it raises only beside a finite one above 1e-8
     if worst > 1e-8 or (worst != worst and (res > 1e-8).any()):

@@ -44,13 +44,15 @@ class InvariantReport:
 
 
 def build_periodic_orbit(table, n: int, seed_u: float = 0.0) -> PeriodicOrbit:
-    """Locate lam_n and iterate n steps from seed_u; certifies closure < 1e-6."""
+    """Locate lam_n and iterate n steps from seed_u; certifies closure below
+    1e-6 min(1, b), the same relative defect on every table smaller than
+    b = 1."""
     caustic = find_caustic_for_period(table, n)  # DomainError unless n is a whole number >= 3
     n = int(n)
     sample = iterate_orbit(table, caustic, seed_u, n)
     verts = sample.vertex_sequence
     defect = float(np.hypot(*(verts[n] - verts[0])))
-    if defect >= 1e-6:
+    if defect >= 1e-6 * min(1.0, table.b):
         raise NumericalError(
             f"{n}-periodic orbit from seed {seed_u} failed to close: "
             f"defect {defect:.3e} at lam={caustic.lam}"
@@ -67,13 +69,13 @@ def evaluate_invariants(orbit: PeriodicOrbit) -> InvariantReport:
     product_outer_cos multiplies the normalized-gradient cosines over the N
     consecutive vertex pairs and keeps its sign.
     """
-    table = orbit.table
     n = orbit.n
-    j = cg.joachimsthal(table, cg.CausticSpec(orbit.lam))
-    # the polygon closed once on each side, as rows x and y: column k + 1 is
-    # vertex k, column 0 vertex n - 1 and column n + 1 vertex 0
-    v = np.concatenate((orbit.vertices[-1:], orbit.vertices, orbit.vertices[:1])).T
-    edge_len, to_next, gradients, arrival_residuals = _polygon(table, j, v)
+    a, lam, b = cg._unit(orbit.table, cg.CausticSpec(orbit.lam))
+    j = cg._joachimsthal(a, lam)
+    # the unit polygon closed once on each side, as rows x and y: column k + 1
+    # is vertex k, column 0 vertex n - 1 and column n + 1 vertex 0
+    v = np.concatenate((orbit.vertices[-1:], orbit.vertices, orbit.vertices[:1])).T / b
+    edge_len, to_next, gradients, arrival_residuals = _polygon(a, j, v)
     perimeter = float(edge_len[1:].sum())
 
     # at vertex k the unit direction to vertex k - 1 is exactly minus the one
@@ -84,27 +86,30 @@ def evaluate_invariants(orbit: PeriodicOrbit) -> InvariantReport:
     product_outer = float(_dots(normals[:, 1:-1], normals[:, 2:]).prod())
 
     x, y = v[0, 1:-1], v[1, 1:-1]
-    boundary_max = cg._boundary_residual(table, x, y)
-    sum_kappa23 = float(cg._curvature23_at(table, x, y).sum())
+    boundary_max = cg._boundary_residual(a, x, y)
+    sum_kappa23 = float(cg._curvature23_at(a, x, y).sum())
 
     residuals = {
         "sum_cos_identity": abs(sum_cos - (j * perimeter - n)),
-        "joachimsthal_spread": float(arrival_residuals.max()),
+        "joachimsthal_spread": float(arrival_residuals.max()) / b,
         "boundary_max": boundary_max,
         "closure_defect": orbit.closure_defect,
     }
-    return InvariantReport(perimeter, j, sum_cos, product_outer, sum_kappa23, residuals)
+    # back in the table's units: lengths by b, J by 1/b, kappa^(2/3) by b^(-2/3)
+    return InvariantReport(perimeter * b, j / b, sum_cos, product_outer,
+                           sum_kappa23 * b ** (-2.0 / 3.0), residuals)
 
 
-def _polygon(table, j, v):
-    """Edge lengths, unit edges and gradients A P = (x/a^2, y/b^2) of a polygon
-    given as vertex columns v = [x, y], open or closed, and each edge's
-    Joachimsthal residual |<A P, e> - J| at its arrival vertex P, e the unit
-    edge: edge k runs from vertex k to vertex k + 1, and <A P, e> = +J there."""
+def _polygon(a, j, v):
+    """Edge lengths, unit edges and gradients A P = (x/a^2, y) of a polygon on
+    the unit table given as vertex columns v = [x, y], open or closed, and
+    each edge's Joachimsthal residual |<A P, e> - J| at its arrival vertex P,
+    e the unit edge: edge k runs from vertex k to vertex k + 1, and
+    <A P, e> = +J there."""
     edges = v[:, 1:] - v[:, :-1]
     edge_len = np.hypot(edges[0], edges[1])
     to_next = edges / edge_len
-    gradients = v / np.array([[table.a**2], [table.b**2]])
+    gradients = v / np.array([[a**2], [1.0]])
     return edge_len, to_next, gradients, np.abs(_dots(gradients[:, 1:], to_next) - j)
 
 

@@ -102,15 +102,12 @@ class AverageResult:
     lam: float
 
 
-def _check_caustic(table, caustic):
-    ac, bc = cg.caustic_axes(table, caustic)  # raises outside (0, b^2)
-    if caustic.lam > _DEGENERACY_GUARD * table.b**2:
-        raise DomainError(
-            f"lam={caustic.lam} exceeds b^2 (1 - 1e-9) = "
-            f"{_DEGENERACY_GUARD * table.b**2}; spatial averages lose all "
-            "precision this close to the degenerate caustic"
-        )
-    return ac, bc
+def _guard(lam, b):
+    """DomainError where the unit caustic lam lies past _DEGENERACY_GUARD;
+    the message quotes lam in the table's units, lam b^2."""
+    if lam > _DEGENERACY_GUARD:
+        raise DomainError(f"lam={lam * (b * b)} exceeds b^2 (1 - 1e-9) = {_DEGENERACY_GUARD * (b * b)}; "
+                          "spatial averages lose all precision this close to the degenerate caustic")
 
 
 def periodic_quadrature(f, strip=math.inf):
@@ -172,18 +169,22 @@ def normalization(table, caustic) -> float:
 
     The quadrature averages integrate their own Z and never call this; the
     verify battery and the tests check it against a quadrature of rho.  On
-    the circle (s3 = 0) this reduces to 2pi (1-lam)^(1/6).
+    the unit circle (s3 = 0) this reduces to 2pi (1-lam)^(1/6).
     """
-    ac, bc = _check_caustic(table, caustic)
-    return 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k_m1(bc * bc / (ac * ac)) / ac
+    a, lam, b = cg._unit(table, caustic)
+    _guard(lam, b)
+    ac, bc = cg._axes(a, lam)
+    return 4.0 * (ac * bc) ** (2.0 / 3.0) * complete_k_m1(bc * bc / (ac * ac)) / ac * b ** (1.0 / 3.0)
 
 
 # The per-chord samples behind the four averages, in the row order of
 # _chord_samples; billiard_dynamics exports them as TIME_AVERAGE_QUANTITIES.
 _CHORD_QUANTITIES = ("sidelength", "interior_cosine", "curvature23", "log_abs_outer_cosine")
+# Each sample's power of b: a public average is its unit table's times b to it.
+_CHORD_POWERS = (1.0, 0.0, -2.0 / 3.0, 0.0)
 
 
-def _chord_samples(table, caustic, w, q1, q2, k1, k2):
+def _chord_samples(a, lam, w, q1, q2, k1, k2):
     """The per-chord g(u) of each average at the chords tangent at u, one row
     per _CHORD_QUANTITIES entry: chord length, interior cosine, the mean of
     kappa^(2/3) at the two endpoints and log|outer cosine| (-inf where ca = 0,
@@ -199,24 +200,25 @@ def _chord_samples(table, caustic, w, q1, q2, k1, k2):
     # filled row by row: built with np.array([...]) perfbench's ergodic-orbits
     # ran 784-816 against 849-905 ops/s (4 of 4 8 s pairs, 2 vCPUs)
     rows = np.empty((len(_CHORD_QUANTITIES),) + np.shape(w))
-    rows[0] = cg._chord_length_at(table, caustic, w)
+    rows[0] = cg._chord_length_at(a, lam, w)
     cosine = np.add(q1, q2, out=rows[1])
-    cosine *= caustic.lam
+    cosine *= lam
     cosine -= 1.0
     kappa = np.add(k1, k2, out=rows[2])
     kappa *= 0.5
-    if cg._ca(table, caustic) == 0.0:
+    if cg._ca(a, lam) == 0.0:
         rows[3] = -math.inf
     else:
-        outer = np.abs(cg._outer_cosine_at(table, caustic, w), out=rows[3])
+        outer = np.abs(cg._outer_cosine_at(a, lam, w), out=rows[3])
         np.log(outer, out=outer)
     return rows
 
 
 @functools.lru_cache(maxsize=2)
-def _quadrature_averages(table, caustic):
-    """(average, error estimate, defect, Z) of each per-chord sample, in
-    _CHORD_QUANTITIES order, from one periodic_quadrature call.
+def _quadrature_averages(a, lam):
+    """(average, error estimate, defect, Z) of each per-chord sample on the
+    unit table, in _CHORD_QUANTITIES order, from one periodic_quadrature
+    call.
 
     The grid's rows are rho and each g_i rho, so average i is integral
     g_i rho over integral rho = Z on the same nodes, frozen at the first
@@ -228,8 +230,8 @@ def _quadrature_averages(table, caustic):
     forms.  At ca = 0, log|outer cosine| is -inf on every node: its row is
     left out of the grid and reads (-inf, 0.0, 0.0, None).
     """
-    ac, bc = _check_caustic(table, caustic)
-    rows = len(_CHORD_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
+    ac, bc = cg._axes(a, lam)
+    rows = len(_CHORD_QUANTITIES) - (cg._ca(a, lam) == 0.0)
 
     def weighted(v):
         if v.base is _FIRST_NODES:
@@ -237,11 +239,11 @@ def _quadrature_averages(table, caustic):
         else:
             u = 0.5 * v
             cos_u, sin_u = np.cos(u), np.sin(u)
-        (x, y), w = cg._endpoints(table, caustic, cos_u, sin_u)  # x, y: rows P1, P2
-        q, k = cg._inverse_focal_product(table, y), cg._curvature23_at(table, x, y)
-        samples = _chord_samples(table, caustic, w, q[0], q[1], k[0], k[1])
+        (x, y), w = cg._endpoints(a, lam, cos_u, sin_u)  # x, y: rows P1, P2
+        q, k = cg._inverse_focal_product(a, y), cg._curvature23_at(a, x, y)
+        samples = _chord_samples(a, lam, w, q[0], q[1], k[0], k[1])
         grid = np.empty((1 + rows, len(v)))
-        grid[0] = rho = cg._measure_density_at(table, caustic, w)
+        grid[0] = rho = cg._measure_density_at(a, lam, w)
         np.multiply(samples[:rows], rho, out=grid[1:])
         return grid
 
@@ -253,19 +255,19 @@ def _quadrature_averages(table, caustic):
 
 
 @functools.lru_cache(maxsize=2)
-def _closed_forms(table, caustic):
-    """The closed form of each average in _CHORD_QUANTITIES order (None for
-    log|outer cosine|, which has none yet), with s3 = c^2/(a^2 - lam) and
-    K(s3) taken once for all three: a caustic makes three elliptic calls.
-    kappa^(2/3) is as in mean_curvature23.  The sidelength of
-    mean_sidelength, with Pi(s5, s3) = K + s5 H(s5, s3) and lam - b^2 =
-    -b_c^2, is
+def _closed_forms(a, lam):
+    """The closed form of each average on the unit table in _CHORD_QUANTITIES
+    order (None for log|outer cosine|, which has none yet), with s3 =
+    c^2/(a^2 - lam), c^2 = a^2 - 1, and K(s3) taken once for all three: a
+    caustic makes three elliptic calls.  kappa^(2/3) is as in
+    mean_curvature23.  The sidelength of mean_sidelength, with Pi(s5, s3) =
+    K + s5 H(s5, s3) and lam - 1 = -b_c^2, is
 
-        Lbar = 2a sqrt(lam) (K(s3) - r H(s5, s3)) / (b K(s3)),
-        r = b_c^2 c^2/(a_c^2 b^2),
+        Lbar = 2a sqrt(lam) (K(s3) - r H(s5, s3)) / K(s3),
+        r = b_c^2 c^2/a_c^2,
 
     whose two terms do not cancel as lam -> 0 (K - r H tends to E(s3)),
-    where b^2 K + (lam - b^2) Pi cancels like 1/lam.  The mean cosine is
+    where K + (lam - 1) Pi cancels like 1/lam.  The mean cosine is
 
         Cbar = r1/r3 + (r2 r3 - r1 r4)/r3^2 * H(s2, s3) / K(s3),  s2 = -r4/r3,
 
@@ -276,50 +278,54 @@ def _closed_forms(table, caustic):
         r1 = -ca (a^4 b_c^2 + lam^2 c^2)   r2 = ca c^2 (ca + 2 lam^2)
         r3 = q^2 a_c^2                     r4 = -c^2 ca^2,
 
-    q = a^2 b^2 - lam c^2 = a^2 b_c^2 + lam b^2.  It rearranges
+    q = a^2 - lam c^2 = a^2 b_c^2 + lam.  It rearranges
     (r1/r3)((s2 - s1) Pi(s2, s3) + s1 K)/(s2 K), s1 = -r2/r1, so that it stays
     finite at ca = 0, where r1, r2 and r4 vanish (Cbar = 0 there).
 
     Near the degenerate caustic s3, s5 and s2 all tend to 1, so the kernels
     take their complements in factored form: 1 - s3 = b_c^2/a_c^2,
-    1 - s5 = a^2 b_c^2/(b^2 a_c^2) and 1 - s2 = b_c^2 (q^2 + 4 lam a^2 b^2
-    c^2)/(q^2 a_c^2).  So does the cosine's coefficient, r2 r3 - r1 r4 =
-    2 lam c^2 a_c^2 b_c^2 ca q (a^2 b^2 + lam c^2), which as a difference
+    1 - s5 = a^2 b_c^2/a_c^2 and 1 - s2 = b_c^2 (q^2 + 4 lam a^2 c^2)/(q^2
+    a_c^2).  So does the cosine's coefficient, r2 r3 - r1 r4 =
+    2 lam c^2 a_c^2 b_c^2 ca q (a^2 + lam c^2), which as a difference
     cancels from order 1 down to order b_c^2.
     """
-    ac, bc = _check_caustic(table, caustic)
-    a, b, lam, c2 = table.a, table.b, caustic.lam, table.c2
-    ac2, bc2 = ac * ac, bc * bc
+    ac, bc = cg._axes(a, lam)
+    ac2, bc2, c2 = ac * ac, bc * bc, a * a - 1.0
     m1 = bc2 / ac2  # 1 - s3
     k = complete_k_m1(m1)
-    h5 = complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
-    sidelength = 2.0 * a * math.sqrt(lam) * (k - bc2 * c2 / (ac2 * b * b) * h5) / (b * k)
-    ca = cg._ca(table, caustic)
-    q = a * a * bc2 + lam * b * b
+    h5 = complete_pi_minus_k_m1(a * a * bc2 / ac2, m1)
+    sidelength = 2.0 * a * math.sqrt(lam) * (k - bc2 * c2 / ac2 * h5) / k
+    ca = cg._ca(a, lam)
+    q = a * a * bc2 + lam
     r1 = -ca * (a**4 * bc2 + lam * lam * c2)
     r3 = q * q * ac2
-    n1 = bc2 * (q * q + 4.0 * lam * a * a * b * b * c2) / r3
-    coefficient = 2.0 * lam * c2 * bc2 * ca * (a * a * b * b + lam * c2) / (q * r3)  # (r2 r3 - r1 r4)/r3^2
+    n1 = bc2 * (q * q + 4.0 * lam * a * a * c2) / r3
+    coefficient = 2.0 * lam * c2 * bc2 * ca * (a * a + lam * c2) / (q * r3)  # (r2 r3 - r1 r4)/r3^2
     term = coefficient * complete_pi_minus_k_m1(n1, m1) / k
     cosine = r1 / r3 + term
-    j = cg.joachimsthal(table, caustic)
-    one_plus_cosine = 2.0 * lam * b * b / q + term if ca > 0.0 else 1.0 + cosine  # (r1 + r3)/r3 = 2 lam b^2/q
-    curvature23 = (a * b) ** (-4.0 / 3.0) * one_plus_cosine / (2.0 * j * j)
+    j = cg._joachimsthal(a, lam)
+    one_plus_cosine = 2.0 * lam / q + term if ca > 0.0 else 1.0 + cosine  # (r1 + r3)/r3 = 2 lam/q
+    curvature23 = a ** (-4.0 / 3.0) * one_plus_cosine / (2.0 * j * j)
     return sidelength, cosine, curvature23, None
 
 
 def _average(table, caustic, method, quantity):
-    """Route dispatch of the averages: the entry for quantity of the caustic's
-    _closed_forms ("closed_form") or _quadrature_averages ("quadrature")
-    record; NumericalError if its quadrature pair did not converge.  Each
-    record checks its caustic as it is built; lru_cache keeps no exception,
-    so a rejected caustic is checked, and rejected, on every call."""
+    """Route dispatch of the averages, at the public boundary: the entry for
+    quantity of the unit caustic's _closed_forms ("closed_form") or
+    _quadrature_averages ("quadrature") record, times b to the quantity's
+    power; NumericalError past cg._MAX_ASPECT or if its quadrature pair did
+    not converge.  The caustic is checked (cg._unit, _guard) on every call,
+    before either record is read."""
+    a, lam, b = cg._unit(table, caustic)
+    _guard(lam, b)
+    cg._check_aspect(a)
     i = _CHORD_QUANTITIES.index(quantity)
+    scale = b ** _CHORD_POWERS[i]
     if method == "closed_form":
-        return AverageResult(_closed_forms(table, caustic)[i], method, 0.0, caustic.lam)
+        return AverageResult(_closed_forms(a, lam)[i] * scale, method, 0.0, caustic.lam)
     if method != "quadrature":
         raise DomainError(f"unknown method {method!r}")
-    value, err, defect, _ = _quadrature_averages(table, caustic)[i]
+    value, err, defect, _ = _quadrature_averages(a, lam)[i]
     if math.isnan(defect):
         raise NumericalError("periodic quadrature estimate is NaN; refinement cannot converge")
     if not defect < _QUAD_TOL:
@@ -327,7 +333,7 @@ def _average(table, caustic, method, quantity):
             f"periodic quadrature did not converge at {_MAX_NODES} nodes "
             f"(last defect {defect:.3e} > tol {_QUAD_TOL:.3e})"
         )
-    return AverageResult(value, method, err, caustic.lam)
+    return AverageResult(value * scale, method, err * scale, caustic.lam)
 
 
 def mean_sidelength(table, caustic, method: str = "closed_form") -> AverageResult:
@@ -379,5 +385,5 @@ def log_geomean_outer(table, caustic) -> tuple[float, int]:
     the result is (-inf, 0), meaning geometric mean 0.
     """
     value = _average(table, caustic, "quadrature", "log_abs_outer_cosine").value
-    ca = cg._ca(table, caustic)
+    ca = cg._ca(*cg._unit(table, caustic)[:2])
     return value, int(ca < 0.0) - int(ca > 0.0)  # ca may be a numpy float, whose bools do not subtract

@@ -14,19 +14,35 @@ einsum contractions; EXPRESSION_FORMS are the four conic_geometry per-point
 forms that an orbit reads, one numpy expression each in the order of
 operations that pins their bits;
 masked_wrap_advances is billiard_dynamics._advances as _orbit's step check
-was written before it compared raw differences.
+was written before it compared raw differences; scaled_tables and
+SCALE_DRAWS give the scale-equivariance tests a table scaled by s = 10^k
+and the unit table it converts to.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
 import caustics.elliptic_integrals as ei
 import caustics.spatial_averages as sa
 from caustics.billiard_dynamics import iterate_orbit, rotation_number
 from caustics.invariant_suite import InvariantReport
+
+# (k, a/b, lam/b^2) of the scale-equivariance tests: s = 10^k, k in [-150, 150]
+SCALE_DRAWS = (st.floats(-150.0, 150.0), st.floats(1.0, 20.0), st.floats(0.01, 0.99))
+
+
+def scaled_tables(k, a, fraction):
+    """(s, table, caustic, unit table, unit caustic): the table (a, 1) and
+    the caustic lam = fraction scaled by s = 10^k, and the unit table and
+    caustic that the scaled pair converts to, (a s/s, 1) and lam s^2/s/s,
+    which differ from (a, 1) and fraction by the rounding of the scaling."""
+    s = 10.0**k
+    table, caustic = cg.BilliardTable(a * s, s), cg.CausticSpec(fraction * s * s)
+    return s, table, caustic, cg.BilliardTable(table.a / s, 1.0), cg.CausticSpec(caustic.lam / s / s)
 
 
 def next_tangency(table, caustic, u):
@@ -131,8 +147,8 @@ def row_wise_invariants(orbit):
     nxt_normals = np.concatenate((normals[1:], normals[:1]))
     product_outer = float(np.prod(np.sum(normals * nxt_normals, axis=1)))
 
-    boundary_max = cg._boundary_residual(table, v[:, 0], v[:, 1])
-    sum_kappa23 = float(np.sum(cg._curvature23_at(table, v[:, 0], v[:, 1])))
+    boundary_max = cg._boundary_residual(table.a, v[:, 0], v[:, 1])  # b = 1
+    sum_kappa23 = float(np.sum(cg._curvature23_at(table.a, v[:, 0], v[:, 1])))
 
     arrivals = np.sum(
         np.column_stack([nxt[:, 0] / table.a**2, nxt[:, 1] / table.b**2]) * to_next,
@@ -180,31 +196,29 @@ def masked_wrap_advances(steps):
     return (steps > 0.0) & (steps < math.pi)
 
 
-def _chord_length_expression(table, caustic, w):
-    ac, bc = cg.caustic_axes(table, caustic)
-    lam = caustic.lam
-    return 2.0 * table.a * table.b * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
+def _chord_length_expression(a, lam, w):
+    ac, bc = math.sqrt(a * a - lam), math.sqrt(1.0 - lam)
+    return 2.0 * a * math.sqrt(lam) / (lam + (ac * ac) * (bc * bc) / w)
 
 
-def _outer_cosine_expression(table, caustic, w):
-    a, b = table.a, table.b
-    ac, bc = cg.caustic_axes(table, caustic)
-    ca = cg._ca(table, caustic)
-    e = 4.0 * caustic.lam * (a * a) * (b * b) * (ac * ac) * (bc * bc)
+def _outer_cosine_expression(a, lam, w):
+    ac, bc = math.sqrt(a * a - lam), math.sqrt(1.0 - lam)
+    ca = a * a - lam * (a * a + 1.0)
+    e = 4.0 * lam * (a * a) * (ac * ac) * (bc * bc)
     return ca / np.sqrt(ca * ca + e / w)
 
 
-def _inverse_focal_product_expression(table, y):
-    return 1.0 / (table.b * table.b + table.c2 / table.b**2 * y * y)
+def _inverse_focal_product_expression(a, y):
+    return 1.0 / (1.0 + (a * a - 1.0) * y * y)
 
 
-def _curvature23_expression(table, x, y):
-    a, b = table.a, table.b
-    return (a * b) ** (-4.0 / 3.0) / (x * x / a**4 + y * y / b**4)
+def _curvature23_expression(a, x, y):
+    return a ** (-4.0 / 3.0) / (x * x / a**4 + y * y)
 
 
-# name of the conic_geometry form -> (expression form, its arguments after
-# table: "cw" for (caustic, w), "y" for y, "xy" for (x, y))
+# name of the conic_geometry form, on the unit table (a, 1) and caustic lam,
+# -> (expression form, its arguments after a: "cw" for (lam, w), "y" for y,
+# "xy" for (x, y))
 EXPRESSION_FORMS = {
     "_chord_length_at": (_chord_length_expression, "cw"),
     "_outer_cosine_at": (_outer_cosine_expression, "cw"),

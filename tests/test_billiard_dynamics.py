@@ -10,9 +10,10 @@ Proves:
    - the inverse step -next_tangency(-u) (the y -> -y reflection) inverts
      next_tangency to 1e-9
    - the lift step always lies in (0, pi)
-   - the cached orbit shared by every caller, its w included, is
-     read-only, scalar or composed; its vertices are planar rows x and y,
-     handed out as their read-only transposed view
+   - the cached unit-table orbit shared by every caller, its w included,
+     is read-only, scalar or composed; its vertices are planar rows x and y,
+     handed out as a read-only transposed copy times b, bit for bit the
+     cached rows at b = 1 and the same cached orbit, halved, at b = 1/2
    - lambda_N is solved once while seeded periodic orbits of period N are
      built; the import, a solve, a periodic orbit, its invariants and the
      sweep, periodic and orbit commands load no scipy module, and the CLI's
@@ -26,7 +27,8 @@ Proves:
      n = 1e5 (composed)
    - a corrupted step is rejected by the orbit certificate in every caller,
      through the composed path of a long orbit too, naming the first failing
-     step; a composed orbit with a corrupted point raises as well
+     step; a composed orbit with a corrupted point raises as well; on the
+     table scaled by 1e-10 too
  Group 2 - Orbit iteration
    - n+1 angles and lifted parameters, strictly increasing lift
    - every chord tangent to the caustic, Joachimsthal constant at every
@@ -85,8 +87,9 @@ Proves:
    - brentq's bracketed secant iteration: a concave root approached from
      below only, a convex one overshot and finished inside the bracket, a
      slope that does not rise sent to hi, ValueError at an end with no sign
-     change; every solved period lies within tol of a sign change of
-     rho - 1/n for a in [1, 100] and n in [3, 400]
+     change; every solved period lies within tol of a zero of rho - 1/n,
+     f(phi_n - tol) <= 0 <= f(phi_n + tol), for a in [1, 100] and n in
+     [3, 400], (73.558, 254) included, where f is exactly 0 at phi_n + tol
  Group 4 - Time averages
    - constant quantity on the circle averages exactly
    - 1e6-bounce averages match spatial quadrature to 1e-3 (a=2, lambda=0.37)
@@ -98,6 +101,11 @@ Proves:
      chords, are bit for bit the means of samples built chord by chord from
      the public curvature23 and the focal-identity cosine at both vertices,
      on scalar and composed orbits, at ca = 0 and near the guard
+ Group 5 - Scale
+   - property: on tables scaled by s = 10^k, k in [-150, 150], rho, the
+     orbit's angles and vertices over b, each time average over b^p and
+     lambda_N over b^2 are bit for bit the unit table's; an orbit is refused
+     only where the unit table refuses it or b > 1
 """
 from __future__ import annotations
 
@@ -129,7 +137,14 @@ from caustics.billiard_dynamics import (
 )
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import build_periodic_orbit
-from oracles import lam_space_period_solve, masked_wrap_advances, next_tangency, outer_product_sums
+from oracles import (
+    SCALE_DRAWS,
+    lam_space_period_solve,
+    masked_wrap_advances,
+    next_tangency,
+    outer_product_sums,
+    scaled_tables,
+)
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -201,16 +216,25 @@ def test_prev_inverts_next():
 
 
 def test_cached_orbit_is_read_only():
-    # iterate_orbit, time_average and the periodic certificate share one
-    # cached orbit per (table, caustic, u0, n)
+    """iterate_orbit, time_average and the periodic certificate share one
+    cached unit-table orbit per (a/b, lam/b^2, u0, n, gap tolerance).  Its
+    arrays are read-only; the sample hands out its angles and a read-only
+    copy of its vertices times b, one vertex per row, so nothing written
+    through a sample reaches the cache: at b = 1 the copy is the cached
+    vertices bit for bit, and at b = 1/2 (T2 halved, whose gap tolerance is
+    the same) the same cached orbit comes back, scaled."""
     for n in (100, 1000):  # the scalar loop and a composed orbit
-        angles, verts, w = bd._orbit(T2, cg.CausticSpec(0.5), 0.1, n)
+        angles, verts, w = bd._orbit(2.0, 0.5, 0.1, n, bd._SHARE_TOL)
         sample = iterate_orbit(T2, cg.CausticSpec(0.5), 0.1, n)
-        # the vertices are cached as planar rows x and y, and handed out as
-        # their transposed view, one vertex per row
         assert verts.shape == (2, n + 1) and verts.flags.c_contiguous
-        assert sample.angles is angles and sample.vertex_sequence.base is verts
+        assert sample.angles is angles and not np.shares_memory(sample.vertex_sequence, verts)
         assert sample.vertex_sequence.shape == (n + 1, 2)
+        assert sample.vertex_sequence.tobytes() == np.ascontiguousarray(verts.T).tobytes()
+        scaled = iterate_orbit(cg.BilliardTable(1.0, 0.5), cg.CausticSpec(0.125), 0.1, n)
+        assert scaled.angles is angles
+        assert np.array_equal(scaled.vertex_sequence, verts.T * 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            scaled.vertex_sequence[3, 1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             sample.vertex_sequence[3, 1] = 0.0
         with pytest.raises(ValueError):
@@ -272,13 +296,11 @@ def test_orbit_memory_ceiling(n, ceiling):
     on CPython 3.11 and numpy 2.4: 9.9 at n = 100 and 10.0016 at n = 1e5.
     verify's peak RSS rests on these allocations for its 1e6-bounce orbit,
     so a new temporary of the orbit's size fails here first."""
-    caustic = cg.CausticSpec(0.37)
-
     def peak(n):
-        bd._orbit.__wrapped__(T2, caustic, 0.1, n)  # first-call allocations are not the orbit's
+        bd._orbit.__wrapped__(2.0, 0.37, 0.1, n, bd._SHARE_TOL)  # first-call allocations are not the orbit's
         tracemalloc.start()
         try:
-            bd._orbit.__wrapped__(T2, caustic, 0.1, n)
+            bd._orbit.__wrapped__(2.0, 0.37, 0.1, n, bd._SHARE_TOL)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -341,8 +363,8 @@ def corrupt(sequence):
     points (cos u, sin u), as the composed sequence does, the middle point
     moves with its angle."""
 
-    def corrupted(table, caustic, u0, n):
-        result = sequence(table, caustic, u0, n)
+    def corrupted(a, lam, u0, n):
+        result = sequence(a, lam, u0, n)
         us = result[0] if isinstance(result, tuple) else result
         k = len(us) // 2
         us[k] += 1e-6
@@ -353,27 +375,31 @@ def corrupt(sequence):
     return corrupted
 
 
-def test_certificate_rejects_a_corrupted_step(monkeypatch):
+@pytest.mark.parametrize("b", [1.0, 1e-10])
+def test_certificate_rejects_a_corrupted_step(monkeypatch, b):
     """Every orbit reaches its callers through the one certificate in _orbit:
     a single perturbed parameter makes each of them raise, and a corrupted
-    composed orbit raises too, with no other path to fall back on."""
+    composed orbit raises too, with no other path to fall back on.  The
+    certificate is the unit table's, so it rejects the same corruption on
+    T2 scaled by 1e-10, where the moved vertex is 1e-16 off in the table's
+    units.  Its message quotes the unit caustic lam/b^2, 0.5 on both."""
     monkeypatch.setattr(bd, "_advance_sequence", corrupt(bd._advance_sequence))
-    caustic = cg.CausticSpec(0.5)
+    table, caustic = cg.BilliardTable(2.0 * b, b), cg.CausticSpec(0.5 * b * b)
     # point 50 moved, so step 49, into it, is the first to fail
     first_failure = r"^billiard step 49 failed at u=5\.55975387686\d*, lam=0\.5: endpoint-sharing"
     with pytest.raises(NumericalError, match=first_failure):
-        iterate_orbit(T2, caustic, 0.3, 100)
+        iterate_orbit(table, caustic, 0.3, 100)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
-        iterate_orbit(T2, caustic, 0.3, 20_000)  # composed from corrupted runs
+        iterate_orbit(table, caustic, 0.3, 20_000)  # composed from corrupted runs
     with pytest.raises(NumericalError, match="endpoint-sharing"):
-        time_average(T2, caustic, "sidelength", 100, u0=0.3)
+        time_average(table, caustic, "sidelength", 100, u0=0.3)
     with pytest.raises(NumericalError, match="endpoint-sharing"):
-        find_caustic_for_period(T2, 5)
+        find_caustic_for_period(table, 5)
     monkeypatch.undo()
     monkeypatch.setattr(bd, "_composed_sequence", corrupt(bd._composed_sequence))
     bd._orbit.cache_clear()
     with pytest.raises(NumericalError, match="endpoint-sharing"):
-        iterate_orbit(T2, caustic, 0.3, 20_000)
+        iterate_orbit(table, caustic, 0.3, 20_000)
 
 
 # ----------------------------------------------------------------- group 2
@@ -460,7 +486,7 @@ def test_composed_orbit_matches_the_scalar_loop(a, fraction):
     table, caustic, n = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction), 20_000
     assert n >= bd._COMPOSE_MIN
     angles = iterate_orbit(table, caustic, 0.3, n).angles
-    gap = angles - bd._advance_sequence(table, caustic, 0.3, n)
+    gap = angles - bd._advance_sequence(a, fraction, 0.3, n)
     assert np.max(np.abs((gap + math.pi) % bd._TAU - math.pi)) < 1e-9
 
 
@@ -469,9 +495,8 @@ def test_composed_points_are_the_cosines_and_sines_of_their_angles(a):
     """The composed orbit hands out its points (cos u, sin u) with their
     angles, so neither is taken again; each lies within 8.9e-16 of np.cos
     and np.sin of its angle (measured: 3.3e-16), out to the guard."""
-    table = cg.BilliardTable(a, 1.0)
     for fraction in (0.01, 0.3, 0.68, 0.95, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9):
-        angles, cos_u, sin_u = bd._composed_sequence(table, cg.CausticSpec(fraction), 0.3, 20_000)
+        angles, cos_u, sin_u = bd._composed_sequence(a, fraction, 0.3, 20_000)
         assert len(angles) == len(cos_u) == len(sin_u) == 20_001
         assert np.max(np.abs(cos_u - np.cos(angles))) <= 8.9e-16, fraction
         assert np.max(np.abs(sin_u - np.sin(angles))) <= 8.9e-16, fraction
@@ -492,9 +517,9 @@ def test_a_composed_orbit_takes_about_four_cube_roots_of_python_steps(monkeypatc
     steps, links = [], []
     advance, chain = bd._advance_sequence, bd._addition_chain
 
-    def counted_steps(table, caustic, u0, k):
+    def counted_steps(a, lam, u0, k):
         steps.append(k)
-        return advance(table, caustic, u0, k)
+        return advance(a, lam, u0, k)
 
     def counted_links(jump, k, s3, kp2):
         links.append(k)
@@ -502,7 +527,7 @@ def test_a_composed_orbit_takes_about_four_cube_roots_of_python_steps(monkeypatc
 
     monkeypatch.setattr(bd, "_advance_sequence", counted_steps)
     monkeypatch.setattr(bd, "_addition_chain", counted_links)
-    angles, cos_u, sin_u = bd._composed_sequence(T2, cg.CausticSpec(0.37), 0.3, n)
+    angles, cos_u, sin_u = bd._composed_sequence(2.0, 0.37, 0.3, n)
     assert len(angles) == len(cos_u) == len(sin_u) == n + 1
     r = steps[1]
     assert (r - 1) ** 3 <= n + 1 <= r**3
@@ -638,13 +663,13 @@ def test_every_returned_orbit_is_certified(a, fraction, u0, n):
         assert (a, fraction, u0, n) not in NEAR_THE_GUARD
         return
     angles, us = sample.angles, sample.u_sequence
-    assert angles is bd._orbit(table, caustic, u0, n)[0]
+    assert angles is bd._orbit(a, fraction, u0, n, bd._SHARE_TOL)[0]
     if n >= bd._COMPOSE_MIN:
-        composed, cos_u, sin_u = bd._composed_sequence(table, caustic, u0 % bd._TAU % bd._TAU, n)
+        composed, cos_u, sin_u = bd._composed_sequence(a, fraction, u0 % bd._TAU % bd._TAU, n)
         assert np.array_equal(composed, angles)
     else:
         cos_u, sin_u = np.cos(angles), np.sin(angles)
-    ((x1, x2), (y1, y2)), _ = cg._endpoints(table, caustic, cos_u, sin_u)
+    ((x1, x2), (y1, y2)), _ = cg._endpoints(a, fraction, cos_u, sin_u)
     assert np.max(np.hypot(x2[1:] - x1[:-1], y2[1:] - y1[:-1])) <= bd._SHARE_TOL
     if a <= 5.0:
         x1, y1, x2, y2 = cg.endpoint_coordinates(table, caustic, angles)
@@ -876,10 +901,12 @@ def test_brentq_raises_at_an_end_with_no_sign_change():
 @example(a=1.0, n=3)
 @example(a=100.0, n=3)
 @example(a=1.0, n=400)
+@example(a=73.55796585885673, n=254)
 def test_a_solved_period_lies_within_tol_of_a_sign_change(a, n):
-    """Each solve in phi either fails to bracket, or rho - 1/n changes sign
-    between phi_n - tol(phi_n) and phi_n + tol(phi_n), within _MAX_EVALS
-    evaluations (the solve raises past them)."""
+    """Each solve in phi either fails to bracket, or rho - 1/n has a zero
+    within tol(phi_n) of phi_n: f(phi_n - tol) <= 0 <= f(phi_n + tol), within
+    _MAX_EVALS evaluations (the solve raises past them).  At (73.558, 254) f
+    is -8.7e-19 at phi_n and exactly 0.0 at phi_n + tol, a zero within tol."""
     solves = []
 
     def recording_brentq(f, lo, hi, x0, anchor, tol):
@@ -889,12 +916,12 @@ def test_a_solved_period_lies_within_tol_of_a_sign_change(a, n):
     brentq = bd.brentq
     with mock.patch.object(bd, "brentq", recording_brentq):
         try:
-            bd._caustic_for_period.__wrapped__(cg.BilliardTable(a, 1.0), n)
+            bd._caustic_for_period.__wrapped__(a, n, bd._SHARE_TOL)
         except NumericalError as exc:
             assert "failed to bracket" in str(exc)
             return
     (f, tol, phi_n), = solves
-    assert f(phi_n - tol(phi_n)) < 0.0 < f(phi_n + tol(phi_n))
+    assert f(phi_n - tol(phi_n)) <= 0.0 <= f(phi_n + tol(phi_n))
 
 
 @pytest.mark.parametrize("a", [1.0, 1.2, 2.0, 5.0, 100.0, 1e4])
@@ -922,24 +949,63 @@ def test_find_caustic_evaluates_rho_a_few_times(monkeypatch):
     brentq in lam: 11.25 with its two bracket checks), and 5 at (3.14, 55)."""
     calls = []
 
-    def counted(table, caustic):
+    def counted(a, lam):
         calls[-1] += 1
-        return rotation_number(table, caustic)
+        return rotation(a, lam)
 
-    monkeypatch.setattr(bd, "rotation_number", counted)
+    rotation = bd._rotation
+    monkeypatch.setattr(bd, "_rotation", counted)
     rng = np.random.default_rng(2024)
     a = rng.uniform(1.0, 5.0, 256)
     a[::16] = 1.0
     for table_a, n in zip(a, rng.integers(3, 41, 256)):
         calls.append(0)
-        bd._caustic_for_period(cg.BilliardTable(float(table_a), 1.0), int(n))
+        bd._caustic_for_period(float(table_a), int(n), bd._SHARE_TOL)
     assert np.mean(calls) <= 6.0 and max(calls) <= 16, (np.mean(calls), max(calls))
     calls.append(0)
-    bd._caustic_for_period(cg.BilliardTable(3.14, 1.0), 55)
+    bd._caustic_for_period(3.14, 55, bd._SHARE_TOL)
     assert calls[-1] <= 5
 
 
 # ----------------------------------------------------------------- group 4
+
+
+def _outcome(call):
+    """call(), or the NumericalError it raised."""
+    try:
+        return call()
+    except NumericalError as exc:
+        return exc
+
+
+@settings(deadline=None, max_examples=40)
+@given(*SCALE_DRAWS, st.integers(1, 300), st.integers(3, 12))
+def test_scale_equivariance(k, a, fraction, n, period):
+    """b is a unit of length: on a table and caustic scaled by s = 10^k,
+    k in [-150, 150], rho, the orbit's angles, its vertices over b, each
+    time average over b^p and lam_N over b^2 are bit for bit those of the
+    unit table (a/b, 1) and caustic lam/b^2 the pair converts to (measured:
+    0 ulps).  The endpoint gap is held to _SHARE_TOL/max(1, b) on the unit
+    table, so an orbit the unit table certifies may be refused where b > 1
+    (every one from b = 1e9 on, as before), and none is accepted that the
+    unit table refuses."""
+    s, table, caustic, unit, unit_caustic = scaled_tables(k, a, fraction)
+    assert rotation_number(table, caustic) == rotation_number(unit, unit_caustic)
+    cases = [(lambda t, c: iterate_orbit(t, c, 0.3, n).vertex_sequence, 1.0),
+             (lambda t, c: find_caustic_for_period(t, period).lam, 2.0)]
+    cases += [(lambda t, c, q=quantity: time_average(t, c, q, n), p)
+              for quantity, p in zip(TIME_AVERAGE_QUANTITIES, sa._CHORD_POWERS)]
+    for call, power in cases:
+        want, got = _outcome(lambda: call(unit, unit_caustic)), _outcome(lambda: call(table, caustic))
+        if isinstance(got, NumericalError):
+            assert isinstance(want, NumericalError) or s > 1.0, str(got)
+        elif isinstance(got, sa.AverageResult):
+            assert (got.value, got.err_estimate) == (want.value * s**power, want.err_estimate * s**power)
+        else:
+            assert np.array_equal(got, want * s**power)
+    if not isinstance(_outcome(lambda: iterate_orbit(table, caustic, 0.3, n)), NumericalError):
+        assert np.array_equal(iterate_orbit(table, caustic, 0.3, n).angles,
+                              iterate_orbit(unit, unit_caustic, 0.3, n).angles)
 
 
 def test_time_average_circle_exact():
@@ -977,7 +1043,7 @@ def test_log_outer_time_average_where_ca_vanishes(table, lam):
     """At ca = 0 every outer cosine is 0: both means are -inf, and they drift
     by 0, as log_geomean_outer reports."""
     caustic = cg.CausticSpec(lam)
-    assert cg._ca(table, caustic) == 0.0
+    assert cg._ca(table.a, lam) == 0.0
     res = time_average(table, caustic, "log_abs_outer_cosine", 1000)
     assert (res.value, res.err_estimate) == (-math.inf, 0.0)
     assert sa.log_geomean_outer(table, caustic) == (-math.inf, 0)
@@ -988,18 +1054,18 @@ def samples_at_the_vertices(table, caustic, u0, n):
     chord's built from both of its vertices: the mean of the public
     curvature23 at them, and interior_cosine's focal identity
     lam (1/(d1 d2) + 1/(d1 d2)) - 1 with d1 d2 = b^2 + c^2 y^2/b^2 at them;
-    the chord length and outer cosine at the points' chord factor w."""
-    _, vertices, w = bd._orbit(table, caustic, u0, n)
+    the chord length and outer cosine at the points' chord factor w (b = 1)."""
+    _, vertices, w = bd._orbit(table.a, caustic.lam, u0, n, bd._SHARE_TOL)
     p1, p2 = vertices.T[1:], vertices.T[:-1]
     b2, c2_b2 = table.b * table.b, table.c2 / table.b**2
     rows = np.empty((len(TIME_AVERAGE_QUANTITIES), n))
-    rows[0] = cg._chord_length_at(table, caustic, w[:n])
+    rows[0] = cg._chord_length_at(table.a, caustic.lam, w[:n])
     rows[1] = caustic.lam * (
         1.0 / (b2 + c2_b2 * p1[:, 1] * p1[:, 1]) + 1.0 / (b2 + c2_b2 * p2[:, 1] * p2[:, 1])
     ) - 1.0
     rows[2] = 0.5 * (cg.curvature23(table, p1) + cg.curvature23(table, p2))
     with np.errstate(divide="ignore"):
-        rows[3] = np.log(np.abs(cg._outer_cosine_at(table, caustic, w[:n])))
+        rows[3] = np.log(np.abs(cg._outer_cosine_at(table.a, caustic.lam, w[:n])))
     return rows
 
 
@@ -1017,11 +1083,11 @@ def test_time_averages_evaluate_each_vertex_once(table, lam, n):
     rows = samples_at_the_vertices(table, caustic, 0.1, n)
     half = rows[:, : n // 2]
     want = tuple(zip(np.mean(rows, axis=-1).tolist(), np.mean(half, axis=-1).tolist()))
-    assert bd._orbit_means(table, caustic, 0.1, n) == want
+    assert bd._orbit_means(table.a, lam, 0.1, n, bd._SHARE_TOL) == want
     for quantity, (value, _) in zip(TIME_AVERAGE_QUANTITIES, want):
         assert time_average(table, caustic, quantity, n).value == value
     if n < bd._COMPOSE_MIN:
-        angles = bd._orbit(table, caustic, 0.1, n)[0][:n]
+        angles = bd._orbit(table.a, lam, 0.1, n, bd._SHARE_TOL)[0][:n]
         assert rows[0].tobytes() == cg.chord_length(table, caustic, angles).tobytes()
         with np.errstate(divide="ignore"):
             outer = np.log(np.abs(cg.outer_cosine(table, caustic, angles)))

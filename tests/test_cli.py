@@ -40,11 +40,14 @@ Proves:
      vanishes at one of its caustics
    - the battery integrates each caustic once: the dual-route Z check reads
      the Z of the averages' own quadrature
+   - an aspect ratio a/b past 2^127 exits 3 naming it, with warnings as
+     errors, and tables scaled by 1e-100 to 1e100 run with exit 0
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,8 +351,8 @@ def test_a_nan_closed_form_fails_the_sweep_and_the_battery(capsys, monkeypatch):
     # argument: neither may let a NaN deviation pass
     honest = sa._closed_forms
 
-    def nan_cosine(table, caustic):
-        sidelength, _, curvature23, outer = honest(table, caustic)
+    def nan_cosine(a, lam):
+        sidelength, _, curvature23, outer = honest(a, lam)
         return sidelength, math.nan, curvature23, outer
 
     monkeypatch.setattr(sa, "_closed_forms", nan_cosine)
@@ -375,8 +378,7 @@ def test_seed_invariance_check_fails_on_a_sum_that_moves_with_the_seed(monkeypat
     honest = cli.evaluate_invariants
 
     def sum_kappa(orbit):
-        x, y = orbit.vertices.T
-        kappa = cg._curvature23_at(orbit.table, x, y) ** 1.5
+        kappa = cg.curvature23(orbit.table, orbit.vertices) ** 1.5
         return dataclasses.replace(honest(orbit), sum_kappa23=float(kappa.sum()))
 
     monkeypatch.setattr(cli, "evaluate_invariants", sum_kappa)
@@ -410,6 +412,45 @@ def test_battery_integrates_each_caustic_once(monkeypatch):
     # 19 dual-route caustics, 5 ergodic ones and lambda_3 ... lambda_7, whose
     # PERIODIC rows read the outer average
     assert len(calls) == 19 + 5 + 5
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --a 1e60 --steps 2",
+    "verify --a 1e60 --quick",
+    "sweep --a 1e80 --steps 2",
+    "sweep --a 1e80 --steps 2 --method quadrature",
+    "verify --a 1e80 --quick",
+    "orbit --a 1e110 --lambda 0.5 --n 3",
+    "orbit --a 1e100 --lambda 0.5 --n 200",
+])
+def test_an_aspect_ratio_past_2_127_exits_three(capsys, argv):
+    """Past a/b = 2^127 the routes' products overflow: each command exits 3
+    naming a/b, with warnings as errors, where the closed forms' kernel
+    rejected n1 = 0 (exit 2), a**4 raised OverflowError and the orbit's
+    points turned NaN (exit 1)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run_cli(capsys, *argv.split())
+    a = argv.split()[2]
+    assert code == 3 and f"aspect ratio a/b={float(a)!r} exceeds 2^127" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --a 2e-60 --b 1e-60 --steps 3 --method both",
+    "periodic --a 2e-100 --b 1e-100 --n 3,5",
+    "sweep --a 2e100 --b 1e100 --steps 3 --method quadrature",
+    "verify --a 2e-60 --b 1e-60 --quick",
+    "verify --a 3 --b 1.7 --quick",
+])
+def test_scaled_tables_run(capsys, argv):
+    """The routes compute on the unit table (a/b, 1), so no scale of an
+    admitted table crashes them: these exited 1 on a ZeroDivisionError or an
+    OverflowError while they computed in the table's units."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and not err
+    assert "SKIPPED" not in out and "FAIL" not in out
 
 
 def test_numerical_failure_exits_three(capsys):

@@ -5,7 +5,8 @@ Proves:
  Group 1 - Construction and validation
    - table/caustic validation rejects bad axes, an infinite a among them, and
      out-of-range lambda
-   - caustic_axes values and the identity a_c^2 - b_c^2 = c^2
+   - caustic_axes values and the identity a_c^2 - b_c^2 = c^2; every float
+     strictly inside 0 < lambda/b^2 < 1 is admitted
  Group 2 - Chord endpoints against an independent oracle
    - endpoints from the tangent-line/ellipse quadratic match endpoint_coordinates
    - on-boundary and tangency residuals over random (table, lambda, u)
@@ -38,6 +39,8 @@ Proves:
      on 0-d arrays and numpy scalars, at the circle, at ca = 0 and near the
      guard, and leaves its inputs as they were; the public functions of a
      scalar still return a float
+   - property: on tables scaled by s = 10^k, k in [-150, 150], each public
+     function is b^p times its value on the unit table, bit for bit
 
 The oracles focal_distances and interior_cosine_rational are local to this
 module; outer_cosine_gradient, the rational form's coefficients
@@ -57,7 +60,14 @@ from hypothesis import strategies as st
 import caustics.billiard_dynamics as bd
 import caustics.conic_geometry as cg
 from caustics.errors import DomainError, NumericalError
-from oracles import EXPRESSION_FORMS, next_tangency, outer_cosine_gradient, rational_coefficients
+from oracles import (
+    EXPRESSION_FORMS,
+    SCALE_DRAWS,
+    next_tangency,
+    outer_cosine_gradient,
+    rational_coefficients,
+    scaled_tables,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -193,6 +203,20 @@ def test_caustic_range_rejected(lam):
         cg.caustic_axes(T2, cg.CausticSpec(lam))
 
 
+def test_caustic_range_admits_every_float_strictly_inside():
+    """The check is 0 < lam/b^2 < 1 exactly: the least positive float and
+    the float just below 1 are admitted on the unit table, and on one scaled
+    by 2^-20, where lam/b^2 is exact, the least lam whose lam b^2 is a
+    float, 2^-1000, and the float just below 1."""
+    for b, least in ((1.0, 5e-324), (2.0**-20, 2.0**-1000)):
+        table = cg.BilliardTable(2.0 * b, b)
+        for lam in (least, math.nextafter(1.0, 0.0)):
+            ac, bc = cg.caustic_axes(table, cg.CausticSpec(lam * b * b))
+            assert 0.0 < bc < ac <= 2.0 * b, (b, lam)
+        with pytest.raises(DomainError, match=r"lam < b\^2"):
+            cg.caustic_axes(table, cg.CausticSpec(b * b))
+
+
 def test_caustic_axes_values():
     ac, bc = cg.caustic_axes(CIRCLE, cg.CausticSpec(0.5))
     assert ac == pytest.approx(math.sqrt(0.5), abs=1e-15)
@@ -237,7 +261,7 @@ def test_degenerate_chord_names_its_first_index():
     # (cos u, sin u) = (0, 0) is no point of the circle: psi = 0 there
     cos_u, sin_u = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -0.0])
     with pytest.raises(NumericalError, match=r"psi <= 0 at index 1, u=0\.0$"):
-        cg._endpoints(T2, caustic, cos_u, sin_u)
+        cg._endpoints(2.0, 0.5, cos_u, sin_u)
 
 
 def test_chord_periodicity():
@@ -524,12 +548,12 @@ def test_boundary_residual_is_one_reduction_with_the_old_nan_behaviour():
     than raised, unless a finite residual beside it exceeds 1e-8, and then
     the message carries nan, the maximum, as it did with a separate check."""
     zeros = np.zeros(2)
-    assert cg._boundary_residual(T2, np.array([2.0, -2.0]), zeros) == 0.0
-    assert math.isnan(cg._boundary_residual(T2, np.array([2.0, np.nan]), zeros))
+    assert cg._boundary_residual(2.0, np.array([2.0, -2.0]), zeros) == 0.0
+    assert math.isnan(cg._boundary_residual(2.0, np.array([2.0, np.nan]), zeros))
     with pytest.raises(DomainError, match=r"\(residual nan > 1e-8\)"):
-        cg._boundary_residual(T2, np.array([2.1, np.nan]), zeros)
+        cg._boundary_residual(2.0, np.array([2.1, np.nan]), zeros)
     with pytest.raises(DomainError, match=r"\(residual 1\.025e-01 > 1e-8\)"):
-        cg._boundary_residual(T2, np.array([2.1, 2.0]), zeros)
+        cg._boundary_residual(2.0, np.array([2.1, 2.0]), zeros)
     with pytest.raises(DomainError, match=r"\(residual 1\.025e-01 > 1e-8\)"):
         cg.curvature23(T2, (2.1, 0.0))
 
@@ -610,13 +634,14 @@ def _form_inputs(table, caustic):
     composed orbit (read-only; x and y its planar vertex rows, and the
     strided columns of the vertices it hands out), by a quadrature grid
     ((2, n) rows of the endpoint pass) and as 0-d arrays and numpy scalars."""
+    a, lam, _ = cg._unit(table, caustic)
     for n in (bd._COMPOSE_MIN - 1, 2_000):
-        _, (x, y), w = bd._orbit(table, caustic, 0.1, n)
+        _, (x, y), w = bd._orbit(a, lam, 0.1, n, bd._SHARE_TOL)
         yield w, x, y
         vertices = bd.iterate_orbit(table, caustic, 0.1, n).vertex_sequence
         yield w, vertices[:, 0], vertices[:, 1]
     u = np.linspace(0.0, math.pi, 512, endpoint=False)
-    (x, y), w = cg._endpoints(table, caustic, np.cos(u), np.sin(u))
+    (x, y), w = cg._endpoints(a, lam, np.cos(u), np.sin(u))
     yield w, x, y
     yield np.asarray(w[3]), np.asarray(x[0, 3]), np.asarray(y[0, 3])
     yield w[3], x[0, 3], y[0, 3]
@@ -630,12 +655,37 @@ def test_per_point_forms_are_their_expressions_bit_for_bit(name, table, frac):
     caustic = cg.CausticSpec(frac * table.b**2)
     for w, x, y in _form_inputs(table, caustic):
         arrays = {"cw": (w,), "y": (y,), "xy": (x, y)}[kind]
-        args = (caustic,) + arrays if kind == "cw" else arrays
+        args = (caustic.lam,) + arrays if kind == "cw" else arrays
         before = [np.array(array, copy=True) for array in arrays]
-        got, want = form(table, *args), expression(table, *args)
+        got, want = form(table.a, *args), expression(table.a, *args)
         assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
         for array, copy in zip(arrays, before):
             assert np.asarray(array).tobytes() == copy.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(*SCALE_DRAWS, st.floats(-10.0, 10.0))
+def test_scale_equivariance(k, a, fraction, u):
+    """b is a unit of length: on a table and caustic scaled by s = 10^k,
+    k in [-150, 150], each public function is b^p times its value on the
+    unit table (a/b, 1) and caustic lam/b^2 the pair converts to, bit for
+    bit (measured: 0 ulps): p = 1 for a_c, b_c, the endpoints and chord
+    lengths, -1 for J, 0 for the cosines, 1/3 for rho(u) and -2/3 for
+    kappa^(2/3), taken at the scaled point over b.  How far the values move
+    from those of (a, 1) and fraction themselves, by the rounding of the
+    scaling, is a matter of each form's conditioning, not of the scale."""
+    s, table, caustic, unit, unit_caustic = scaled_tables(k, a, fraction)
+    u = np.array([u, u + 1.0, u + 2.0])
+    assert cg.caustic_axes(table, caustic) == tuple(x * s for x in cg.caustic_axes(unit, unit_caustic))
+    assert cg.joachimsthal(table, caustic) == cg.joachimsthal(unit, unit_caustic) / s
+    ends = cg.endpoint_coordinates(table, caustic, u)
+    for got, want in zip(ends, cg.endpoint_coordinates(unit, unit_caustic, u)):
+        assert np.array_equal(got, want * s)
+    for fn, power in ((cg.chord_length, 1.0), (cg.interior_cosine, 0.0), (cg.outer_cosine, 0.0),
+                      (cg.measure_density, 1.0 / 3.0)):
+        assert np.array_equal(fn(table, caustic, u), fn(unit, unit_caustic, u) * s**power), fn.__name__
+    p = np.stack(ends[:2], axis=-1)
+    assert np.array_equal(cg.curvature23(table, p), cg.curvature23(unit, p / s) * s ** (-2.0 / 3.0))
 
 
 def test_public_functions_of_a_scalar_return_floats():

@@ -193,7 +193,7 @@ def closed_form_arguments():
         for table in tables:
             b2, a2 = table.b * table.b, table.a * table.a
             for lam in [f * b2 for f in fractions] + [a2 * b2 / (a2 + b2)]:
-                sa._closed_forms.__wrapped__(table, cg.CausticSpec(lam))
+                sa._closed_forms.__wrapped__(*cg._unit(table, cg.CausticSpec(lam))[:2])
     return ks, pis
 
 

@@ -10,7 +10,7 @@ Proves:
    - period < 3 rejected; construction records lambda and the seed, which
      is 0.0 by default
    - the closure certificate refuses a gap of 1e-6 and passes one an ulp
-     below it
+     below it; below b = 1 it holds the gap to 1e-6 b, and above it to 1e-6
  Group 2 - Exact circle invariants
    - square: L = 4 sqrt(2), J = sqrt(1/2), sum_cos = 0, product = 0
    - triangle: L = 3 sqrt(3), sum_cos = 3/2, product = -1/8
@@ -25,6 +25,9 @@ Proves:
    - every field of the report, read off the polygon's x and y columns, is
      bit for bit the row-wise evaluation kept in tests/oracles.py, on
      a in {1, 1.2, 2, 5} x N in 3..40 x 4 seeds
+   - property: on tables scaled by s = 10^k, k in [-150, 150], lambda_N is
+     b^2 times the unit table's, the polygon b times the unit orbit's, and
+     each field of its report b^p times the unit polygon's, bit for bit
 """
 from __future__ import annotations
 
@@ -34,13 +37,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caustics.conic_geometry as cg
 import caustics.invariant_suite as invariant_suite
-from caustics.billiard_dynamics import find_caustic_for_period
+from caustics.billiard_dynamics import find_caustic_for_period, iterate_orbit
 from caustics.errors import DomainError, NumericalError
 from caustics.invariant_suite import InvariantReport, build_periodic_orbit, evaluate_invariants
-from oracles import row_wise_invariants
+from oracles import SCALE_DRAWS, row_wise_invariants, scaled_tables
 
 T12 = cg.BilliardTable(1.2, 1.0)
 T2 = cg.BilliardTable(2.0, 1.0)
@@ -101,6 +106,27 @@ def test_closure_certificate_refuses_a_gap_of_1e_6(monkeypatch, gap):
     else:
         with pytest.raises(NumericalError, match="failed to close: defect 1.000e-06"):
             build_periodic_orbit(T2, 5)
+
+
+@pytest.mark.parametrize("b, gap", [(1e-9, 1e-15), (1e-9, float(np.nextafter(1e-15, 0.0))),
+                                    (2.0, 1e-6), (2.0, float(np.nextafter(1e-6, 0.0)))])
+def test_closure_certificate_refuses_a_gap_of_1e_6_min_1_b(monkeypatch, b, gap):
+    """The closure defect is held to 1e-6 min(1, b): on T2 scaled by 1e-9 to
+    1e-15, the relative defect of b = 1 (it was held to 1e-6 itself, a
+    million times the table), and on T2 doubled to 1e-6, never looser."""
+    table = cg.BilliardTable(2.0 * b, b)
+
+    def gapped(table, caustic, u0, n):
+        vertices = np.zeros((n + 1, 2))
+        vertices[n, 0] = gap
+        return SimpleNamespace(vertex_sequence=vertices)
+
+    monkeypatch.setattr(invariant_suite, "iterate_orbit", gapped)
+    if gap < 1e-6 * min(1.0, b):
+        assert build_periodic_orbit(table, 5).closure_defect == gap
+    else:
+        with pytest.raises(NumericalError, match=f"failed to close: defect {gap:.3e}"):
+            build_periodic_orbit(table, 5)
 
 
 # ----------------------------------------------------------------- group 2
@@ -191,6 +217,43 @@ def test_report_is_bit_for_bit_the_row_wise_evaluation(a):
             for field in dataclasses.fields(InvariantReport):
                 name = field.name
                 assert getattr(got, name) == getattr(expected, name), (n, seed, name)
+
+
+@settings(deadline=None, max_examples=40)
+@given(*SCALE_DRAWS[:2], st.integers(3, 12), st.floats(0.0, 2.0 * math.pi))
+def test_scale_equivariance(k, a, n, seed):
+    """b is a unit of length: on a table scaled by s = 10^k, k in [-150, 150],
+    lam_N is b^2 times the unit table's, and the polygon is b times the unit
+    table's orbit at the lam_N/b^2 that lam_N converts back to; each field of
+    its report is b^p times that of the same polygon over b on the unit table
+    (a/b, 1), bit for bit (measured: 0 ulps): p = 1 for the perimeter, -1
+    for J and its spread, -2/3 for sum kappa^(2/3), 0 for the rest, and the
+    closure defect is the orbit's own.  A polygon the unit table closes may be refused where
+    b > 1, whose orbits are certified to _SHARE_TOL/b on the unit table."""
+    s, table, _, unit, _ = scaled_tables(k, a, 0.5)
+    try:
+        want = build_periodic_orbit(unit, n, seed)
+    except NumericalError:
+        want = None
+    try:
+        orbit = build_periodic_orbit(table, n, seed)
+    except NumericalError:
+        assert want is None or s > 1.0
+        return
+    lam = orbit.lam / s / s
+    assert orbit.lam == want.lam * (s * s)
+    assert np.array_equal(orbit.vertices, iterate_orbit(unit, cg.CausticSpec(lam), seed, n).vertex_sequence[:n] * s)
+    on_unit = dataclasses.replace(orbit, vertices=orbit.vertices / s, lam=lam, table=unit,
+                                  closure_defect=orbit.closure_defect / s)
+    got, want = evaluate_invariants(orbit), evaluate_invariants(on_unit)
+    for name, power in (("perimeter", 1.0), ("sum_cos", 0.0), ("product_outer_cos", 0.0),
+                        ("sum_kappa23", -2.0 / 3.0)):
+        assert getattr(got, name) == getattr(want, name) * s**power, name
+    assert got.joachimsthal == want.joachimsthal / s  # J and its spread are divided by b
+    for key in ("sum_cos_identity", "boundary_max"):
+        assert got.identity_residuals[key] == want.identity_residuals[key], key
+    assert got.identity_residuals["closure_defect"] == orbit.closure_defect
+    assert got.identity_residuals["joachimsthal_spread"] == want.identity_residuals["joachimsthal_spread"] / s
 
 
 def test_residuals_recorded():

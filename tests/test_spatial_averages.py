@@ -48,7 +48,8 @@ Proves:
    - a NaN estimate stops its group: it closes at the level where its
      defect turns NaN, alone after one 256-node call, and is returned with
      its NaN defect, which _average rejects; a defect of exactly _QUAD_TOL
-     keeps its group open
+     keeps its group open, and _average rejects a record whose defect is
+     exactly _QUAD_TOL and reads one an ulp below it
    - the first grids are one read-only table of 2048 nodes in level order,
      with cos u and sin u at u = v/2: each prefix of n nodes is np.linspace's
      n-node grid, sorted, and each block [m/2, m) level m's midpoints, bit
@@ -79,9 +80,9 @@ Proves:
    - property: the closed sidelength and kappa^(2/3) match their 40-digit
      values at small lambda, lambda = b^2 10^-k with k in [0.05, 3], to
      4e-15 each (measured: 2.0e-15 and 1.55e-15)
-   - the three closed forms are their factored formulas, written out in the
-     same order of operations, bit for bit on nine caustics out to the
-     guard, at small lambda and at ca = 0
+   - the three closed forms are their factored formulas on the unit table,
+     written out in the same order of operations, bit for bit on nine
+     caustics out to the guard, at small lambda and at ca = 0
  Group 5 - Log-geometric mean of outer cosines
    - circle families log(1/2) and the (-inf, 0) degenerate point
    - sign convention -sign(ca) across the sweep range, a Python int also
@@ -94,6 +95,9 @@ Proves:
      on every call), result fields
    - the quadrature and orbit routes run with every K/Pi evaluation and the
      closed forms' record disabled
+   - property: on tables scaled by s = 10^k, k in [-150, 150], each average
+     by each route with its error estimate, Z and the outer sign are b^p
+     times the unit table's, bit for bit
 """
 from __future__ import annotations
 
@@ -120,8 +124,10 @@ from caustics.invariant_suite import build_periodic_orbit, evaluate_invariants
 from oracles import (
     level_by_level_quadrature,
     outer_cosine_gradient,
+    SCALE_DRAWS,
     patch_complete_integrals,
     rational_coefficients,
+    scaled_tables,
 )
 
 T12 = cg.BilliardTable(1.2, 1.0)
@@ -492,7 +498,7 @@ def public_integrand(table, caustic):
     """The shared grid's integrand, rho and then g rho for each sample the
     grid holds (all but log|outer cosine| where ca = 0), built from the
     public functions of u alone."""
-    rows = len(TIME_AVERAGE_QUANTITIES) - (cg._ca(table, caustic) == 0.0)
+    rows = len(TIME_AVERAGE_QUANTITIES) - (cg._ca(*cg._unit(table, caustic)[:2]) == 0.0)
 
     def weighted(u):
         rho = cg.measure_density(table, caustic, u)
@@ -533,12 +539,13 @@ def test_shared_grid_integrand_is_the_public_functions_of_u(monkeypatch, a):
 def samples_at_the_points(table, caustic, cos_u, sin_u):
     """rho and the four samples, in _CHORD_QUANTITIES order, of the chords
     tangent at the points (cos u, sin u), built from the private forms as the
-    shared grid builds them."""
-    ((x1, x2), (y1, y2)), w = cg._endpoints(table, caustic, cos_u, sin_u)
-    ends = (cg._inverse_focal_product(table, y1), cg._inverse_focal_product(table, y2),
-            cg._curvature23_at(table, x1, y1), cg._curvature23_at(table, x2, y2))
-    rho = cg._measure_density_at(table, caustic, w)
-    return np.vstack([rho, sa._chord_samples(table, caustic, w, *ends)])
+    shared grid builds them, on the unit table."""
+    a, lam, _ = cg._unit(table, caustic)
+    ((x1, x2), (y1, y2)), w = cg._endpoints(a, lam, cos_u, sin_u)
+    ends = (cg._inverse_focal_product(a, y1), cg._inverse_focal_product(a, y2),
+            cg._curvature23_at(a, x1, y1), cg._curvature23_at(a, x2, y2))
+    rho = cg._measure_density_at(a, lam, w)
+    return np.vstack([rho, sa._chord_samples(a, lam, w, *ends)])
 
 
 def within_ulps(got, want, ulps=4):
@@ -562,8 +569,8 @@ def test_rho_and_the_samples_are_pi_periodic(a, fraction, u):
     table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
     angles = u + np.linspace(0.0, math.pi, 16, endpoint=False)
     cos_u, sin_u = np.cos(angles), np.sin(angles)
-    for end, turned in zip(cg._endpoints(table, caustic, cos_u, sin_u)[0],
-                           cg._endpoints(table, caustic, -cos_u, -sin_u)[0]):
+    for end, turned in zip(cg._endpoints(a, fraction, cos_u, sin_u)[0],
+                           cg._endpoints(a, fraction, -cos_u, -sin_u)[0]):
         assert within_ulps(-turned, end)
     here = samples_at_the_points(table, caustic, cos_u, sin_u)
     turned = samples_at_the_points(table, caustic, -cos_u, -sin_u)
@@ -589,7 +596,7 @@ def test_half_period_averages_are_the_full_period_quadrature(a):
     for fraction in CELLS:
         caustic = cg.CausticSpec(fraction)
         bound = FULL_PERIOD_REL.get(fraction, 1e-15)
-        half = sa._quadrature_averages(table, caustic)
+        half = sa._quadrature_averages(a, fraction)
         values, defects = sa.periodic_quadrature(public_integrand(table, caustic))
         for quantity, (value, _, defect, z), (z_full, raw), defect_full in zip(
             TIME_AVERAGE_QUANTITIES, half, values, defects
@@ -672,15 +679,14 @@ def test_quadrature_averages_are_the_level_by_level_route(a, fraction):
     1 - 10^-U(0.5, 8.5): caustics that start on each first grid (256, 512,
     1024 and 2048 nodes), that refine past it, and that fail at the 2^20-node cap
     are all drawn (hypothesis' statistics count each, as events)."""
-    table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
     quadrature, nodes = sa.periodic_quadrature, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sa, "periodic_quadrature",
                       lambda f, strip: quadrature(lambda v: nodes.append(len(v)) or f(v), strip))
-        got = sa._quadrature_averages.__wrapped__(table, caustic)
+        got = sa._quadrature_averages.__wrapped__(a, fraction)
         patch.setattr(sa, "periodic_quadrature",
                       lambda f, strip: tuple(r.tolist() for r in level_by_level_quadrature(f)))
-        want = sa._quadrature_averages.__wrapped__(table, caustic)
+        want = sa._quadrature_averages.__wrapped__(a, fraction)
     assert repr(got) == repr(want), (a, fraction)
     event(f"first grid {nodes[0]}")
     event("refined" if len(nodes) > 1 else "first grid only")
@@ -697,8 +703,8 @@ def test_a_discontinuous_sample_fails_only_its_own_average(monkeypatch, broken):
     ac, bc = cg.caustic_axes(table, caustic)
     middle = 0.5 * (ac * ac + bc * bc)
 
-    def with_a_jump(table, caustic, w, *ends):
-        rows = samples(table, caustic, w, *ends)
+    def with_a_jump(a, lam, w, *ends):
+        rows = samples(a, lam, w, *ends)
         rows[TIME_AVERAGE_QUANTITIES.index(broken)] = np.where(w < middle, 0.0, 1.0)
         return rows
 
@@ -720,9 +726,9 @@ def passes(monkeypatch):
     counts = {"endpoints": 0, "quadratures": 0, "levels": 0, "grids": []}
     endpoints, quadrature = cg._endpoints, sa.periodic_quadrature
 
-    def counting_endpoints(table, caustic, cos_u, sin_u):
+    def counting_endpoints(a, lam, cos_u, sin_u):
         counts["endpoints"] += 1
-        return endpoints(table, caustic, cos_u, sin_u)
+        return endpoints(a, lam, cos_u, sin_u)
 
     def counting_quadrature(f, strip):
         def level(u):
@@ -824,7 +830,7 @@ def test_every_bulk_caustic_takes_one_call_on_the_grid_its_strip_names(passes):
         table, caustic = cg.BilliardTable(a, 1.0), cg.CausticSpec(fraction)
         passes["grids"].clear()
         sa._quadrature_averages.cache_clear()
-        defects = [defect for _, _, defect, _ in sa._quadrature_averages(table, caustic)]
+        defects = [defect for _, _, defect, _ in sa._quadrature_averages(a, fraction)]
         assert all(defect < sa._QUAD_TOL for defect in defects), (a, fraction, defects)
         first = strip_law_grid(table, caustic)
         assert [len(v) for v in passes["grids"]] == [first], (a, fraction)
@@ -851,7 +857,7 @@ def test_shared_grid_at_vanishing_ca(passes, table, lam):
     it stays off the grid, so the other three converge at their usual level
     rather than doubling to the 2^20-node cap."""
     caustic = cg.CausticSpec(lam)
-    assert cg._ca(table, caustic) == 0.0
+    assert cg._ca(table.a, lam) == 0.0
     for average in (sa.mean_sidelength, sa.mean_cosine, sa.mean_curvature23):
         quad = average(table, caustic, method="quadrature").value
         closed = average(table, caustic, method="closed_form").value
@@ -1016,7 +1022,7 @@ def test_mean_curvature23_linear_identity_route():
         j = cg.joachimsthal(table, caustic)
         cbar = sa.mean_cosine(table, caustic).value
         identity = (table.a * table.b) ** (-4.0 / 3.0) * (1.0 + cbar) / (2.0 * j * j)
-        if cg._ca(table, caustic) > 0.0:
+        if cg._ca(*cg._unit(table, caustic)[:2]) > 0.0:
             bound = 4.0 * np.finfo(float).eps * closed.value / (1.0 + cbar)
             assert abs(identity - closed.value) <= bound, (table, lam)
         else:
@@ -1070,7 +1076,7 @@ def test_closed_forms_against_40_digits_out_to_the_guard(a, k):
     factored form, and the cosine its coefficient r2 r3 - r1 r4, so nothing
     cancels as lambda -> b^2."""
     lam = 1.0 - 10.0**-k
-    got = sa._closed_forms(cg.BilliardTable(a, 1.0), cg.CausticSpec(lam))
+    got = sa._closed_forms(a, lam)
     want = closed_forms_to_40_digits(a, lam)
     errors = {"sidelength": abs(got[0] - want[0]) / want[0], "interior_cosine": abs(got[1] - want[1]),
               "curvature23": abs(got[2] - want[2]) / want[2]}
@@ -1093,7 +1099,7 @@ def test_closed_sidelength_against_40_digits_at_small_lambda(a, k):
     2a sqrt(lambda) (K - r H(s5, s3))/(b K), in which nothing cancels as
     lambda -> 0."""
     lam = 10.0**-k
-    got = sa._closed_forms(cg.BilliardTable(a, 1.0), cg.CausticSpec(lam))[0]
+    got = sa._closed_forms(a, lam)[0]
     want = closed_forms_to_40_digits(a, lam)[0]
     error = float(abs(got - want) / want)
     assert error <= SMALL_LAMBDA_SIDELENGTH_REL, (a, k, error)
@@ -1113,44 +1119,44 @@ def test_closed_curvature23_against_40_digits_at_small_lambda(a, k):
     its 1 + Cbar is formed as 2 lam b^2/q plus the cosine's elliptic term,
     two positive terms, and does not cancel as Cbar -> -1."""
     lam = 10.0**-k
-    got = sa._closed_forms(cg.BilliardTable(a, 1.0), cg.CausticSpec(lam))[2]
+    got = sa._closed_forms(a, lam)[2]
     want = closed_forms_to_40_digits(a, lam)[2]
     error = float(abs(got - want) / want)
     assert error <= SMALL_LAMBDA_CURVATURE23_REL, (a, k, error)
 
 
 def test_closed_forms_are_their_factored_formulas_bit_for_bit():
-    """_closed_forms is its docstring's factored formulas, written out here in
-    the same order of operations, bit for bit: a one-ulp change of an exact
-    factor (the 2 of the sidelength, the 4 of 1 - s2, the 2 of the cosine
-    coefficient) stays inside the 40-digit bounds above but shows here.
-    The sidelength is 2a sqrt(lambda) (K - r H(s5, s3))/(b K), r = b_c^2
-    c^2/(a_c^2 b^2); kappa^(2/3) takes 1 + Cbar as 2 lam b^2/q plus the
+    """_closed_forms is its docstring's factored formulas on the unit table,
+    written out here in the same order of operations, bit for bit: a one-ulp
+    change of an exact factor (the 2 of the sidelength, the 4 of 1 - s2, the
+    2 of the cosine coefficient) stays inside the 40-digit bounds above but
+    shows here.  The sidelength is 2a sqrt(lambda) (K - r H(s5, s3))/K,
+    r = b_c^2 c^2/a_c^2; kappa^(2/3) takes 1 + Cbar as 2 lam/q plus the
     cosine's elliptic term where ca > 0 and as 1 + Cbar elsewhere, at
-    ca = 0 on (3, 0.9) too, where 2 lam b^2/q rounds to 1 + 2^-52."""
+    ca = 0 on (3, 0.9) too, where 2 lam/q rounds to 1 + 2^-52.  TB is read
+    through cg._unit, as the public functions read it."""
     for table, frac in ((T12, 0.3), (T2, 0.5), (T5, 0.9), (TB, 0.7), (T2, 1.0 - 1e-6),
                         (cg.BilliardTable(20.0, 1.0), 1.0 - 1e-9), (cg.BilliardTable(18.3, 1.0), 0.036),
                         (cg.BilliardTable(20.0, 1.0), 0.001), (cg.BilliardTable(3.0, 1.0), 0.9)):
-        a, b, c2 = table.a, table.b, table.c2
-        lam = frac * b * b
-        caustic = cg.CausticSpec(lam)
-        ac, bc = cg.caustic_axes(table, caustic)
+        a, lam, _ = cg._unit(table, cg.CausticSpec(frac * table.b * table.b))
+        c2 = a * a - 1.0
+        ac, bc = math.sqrt(a * a - lam), math.sqrt(1.0 - lam)
         ac2, bc2 = ac * ac, bc * bc
         m1 = bc2 / ac2
         k = complete_k_m1(m1)
-        h5 = complete_pi_minus_k_m1(a * a * bc2 / (b * b * ac2), m1)
-        sidelength = 2.0 * a * math.sqrt(lam) * (k - bc2 * c2 / (ac2 * b * b) * h5) / (b * k)
-        ca = cg._ca(table, caustic)
-        q = a * a * bc2 + lam * b * b
+        h5 = complete_pi_minus_k_m1(a * a * bc2 / ac2, m1)
+        sidelength = 2.0 * a * math.sqrt(lam) * (k - bc2 * c2 / ac2 * h5) / k
+        ca = a * a - lam * (a * a + 1.0)
+        q = a * a * bc2 + lam
         r3 = q * q * ac2
-        n1 = bc2 * (q * q + 4.0 * lam * a * a * b * b * c2) / r3
-        coefficient = 2.0 * lam * c2 * bc2 * ca * (a * a * b * b + lam * c2) / (q * r3)
+        n1 = bc2 * (q * q + 4.0 * lam * a * a * c2) / r3
+        coefficient = 2.0 * lam * c2 * bc2 * ca * (a * a + lam * c2) / (q * r3)
         term = coefficient * complete_pi_minus_k_m1(n1, m1) / k
         cosine = -ca * (a**4 * bc2 + lam * lam * c2) / r3 + term
-        j = cg.joachimsthal(table, caustic)
-        one_plus_cosine = 2.0 * lam * b * b / q + term if ca > 0.0 else 1.0 + cosine
-        curvature23 = (a * b) ** (-4.0 / 3.0) * one_plus_cosine / (2.0 * j * j)
-        assert sa._closed_forms(table, caustic) == (sidelength, cosine, curvature23, None), (a, frac)
+        j = math.sqrt(lam) / a
+        one_plus_cosine = 2.0 * lam / q + term if ca > 0.0 else 1.0 + cosine
+        curvature23 = a ** (-4.0 / 3.0) * one_plus_cosine / (2.0 * j * j)
+        assert sa._closed_forms(a, lam) == (sidelength, cosine, curvature23, None), (table, frac)
 
 
 # ----------------------------------------------------------------- group 5
@@ -1294,12 +1300,49 @@ def test_each_record_rejects_a_caustic_past_the_guard_on_every_call():
             sa.log_geomean_outer(T2, caustic)
 
 
+def test_a_defect_equal_to_the_tolerance_is_not_converged(monkeypatch):
+    """An average converges where its defect lies strictly below _QUAD_TOL,
+    as periodic_quadrature closes a pair: a record whose defect equals it
+    raises, one an ulp below it is read."""
+    for defect, converged in ((sa._QUAD_TOL, False), (math.nextafter(sa._QUAD_TOL, 0.0), True)):
+        monkeypatch.setattr(sa, "_quadrature_averages", lambda a, lam: ((0.5, defect, defect, 1.0),) * 4)
+        if converged:
+            assert sa.mean_sidelength(T2, cg.CausticSpec(0.5), method="quadrature").value == 0.5
+        else:
+            with pytest.raises(NumericalError, match="did not converge"):
+                sa.mean_sidelength(T2, cg.CausticSpec(0.5), method="quadrature")
+
+
 def test_average_result_fields():
     res = sa.mean_sidelength(T2, cg.CausticSpec(0.5), method="quadrature")
     assert res.err_estimate >= 0.0
     assert res.lam == 0.5
     with pytest.raises(DomainError):
         sa.mean_sidelength(T2, cg.CausticSpec(0.5), method="simpson")
+
+
+@settings(deadline=None, max_examples=40)
+@given(*SCALE_DRAWS)
+def test_scale_equivariance(k, a, fraction):
+    """b is a unit of length: on a table and caustic scaled by s = 10^k,
+    k in [-150, 150], each average by each route, with its error estimate,
+    is b^p times its value on the unit table (a/b, 1) and caustic lam/b^2
+    the pair converts to, bit for bit (measured: 0 ulps): p = 1 for the
+    sidelength, 0 for the cosine and log|outer cosine|, -2/3 for
+    kappa^(2/3) and 1/3 for Z; the outer sign is the unit table's.  At
+    s = 1e-60 the closed forms' r3 = q^2 a_c^2 underflowed, and at 1e100
+    the quadrature's a^4 overflowed, before they were taken on the unit
+    table."""
+    s, table, caustic, unit, unit_caustic = scaled_tables(k, a, fraction)
+    assert sa.normalization(table, caustic) == sa.normalization(unit, unit_caustic) * s ** (1.0 / 3.0)
+    for average, power in ((sa.mean_sidelength, 1.0), (sa.mean_cosine, 0.0),
+                           (sa.mean_curvature23, -2.0 / 3.0)):
+        for method in ("closed_form", "quadrature"):
+            got, want = average(table, caustic, method), average(unit, unit_caustic, method)
+            assert got.value == want.value * s**power, (average.__name__, method)
+            assert got.err_estimate == want.err_estimate * s**power, (average.__name__, method)
+            assert (got.method, got.lam) == (method, caustic.lam)
+    assert sa.log_geomean_outer(table, caustic) == sa.log_geomean_outer(unit, unit_caustic)
 
 
 def test_routes_independent_of_elliptic_integrals(monkeypatch):
